@@ -147,7 +147,7 @@ def spec_from_config(cfg: dict) -> CircuitSpec:
         prep = PureStateParams.from_alpha2(
             _cfg_float(cfg, "prep.alpha2"), _cfg_float(cfg, "prep.theta", 0.0))
     except qlinalg.QlinalgError as exc:
-        raise ConfigError(f"config field 'prep.alpha2': {exc}") from exc
+        raise ConfigError(f"config fields 'prep.*': {exc}") from exc
     if not cfg["block"]:
         raise ConfigError("missing config field 'block' (at least one)")
     try:
@@ -157,8 +157,7 @@ def spec_from_config(cfg: dict) -> CircuitSpec:
     local_names = tuple(cfg.get("locals", "").split()) or ("i2",) * (len(blocks) + 1)
     kind = cfg.get("overlap.kind", "orthogonal_limit")
     if kind == "gaussian":
-        overlap = TimeDistribution.gaussian(
-            _cfg_float(cfg, "overlap.d"), _cfg_float(cfg, "overlap.tau"))
+        overlap = _gaussian(_cfg_float(cfg, "overlap.d"), _cfg_float(cfg, "overlap.tau"))
     elif kind == "orthogonal_limit":
         overlap = TimeDistribution.orthogonal()
     else:
@@ -185,11 +184,18 @@ def geometry_from_config(cfg: dict) -> GeometryConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _gaussian(d: float, tau: float) -> TimeDistribution:
+    try:
+        return TimeDistribution.gaussian(d, tau)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_spec(target: str, args: argparse.Namespace) -> tuple[str, CircuitSpec]:
     """Resolve a scenario name or a --config path, then apply flag overrides."""
     if args.config:
-        cfg = parse_config_text(open(args.config).read())
-        spec = spec_from_config(cfg)
+        with open(args.config) as fh:
+            spec = spec_from_config(parse_config_text(fh.read()))
         name = target or "config"
     else:
         spec = scenario.named_scenario(target)
@@ -200,8 +206,10 @@ def load_spec(target: str, args: argparse.Namespace) -> tuple[str, CircuitSpec]:
         theta = args.theta if args.theta is not None else prep.theta
         prep = PureStateParams.from_alpha2(alpha2, theta)
     overlap = spec.overlap
+    if args.tau is not None and args.d is None:
+        raise ConfigError("--tau needs --d: the shift only applies to gaussian overlap")
     if args.d is not None:
-        overlap = TimeDistribution.gaussian(args.d, args.tau if args.tau is not None else 0.0)
+        overlap = _gaussian(args.d, args.tau if args.tau is not None else 0.0)
     return name, CircuitSpec(prep=prep, blocks=spec.blocks,
                              local_gates=spec.local_gates, overlap=overlap)
 
@@ -220,12 +228,14 @@ def records_for(name: str, spec: CircuitSpec, model: str,
     recs: list[RunRecord] = []
     tdist = None
     compare_flags = ""
+    db_run = heis = None
     if with_compare:
         report = scenario.compare(spec)
+        db_run, heis = report.db, report.heisenberg
         tdist = report.trace_distance
         compare_flags = ";".join(report.flags)
     if model in ("db", "both"):
-        db_run = scenario.run_db(spec)
+        db_run = db_run or scenario.run_db(spec)
         recs.append(RunRecord(
             scenario=name, model="db", alpha2=alpha2, theta=theta,
             x=db_run.bloch.rx, y=db_run.bloch.ry, z=db_run.bloch.rz,
@@ -233,7 +243,7 @@ def records_for(name: str, spec: CircuitSpec, model: str,
             flags=_join_flags("degenerate" if db_run.degenerate else "", compare_flags),
             trace_distance=tdist))
     if model in ("heisenberg", "both"):
-        heis = scenario.run_heisenberg(spec)
+        heis = heis or scenario.run_heisenberg(spec)
         bad = sorted({s for s in heis.statuses.values() if s != "ok"})
         recs.append(RunRecord(
             scenario=name, model="heisenberg", alpha2=alpha2, theta=theta,
@@ -285,8 +295,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.start < args.stop:
-        raise ConfigError(f"sweep range must have from < to, got {args.start} .. {args.stop}")
+    if not -math.inf < args.start < args.stop < math.inf:
+        raise ConfigError(
+            f"sweep range must be finite with from < to, got {args.start} .. {args.stop}")
     if args.steps < 2:
         raise ConfigError(f"sweep needs at least 2 steps, got {args.steps}")
     name, spec = load_spec(args.target, args)
@@ -311,7 +322,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    cfg = parse_config_text(open(args.config).read())
+    with open(args.config) as fh:
+        cfg = parse_config_text(fh.read())
     check = scenario.validate_geometry(geometry_from_config(cfg))
     verdict = "ok" if check.ok else "violation"
     sys.stdout.write(f"{verdict} margin={check.margin!r}\n")

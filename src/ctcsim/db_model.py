@@ -9,10 +9,12 @@ Because rho depends on rho_in, the composed input -> output map is a
 nonlinear (and generally non-unitary) function of the input state.
 
 Two solvers cross-check each other: plain iteration of the loop map from
-the maximally mixed state, and a direct linear solve of the vectorized
-Bloch-space action.  When the fixed subspace has dimension > 1 the solvers
-return the maximum-entropy fixed point (minimum Bloch norm) and flag the
-degeneracy rather than silently picking a representative.
+the maximally mixed state, and a direct linear solve of the Bloch-space
+action, read off the gate's Pauli transfer matrix (as is the Heisenberg
+tableau) and checked by one dense trip around the loop.  When the fixed
+subspace has dimension > 1 the solvers return the maximum-entropy fixed
+point (minimum Bloch norm) and flag the degeneracy rather than silently
+picking a representative.
 """
 
 from __future__ import annotations
@@ -24,18 +26,19 @@ import numpy as np
 
 from .qlinalg import (
     ATOL_SOLVER,
+    BlochVector,
     DensityMatrix,
     I2,
     Mat2,
     Mat4,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULIS,
     PureStateParams,
     assert_density,
     assert_unitary,
+    density_from_bloch,
     partial_trace_first,
     partial_trace_second,
+    pauli_transfer,
     tensor,
 )
 
@@ -89,16 +92,15 @@ def _spectral_norm_herm(m: np.ndarray) -> float:
 
 
 def _bloch_affine(u: Mat4, rho_in: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The loop map as r -> M r + c on Bloch coordinates (it is trace preserving)."""
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-    c_state = ctc_map(u, rho_in, I2 / 2)
-    c = np.array([np.real(np.trace(p @ c_state)) for p in paulis])
-    m = np.zeros((3, 3))
-    for j, sj in enumerate(paulis):
-        img = ctc_map(u, rho_in, sj / 2)  # image of the traceless direction
-        for i, si in enumerate(paulis):
-            m[i, j] = np.real(np.trace(si @ img))
-    return m, c
+    """The loop map as r -> M r + c on Bloch coordinates (it is trace preserving).
+
+    Read off the Pauli transfer matrix R of U: with a = (1, r_in) the
+    trapped qubit's coordinates leave as sum_ij R[0l, ij] a_i b_j for
+    b = (1, r), so M[l, j] = sum_i R[0l, ij] a_i and c[l] = sum_i R[0l, i0] a_i.
+    """
+    a = np.einsum("iab,ba->i", PAULIS, rho_in).real
+    loop = np.einsum("lij,i->lj", pauli_transfer(u)[0, 1:], a)
+    return loop[:, 1:], loop[:, 0]
 
 
 def _solve_eigen(u: Mat4, rho_in: DensityMatrix) -> tuple[DensityMatrix, bool]:
@@ -120,8 +122,7 @@ def _solve_eigen(u: Mat4, rho_in: DensityMatrix) -> tuple[DensityMatrix, bool]:
                               residual=norm - 1.0)
     if norm > 1.0:
         r = r / norm  # float spill just past the sphere
-    rho = 0.5 * (I2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z)
-    return rho, degenerate
+    return density_from_bloch(BlochVector(*r)), degenerate
 
 
 def _solve_iterate(u: Mat4, rho_in: DensityMatrix, tol: float,

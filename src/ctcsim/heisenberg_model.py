@@ -31,10 +31,10 @@ import numpy as np
 
 from .qlinalg import (
     BlochVector,
-    PAULI_BY_NAME,
+    PAULI_PAIRS,
     PureStateParams,
     assert_unitary,
-    tensor,
+    pauli_transfer,
 )
 from .timed_pauli import (
     DivergentPhaseError,
@@ -83,10 +83,10 @@ class TimeDistribution:
         if self.kind not in ("orthogonal_limit", "gaussian"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.d is None or self.d <= 0:
-                raise ValueError("gaussian kind needs standard deviation d > 0")
-            if self.tau is None or self.tau < 0:
-                raise ValueError("gaussian kind needs shift tau >= 0")
+            if self.d is None or not 0 < self.d < math.inf:
+                raise ValueError(f"gaussian kind needs a finite width d > 0, got {self.d!r}")
+            if self.tau is None or not 0 <= self.tau < math.inf:
+                raise ValueError(f"gaussian kind needs a finite shift tau >= 0, got {self.tau!r}")
 
     @staticmethod
     def orthogonal() -> "TimeDistribution":
@@ -377,31 +377,25 @@ def heisenberg_bloch(circuit: HeisenbergCircuit, p: PureStateParams,
 
 
 def tableau_from_unitary(u: np.ndarray) -> Tableau2:
-    """Back-propagation tableau of a two-qubit Clifford: images under U^dag P U."""
+    """Back-propagation tableau of a two-qubit Clifford: images under U^dag P U.
+
+    The image of a generator P = s_k x s_l is row kl of the Pauli transfer
+    matrix.  Its largest entry names the candidate signed pair, which must
+    then match U^dag P U densely within 1e-9, or the gate is not Clifford.
+    """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise NotCliffordError("tableau extraction needs a 4x4 unitary")
     assert_unitary(u, atol=1e-9)
-    letters = [_L.I, _L.X, _L.Y, _L.Z]
-    images = {}
-    for key, mat in (("xi", tensor(PAULI_BY_NAME["X"], np.eye(2))),
-                     ("zi", tensor(PAULI_BY_NAME["Z"], np.eye(2))),
-                     ("ix", tensor(np.eye(2), PAULI_BY_NAME["X"])),
-                     ("iz", tensor(np.eye(2), PAULI_BY_NAME["Z"]))):
-        target = u.conj().T @ mat @ u
-        hit = None
-        for p_up in letters:
-            for p_lo in letters:
-                pair = tensor(PAULI_BY_NAME[p_up.value], PAULI_BY_NAME[p_lo.value])
-                if np.allclose(target, pair, atol=1e-9):
-                    hit = (1, p_up, p_lo)
-                elif np.allclose(target, -pair, atol=1e-9):
-                    hit = (-1, p_up, p_lo)
-                if hit:
-                    break
-            if hit:
-                break
-        if hit is None:
+    letters = tuple(_L)
+    ptm = pauli_transfer(u)
+    images = []
+    for key, (k, l) in (("xi", (1, 0)), ("zi", (3, 0)), ("ix", (0, 1)), ("iz", (0, 3))):
+        row = ptm[k, l]
+        i, j = np.unravel_index(np.argmax(np.abs(row)), row.shape)
+        sign = 1 if row[i, j] > 0 else -1
+        target = u.conj().T @ PAULI_PAIRS[k, l] @ u
+        if not np.allclose(target, sign * PAULI_PAIRS[i, j], atol=1e-9):
             raise NotCliffordError(f"image of {key} is not a signed Pauli pair")
-        images[key] = hit
-    return Tableau2(images["xi"], images["zi"], images["ix"], images["iz"])
+        images.append((sign, letters[i], letters[j]))
+    return Tableau2(*images)

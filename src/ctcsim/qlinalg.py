@@ -65,6 +65,10 @@ PAULI_BY_NAME: dict[str, np.ndarray] = {
     "I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z,
 }
 
+# sigma_0..3 = I, X, Y, Z; PAULI_PAIRS[k, l] = kron(sigma_k, sigma_l).
+PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
+PAULI_PAIRS = np.einsum("kab,lcd->klacbd", PAULIS, PAULIS).reshape(4, 4, 4, 4)
+
 
 @dataclass(frozen=True)
 class PureStateParams:
@@ -75,6 +79,8 @@ class PureStateParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.theta))):
+            raise QlinalgError(f"state parameters must be finite, got {self!r}")
         if self.alpha < 0 or self.beta < 0:
             raise QlinalgError("amplitudes must be non-negative; phases live in theta")
         if abs(self.alpha**2 + self.beta**2 - 1.0) > ATOL_STRUCT:
@@ -143,6 +149,17 @@ def standard_gate(name: str) -> np.ndarray:
 def tensor(a: Mat2, b: Mat2) -> Mat4:
     """Kronecker product; first factor is qubit 1."""
     return np.kron(a, b)
+
+
+def pauli_transfer(u: Mat4) -> np.ndarray:
+    """Real Pauli transfer matrix R[k, l, i, j] = Tr[(s_k x s_l) U (s_i x s_j) U^dag] / 4.
+
+    Column ij holds the Pauli coordinates of U (s_i x s_j) U^dag, row kl those
+    of U^dag (s_k x s_l) U; for a Clifford, R is a signed permutation.
+    """
+    u = np.asarray(u)
+    images = u @ PAULI_PAIRS @ u.conj().T
+    return np.einsum("klab,ijba->klij", PAULI_PAIRS, images).real / 4.0
 
 
 def partial_trace_first(m: Mat4) -> Mat2:

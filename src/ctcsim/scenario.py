@@ -16,6 +16,7 @@ by name: "cnot_swap", "cz_swap".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -103,8 +104,13 @@ def db_interaction(block: BlockSpec) -> np.ndarray:
     return qlinalg.SWAP @ mat  # stored U_bar, so U = U_bar then swap
 
 
-def heisenberg_tableau(block: BlockSpec) -> "Tableau2":
-    """The conjugation tableau U_bar the Heisenberg engine propagates through."""
+@functools.cache
+def heisenberg_tableau(block: BlockSpec) -> Tableau2:
+    """The conjugation tableau U_bar the Heisenberg engine propagates through.
+
+    Compiled once per block spec and process; a Tableau2 is immutable, so
+    every circuit built from the same block shares it.
+    """
     mat = interaction_matrix(block.gate)
     ubar = qlinalg.SWAP @ mat if block.convention == "with_swap" else mat
     return tableau_from_unitary(ubar)
@@ -187,11 +193,15 @@ def run_heisenberg(spec: CircuitSpec, p: PureStateParams | None = None) -> Heise
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    bloch_db: BlochVector
+    db: DBRun
     heisenberg: HeisenbergResult
     trace_distance: float | None
     max_component_delta: float | None
     flags: tuple[str, ...]
+
+    @property
+    def bloch_db(self) -> BlochVector:
+        return self.db.bloch
 
     @property
     def agree(self) -> bool:
@@ -212,7 +222,7 @@ def compare(spec: CircuitSpec, p: PureStateParams | None = None) -> ComparisonRe
         flags.append("degenerate")
     if not heis.all_ok:
         flags.append("singular")
-        return ComparisonReport(db_run.bloch, heis, None, None, tuple(flags))
+        return ComparisonReport(db_run, heis, None, None, tuple(flags))
     hb = heis.bloch()
     delta = max(abs(a - b) for a, b in zip(db_run.bloch.as_tuple(), hb.as_tuple()))
     tdist = qlinalg.trace_distance(db_run.output, qlinalg.density_from_bloch(hb))
@@ -220,7 +230,7 @@ def compare(spec: CircuitSpec, p: PureStateParams | None = None) -> ComparisonRe
         flags.append("agree")
     elif delta >= COMPARISON_ATOL:
         flags.append("diverge")
-    return ComparisonReport(db_run.bloch, heis, tdist, delta, tuple(flags))
+    return ComparisonReport(db_run, heis, tdist, delta, tuple(flags))
 
 
 # -- no-signaling geometry of the external apparatus ------------------------

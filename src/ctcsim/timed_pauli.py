@@ -51,7 +51,6 @@ for _x, _y, _z in ((_L.X, _L.Y, _L.Z), (_L.Y, _L.Z, _L.X), (_L.Z, _L.X, _L.Y)):
     _MUL_TABLE[(_y, _x)] = (3, _z)   # YX = -iZ and cyclic
 
 _IPOW_TO_PHASE = (1 + 0j, 1j, -1 + 0j, -1j)
-_PHASE_TO_IPOW = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
 
 
 def letter_mul(a: PauliLetter, b: PauliLetter) -> tuple[complex, PauliLetter]:
@@ -67,13 +66,6 @@ def letter_mul_ipow(a: PauliLetter, b: PauliLetter) -> tuple[int, PauliLetter]:
 
 def letters_anticommute(a: PauliLetter, b: PauliLetter) -> bool:
     return a != b and a is not _L.I and b is not _L.I
-
-
-def phase_to_ipow(phase: complex) -> int:
-    p = complex(phase)
-    if p not in _PHASE_TO_IPOW:
-        raise ValueError(f"phase must be one of +1, -1, +i, -i, got {phase!r}")
-    return _PHASE_TO_IPOW[p]
 
 
 @dataclass(frozen=True)
@@ -178,13 +170,6 @@ class TimedPauliWord:
             return self.head[0][0]
         return self.tail[0] if self.tail is not None else None
 
-    def is_finite(self) -> bool:
-        return self.tail is None
-
-    def nontrivial_label_count(self) -> float:
-        """Number of non-identity labels; math.inf for tailed words."""
-        return float("inf") if self.tail is not None else float(len(self.head))
-
     # -- algebra -----------------------------------------------------------
 
     def shift(self, delta: int) -> "TimedPauliWord":
@@ -192,9 +177,6 @@ class TimedPauliWord:
         head = tuple((k + delta, letter) for k, letter in self.head)
         tail = (self.tail[0] + delta, self.tail[1]) if self.tail is not None else None
         return TimedPauliWord(self.ipow, head, tail)
-
-    def scalar_mul(self, phase: complex) -> "TimedPauliWord":
-        return TimedPauliWord((self.ipow + phase_to_ipow(phase)) % 4, self.head, self.tail)
 
     def __mul__(self, other: "TimedPauliWord") -> "TimedPauliWord":
         return word_mul(self, other)

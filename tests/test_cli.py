@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ctcsim import scenario
 from ctcsim.cli import RECORD_FIELDS, main, parse_config_text, parse_record_line
 
 
@@ -121,6 +123,19 @@ class TestCompareCommand:
         for r in csv_records(out):
             assert "diverge" in r.flags
             assert r.trace_distance == pytest.approx(0.5, abs=1e-9)
+
+    def test_each_engine_runs_once(self, capsys, monkeypatch):
+        calls = []
+        for name in ("run_db", "run_heisenberg"):
+            real = getattr(scenario, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(scenario, name, counted)
+        code, _, _ = run_cli(capsys, "compare", "cnot", "--format", "csv")
+        assert code == 0
+        assert sorted(calls) == ["run_db", "run_heisenberg"]
 
     def test_cz_compare_agrees(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "cz", "--alpha2", "0.8",
@@ -245,3 +260,39 @@ class TestConjectureCheck:
         _, first, _ = run_cli(capsys, "conjecture-check", "--seed", "3", "--trials", "6")
         _, second, _ = run_cli(capsys, "conjecture-check", "--seed", "3", "--trials", "6")
         assert first == second
+
+
+class TestInputBoundary:
+    """Bad input ends in exactly one 'error:' line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "cnot", "--theta", "inf"],
+        ["run", "cnot", "--d", "-1"],
+        ["run", "cz", "--tau", "5"],
+        ["run", "cnot", "--d", "nan", "--tau", "1"],
+        ["sweep", "cnot", "theta", "0", "inf", "3"],
+    ])
+    def test_single_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+    def test_bad_gaussian_config(self, tmp_path, capsys):
+        cfg = tmp_path / "gauss.cfg"
+        cfg.write_text("prep.alpha2 = 0.75\nblock = cz_swap\n"
+                       "overlap.kind = gaussian\noverlap.d = -1\noverlap.tau = 1.0\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_config_files_are_closed(self, tmp_path, capsys):
+        cfg = tmp_path / "geo.cfg"
+        cfg.write_text("prep.alpha2 = 0.75\nblock = cz_swap\ngeometry.hi = 0\n"
+                       "geometry.ho = 1\ngeometry.transit = 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_cli(capsys, "run", "--config", str(cfg))
+            run_cli(capsys, "geometry", "--config", str(cfg))
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -4,6 +4,7 @@ import pytest
 from ctcsim.db_model import (
     DBBlock,
     FixedPointError,
+    _bloch_affine,
     chain_solutions,
     ctc_map,
     db_output,
@@ -16,6 +17,9 @@ from ctcsim.qlinalg import (
     HADAMARD,
     I2,
     I4,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     PureStateParams,
     SWAP,
     bloch_from_density,
@@ -82,6 +86,23 @@ class TestCtcMap:
             out = ctc_map(u, random_density(rng), random_density(rng))
             assert abs(np.trace(out) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(out).min() > -1e-10
+
+
+class TestBlochAffine:
+    def test_matches_dense_loop_map(self, rng):
+        """M and c rebuilt from the brute-force loop map on I/2 and each Pauli/2."""
+        paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+
+        def coords(m):
+            return np.array([np.trace(s @ m).real for s in paulis])
+
+        for _ in range(50):
+            u, rho_in = random_unitary(rng, 4), random_density(rng)
+            want_c = coords(ctc_map_oracle(u, rho_in, I2 / 2))
+            want_m = np.column_stack([coords(ctc_map_oracle(u, rho_in, s / 2)) for s in paulis])
+            m, c = _bloch_affine(u, rho_in)
+            assert np.max(np.abs(c - want_c)) < 1e-14
+            assert np.max(np.abs(m - want_m)) < 1e-14
 
 
 class TestSolveFixedPoint:

@@ -1,0 +1,82 @@
+"""Golden CLI corpus: refactors below the CLI must not move a single byte.
+
+Each case is an argv whose stdout is stored under tests/golden/<name>.txt.
+run, sweep and compare output must match byte for byte.  conjecture-check
+prints a max_delta that depends on floating-point summation order, so it is
+compared field by field: identical status, degenerate and summary fields,
+and each max_delta within 1e-12 of the stored value.
+
+Regenerate (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import math
+import pathlib
+import sys
+
+import pytest
+
+from ctcsim.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+PI = repr(math.pi)
+
+CASES: dict[str, list[str]] = {}
+for _name in ("cnot", "cz", "chained_cnot_hadamard"):
+    CASES[f"run_{_name}"] = ["run", _name, "--format", "csv"]
+    CASES[f"run_{_name}_theta"] = ["run", _name, "--alpha2", "0.3", "--theta", "0.7",
+                                   "--format", "csv"]
+    CASES[f"sweep_{_name}_alpha2"] = ["sweep", _name, "alpha2", "0", "1", "11",
+                                      "--format", "csv"]
+    CASES[f"sweep_{_name}_theta"] = ["sweep", _name, "theta", "0", PI, "11",
+                                     "--alpha2", "0.3", "--format", "csv"]
+    CASES[f"compare_{_name}"] = ["compare", _name, "--format", "csv"]
+    CASES[f"compare_{_name}_theta"] = ["compare", _name, "--alpha2", "0.3", "--theta", "0.7",
+                                       "--format", "csv"]
+CASES["run_cz_gaussian"] = ["run", "cz", "--d", "0.5", "--tau", "1.0", "--format", "csv"]
+
+CONJECTURE = ["conjecture-check", "--seed", "7", "--trials", "200"]
+MAX_DELTA_ATOL = 1e-12
+
+
+def cli_stdout(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, f"{argv} exited {code}"
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_byte_identical(name):
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert cli_stdout(CASES[name]) == expected
+
+
+def _fields(line: str) -> dict[str, str]:
+    return dict(tok.split("=", 1) for tok in line.split()[1:])
+
+
+def test_conjecture_check_matches_up_to_max_delta_rounding():
+    expected = (GOLDEN / "conjecture_check.txt").read_text().splitlines()
+    got = cli_stdout(CONJECTURE).splitlines()
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.split()[0] == e.split()[0]
+        gf, ef = _fields(g), _fields(e)
+        assert gf.keys() == ef.keys()
+        for key in ef:
+            if key == "max_delta":
+                assert abs(float(gf[key]) - float(ef[key])) <= MAX_DELTA_ATOL, (g, e)
+            else:
+                assert gf[key] == ef[key], (g, e)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case, argv in sorted(CASES.items()) + [("conjecture_check", CONJECTURE)]:
+        (GOLDEN / f"{case}.txt").write_text(cli_stdout(argv))
+    sys.stdout.write(f"wrote {len(CASES) + 1} files to {GOLDEN}\n")

@@ -21,6 +21,7 @@ from ctcsim.heisenberg_model import (
     verify_block_result,
 )
 from ctcsim.qlinalg import CNOT, CZ, SWAP, I4, PureStateParams, state_prep_unitary, PAULI_BY_NAME
+from ctcsim.cli import _random_clifford
 from ctcsim.timed_pauli import (
     CNOT_TABLEAU,
     CZ_TABLEAU,
@@ -29,6 +30,7 @@ from ctcsim.timed_pauli import (
     PauliLetter,
     SWAP_TABLEAU,
     TimedPauliWord,
+    conj_pair,
     word_from_str,
 )
 from helpers import gaussian_overlap_quadrature, random_params
@@ -298,6 +300,12 @@ class TestTimeDistribution:
         with pytest.raises(ValueError):
             TimeDistribution("lorentzian")
 
+    @pytest.mark.parametrize("d, tau", [(math.nan, 1.0), (math.inf, 1.0),
+                                        (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_parameters_rejected(self, d, tau):
+        with pytest.raises(ValueError, match="finite"):
+            TimeDistribution.gaussian(d=d, tau=tau)
+
 
 class TestHeisenbergBloch:
     def test_single_cz_block(self, rng):
@@ -366,3 +374,24 @@ class TestTableauFromUnitary:
     def test_non_unitary_rejected(self):
         with pytest.raises(Exception):
             tableau_from_unitary(np.ones((4, 4)))
+
+    def test_random_cliffords_match_dense_conjugation(self):
+        rng = np.random.default_rng(7)
+        pairs = [(p, q) for p in L for q in L if (p, q) != (L.I, L.I)]
+        for _ in range(200):
+            u = _random_clifford(rng)
+            tab = tableau_from_unitary(u)
+            for p, q in pairs:
+                sign, a, b = conj_pair(tab, p, q)
+                dense = u.conj().T @ np.kron(PAULI_BY_NAME[p.value], PAULI_BY_NAME[q.value]) @ u
+                want = sign * np.kron(PAULI_BY_NAME[a.value], PAULI_BY_NAME[b.value])
+                assert np.max(np.abs(dense - want)) < 1e-12, (p, q)
+
+    def test_near_clifford_rejected(self):
+        eps = 1e-3
+        kick = math.cos(eps) * I4 - 1j * math.sin(eps) * np.kron(
+            PAULI_BY_NAME["X"], PAULI_BY_NAME["I"])
+        rng = np.random.default_rng(11)
+        for u in [CNOT, CZ, SWAP] + [_random_clifford(rng) for _ in range(20)]:
+            with pytest.raises(NotCliffordError):
+                tableau_from_unitary(u @ kick)

@@ -7,6 +7,7 @@ from ctcsim.qlinalg import (
     CZ,
     I2,
     I4,
+    PAULI_BY_NAME,
     PureStateParams,
     QlinalgError,
     SWAP,
@@ -16,6 +17,7 @@ from ctcsim.qlinalg import (
     fidelity,
     partial_trace_first,
     partial_trace_second,
+    pauli_transfer,
     standard_gate,
     state_prep_unitary,
     tensor,
@@ -39,6 +41,15 @@ class TestPureStateParams:
     def test_from_alpha2_range(self):
         with pytest.raises(QlinalgError):
             PureStateParams.from_alpha2(1.2)
+
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(QlinalgError, match="finite"):
+            PureStateParams.from_alpha2(0.75, theta)
+
+    def test_non_finite_amplitude_rejected(self):
+        with pytest.raises(QlinalgError, match="finite"):
+            PureStateParams(np.nan, 1.0, 0.0)
 
     def test_bloch_matches_density(self, rng):
         for _ in range(50):
@@ -197,3 +208,37 @@ class TestDensityValidation:
             u = random_unitary(rng, 4)
             big = u @ tensor(random_density(rng), random_density(rng)) @ u.conj().T
             assert abs(np.trace(partial_trace_first(big)) - 1.0) < 1e-12
+
+
+class TestPauliTransfer:
+    LETTERS = "IXYZ"
+
+    def brute_force(self, u):
+        """R[k, l, i, j] by one explicit trace per entry."""
+        out = np.zeros((4, 4, 4, 4))
+        for k, a in enumerate(self.LETTERS):
+            for l, b in enumerate(self.LETTERS):
+                p_out = np.kron(PAULI_BY_NAME[a], PAULI_BY_NAME[b])
+                for i, c in enumerate(self.LETTERS):
+                    for j, d in enumerate(self.LETTERS):
+                        p_in = np.kron(PAULI_BY_NAME[c], PAULI_BY_NAME[d])
+                        out[k, l, i, j] = np.trace(p_out @ u @ p_in @ u.conj().T).real / 4
+        return out
+
+    def test_matches_explicit_traces(self, rng):
+        for _ in range(10):
+            u = random_unitary(rng, 4)
+            assert np.max(np.abs(pauli_transfer(u) - self.brute_force(u))) < 1e-14
+
+    def test_orthogonal_and_unital(self, rng):
+        for _ in range(20):
+            r = pauli_transfer(random_unitary(rng, 4)).reshape(16, 16)
+            assert np.max(np.abs(r @ r.T - np.eye(16))) < 1e-13
+            assert abs(r[0, 0] - 1) < 1e-14 and np.max(np.abs(r[0, 1:])) < 1e-14
+
+    def test_cliffords_are_signed_permutations(self):
+        for gate in (CNOT, CZ, SWAP, I4, SWAP @ CNOT):
+            r = pauli_transfer(gate).reshape(16, 16)
+            assert set(np.unique(r)) <= {-1.0, 0.0, 1.0}
+            assert np.array_equal(np.abs(r).sum(axis=0), np.ones(16))
+            assert np.array_equal(np.abs(r).sum(axis=1), np.ones(16))

@@ -108,7 +108,21 @@ class TestConventions:
             spec_with([BlockSpec("cz_swap")], ["i2"], PureStateParams(1, 0))
 
 
+class TestCompileOnce:
+    def test_tableau_is_compiled_once_per_block(self):
+        first = heisenberg_tableau(BlockSpec("cnot_swap"))
+        assert heisenberg_tableau(BlockSpec("cnot_swap")) is first
+        assert heisenberg_tableau(BlockSpec("cnot_swap", "bare")) is not first
+
+
 class TestCompare:
+    def test_report_carries_the_db_run(self):
+        spec = named_scenario("cnot", PureStateParams.from_alpha2(0.3, 0.7))
+        report = compare(spec)
+        again = run_db(spec)
+        assert report.bloch_db == report.db.bloch == again.bloch
+        assert (report.db.residual, report.db.degenerate) == (again.residual, again.degenerate)
+
     def test_cz_agrees_for_generic_preps(self, rng):
         for _ in range(20):
             p = random_params(rng)
