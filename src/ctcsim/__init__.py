@@ -18,13 +18,12 @@ from .qlinalg import (
 )
 from .db_model import DBBlock, DBSolution, ctc_map, db_output, run_chain, solve_fixed_point
 from .timed_pauli import (
-    LocalClifford,
+    Clifford,
     PauliLetter,
-    Tableau2,
     TimedPauliWord,
     apply_local,
     conj_pair,
-    letter_mul,
+    letter_mul_ipow,
     word_from_str,
     word_mul,
     word_to_str,
@@ -34,7 +33,7 @@ from .heisenberg_model import (
     HeisenbergCircuit,
     TimeDistribution,
     backpropagate_block,
-    backpropagate_circuit,
+    backpropagate_circuit_detailed,
     evaluate_expectation,
     heisenberg_bloch,
     letter_expectation,

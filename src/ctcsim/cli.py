@@ -170,18 +170,22 @@ def spec_from_config(cfg: dict) -> CircuitSpec:
 
 def geometry_from_config(cfg: dict) -> GeometryConfig:
     try:
-        return GeometryConfig(
+        geometry = GeometryConfig(
             hi_position=_cfg_vector(cfg, "geometry.hi"),
             ho_position=_cfg_vector(cfg, "geometry.ho"),
             external_transit_time=_cfg_float(cfg, "geometry.transit"),
             c=_cfg_float(cfg, "geometry.c", 299792458.0),
-            epsilon=_cfg_vector(cfg, "geometry.epsilon", optional=True),
-            tau=_cfg_float(cfg, "geometry.tau", 0.0),
-            delta_x=_cfg_vector(cfg, "geometry.delta_x", optional=True),
-            delta_t=_cfg_float(cfg, "geometry.delta_t", 0.0),
         )
     except ScenarioError as exc:
         raise ConfigError(str(exc)) from exc
+    # Mouth displacement, time shift and per-traversal shifts: read and
+    # checked so a malformed file still fails, but unused by the check.
+    _cfg_vector(cfg, "geometry.epsilon", optional=True)
+    _cfg_vector(cfg, "geometry.delta_x", optional=True)
+    _cfg_float(cfg, "geometry.delta_t", 0.0)
+    if not 0 <= _cfg_float(cfg, "geometry.tau", 0.0) < math.inf:
+        raise ConfigError("time shift tau must be finite and non-negative")
+    return geometry
 
 
 def _gaussian(d: float, tau: float) -> TimeDistribution:

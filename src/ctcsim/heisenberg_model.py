@@ -8,7 +8,11 @@ into a per-label recurrence over ascending labels k:
 
     upper_out_k = lower_in_{k-1}        (lower_in_{-1} = I)
     lower_out_k = measured letter at k
-    (sign_k, upper_in_k, lower_in_k) = conj_pair(upper_out_k, lower_out_k)
+    (ipow_k, (upper_in_k, lower_in_k)) = gate.conj(upper_out_k, lower_out_k)
+
+Each step is one read of the gate's Clifford table, which tableau_from_unitary
+builds once from the dense unitary: row P of the Pauli transfer matrix gives
+U^dag P U as a signed Pauli pair, confirmed densely.
 
 The upper_in letters form the word to evolve further toward preparation.
 The recurrence state in the constant region of the measured word is just
@@ -27,24 +31,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from .qlinalg import BlochVector, PureStateParams
 
-from .qlinalg import (
-    BlochVector,
-    PAULI_PAIRS,
-    PureStateParams,
-    assert_unitary,
-    pauli_transfer,
-)
+# NotCliffordError and tableau_from_unitary are also looked up here by the
+# CLI and by callers that compile a gate for this engine.
 from .timed_pauli import (
+    Clifford,
     DivergentPhaseError,
-    LocalClifford,
+    NotCliffordError,
     PauliLetter,
-    Tableau2,
     TimedPauliWord,
     apply_local,
-    conj_pair,
     letter_mul_ipow,
+    tableau_from_unitary,
 )
 
 _L = PauliLetter
@@ -60,10 +59,6 @@ class SingularRecurrenceError(RuntimeError):
 
 class UnsupportedOverlapError(ValueError):
     """Gaussian overlap evaluation is defined for at most two non-identity labels."""
-
-
-class NotCliffordError(ValueError):
-    """A unitary did not map Pauli pairs to signed Pauli pairs."""
 
 
 @dataclass(frozen=True)
@@ -120,8 +115,8 @@ class BlockResult:
 class HeisenbergCircuit:
     """Wormhole blocks with interleaved local Cliffords (length blocks + 1)."""
 
-    blocks: tuple[Tableau2, ...]
-    local_gates: tuple[LocalClifford, ...]
+    blocks: tuple[Clifford, ...]
+    local_gates: tuple[Clifford, ...]
 
     def __post_init__(self) -> None:
         if len(self.local_gates) != len(self.blocks) + 1:
@@ -149,13 +144,7 @@ class HeisenbergResult:
         return BlochVector(self.components["x"], self.components["y"], self.components["z"])
 
 
-def _conj_pair_ipow(t: Tableau2, upper: PauliLetter,
-                    lower: PauliLetter) -> tuple[int, PauliLetter, PauliLetter]:
-    sign, u, low = conj_pair(t, upper, lower)
-    return (0 if sign == 1 else 2, u, low)
-
-
-def backpropagate_block(gate: Tableau2, measured: TimedPauliWord) -> BlockResult:
+def backpropagate_block(gate: Clifford, measured: TimedPauliWord) -> BlockResult:
     """Solve the block self-consistency for a measured hermitian word.
 
     Walks labels upward feeding each lower_in back into the next upper_out,
@@ -182,7 +171,7 @@ def backpropagate_block(gate: Tableau2, measured: TimedPauliWord) -> BlockResult
             break
         if k >= const_start:
             seen[c_prev] = (k, ipow_acc)
-        dp, b_k, c_k = _conj_pair_ipow(gate, c_prev, measured.letter_at(k))
+        dp, (b_k, c_k) = gate.conj(c_prev, measured.letter_at(k))
         ipow_acc = (ipow_acc + dp) % 4
         if b_k is not _L.I:
             emitted[k] = b_k
@@ -211,7 +200,7 @@ def backpropagate_block(gate: Tableau2, measured: TimedPauliWord) -> BlockResult
     return BlockResult(word, "periodic_tail", k, measured, tuple(lower_seq), k0, period)
 
 
-def verify_block_result(gate: Tableau2, result: BlockResult) -> bool:
+def verify_block_result(gate: Clifford, result: BlockResult) -> bool:
     """Exact post-hoc check of the recurrence transcript.
 
     Conjugating (lower_in shifted one label up, measured) label by label must
@@ -235,7 +224,7 @@ def verify_block_result(gate: Tableau2, result: BlockResult) -> bool:
             ipow_at_entry = ipow
         if j > result.cycle_start and (j - result.cycle_start) % result.cycle_period == 0:
             ipow_after_periods.append(ipow)
-        dp, b, c = _conj_pair_ipow(gate, lower_at(j - 1), result.measured.letter_at(j))
+        dp, (b, c) = gate.conj(lower_at(j - 1), result.measured.letter_at(j))
         if result.status != "singular" and b is not result.upper_in.letter_at(j):
             return False
         if c is not lower_at(j):
@@ -249,17 +238,14 @@ def verify_block_result(gate: Tableau2, result: BlockResult) -> bool:
     return ipow_at_entry == result.upper_in.ipow
 
 
-def backpropagate_circuit(circuit: HeisenbergCircuit,
-                          observable: PauliLetter) -> TimedPauliWord:
-    """Pull a measured single-letter observable back to the preparation point."""
-    word, _ = backpropagate_circuit_detailed(circuit, observable)
-    return word
-
-
 def backpropagate_circuit_detailed(
         circuit: HeisenbergCircuit,
         observable: PauliLetter) -> tuple[TimedPauliWord, list[BlockResult]]:
-    """backpropagate_circuit, also returning every intermediate BlockResult."""
+    """Pull a measured single-letter observable back to the preparation point.
+
+    Returns the word at the preparation point and the BlockResult of every
+    block, measurement side first.
+    """
     word = TimedPauliWord.single(0, observable)
     word = apply_local(circuit.local_gates[-1], word)
     results: list[BlockResult] = []
@@ -360,7 +346,7 @@ def heisenberg_bloch(circuit: HeisenbergCircuit, p: PureStateParams,
     words: dict[str, TimedPauliWord | None] = {}
     for axis, letter in (("x", _L.X), ("y", _L.Y), ("z", _L.Z)):
         try:
-            word = backpropagate_circuit(circuit, letter)
+            word, _ = backpropagate_circuit_detailed(circuit, letter)
             words[axis] = word
             value, status = evaluate_expectation(word, p, t)
         except DivergentPhaseError:
@@ -374,28 +360,3 @@ def heisenberg_bloch(circuit: HeisenbergCircuit, p: PureStateParams,
         components[axis] = value
         statuses[axis] = status
     return HeisenbergResult(components, statuses, words)
-
-
-def tableau_from_unitary(u: np.ndarray) -> Tableau2:
-    """Back-propagation tableau of a two-qubit Clifford: images under U^dag P U.
-
-    The image of a generator P = s_k x s_l is row kl of the Pauli transfer
-    matrix.  Its largest entry names the candidate signed pair, which must
-    then match U^dag P U densely within 1e-9, or the gate is not Clifford.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4):
-        raise NotCliffordError("tableau extraction needs a 4x4 unitary")
-    assert_unitary(u, atol=1e-9)
-    letters = tuple(_L)
-    ptm = pauli_transfer(u)
-    images = []
-    for key, (k, l) in (("xi", (1, 0)), ("zi", (3, 0)), ("ix", (0, 1)), ("iz", (0, 3))):
-        row = ptm[k, l]
-        i, j = np.unravel_index(np.argmax(np.abs(row)), row.shape)
-        sign = 1 if row[i, j] > 0 else -1
-        target = u.conj().T @ PAULI_PAIRS[k, l] @ u
-        if not np.allclose(target, sign * PAULI_PAIRS[i, j], atol=1e-9):
-            raise NotCliffordError(f"image of {key} is not a signed Pauli pair")
-        images.append((sign, letters[i], letters[j]))
-    return Tableau2(*images)

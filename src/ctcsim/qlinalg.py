@@ -56,6 +56,7 @@ _GATES: dict[str, np.ndarray] = {
     "Y": PAULI_Y,
     "Z": PAULI_Z,
     "H": HADAMARD,
+    "S": PHASE_S,
     "CNOT": CNOT,
     "CZ": CZ,
     "SWAP": SWAP,
@@ -139,7 +140,7 @@ def state_prep_unitary(p: PureStateParams) -> Mat2:
 
 
 def standard_gate(name: str) -> np.ndarray:
-    """Look up a standard gate matrix by name (I2, I4, X, Y, Z, H, CNOT, CZ, SWAP)."""
+    """Look up a standard gate matrix by name (I2, I4, X, Y, Z, H, S, CNOT, CZ, SWAP)."""
     key = name.upper()
     if key not in _GATES:
         raise QlinalgError(f"unknown gate name {name!r}")

@@ -30,23 +30,17 @@ from .heisenberg_model import (
     tableau_from_unitary,
 )
 from .qlinalg import BlochVector, PureStateParams, standard_gate
-from .timed_pauli import (
-    LOCAL_H,
-    LOCAL_I,
-    LOCAL_X,
-    LOCAL_Y,
-    LOCAL_Z,
-    LocalClifford,
-    Tableau2,
-)
+from .timed_pauli import LOCAL_TABLES, Clifford
 
 # The symbolic engine is exact, so the direct fixed-point solve dominates
 # the disagreement budget.
 COMPARISON_ATOL = 1e-9
 
-_LOCALS: dict[str, LocalClifford] = {
-    "i2": LOCAL_I, "i": LOCAL_I, "h": LOCAL_H,
-    "x": LOCAL_X, "y": LOCAL_Y, "z": LOCAL_Z,
+# One entry per local gate name: the standard gate whose matrix the
+# density-matrix engine applies and whose table the Heisenberg engine reads.
+_LOCALS: dict[str, str] = {
+    "i2": "I2", "i": "I2", "h": "H",
+    "x": "X", "y": "Y", "z": "Z", "s": "S",
 }
 
 
@@ -105,10 +99,10 @@ def db_interaction(block: BlockSpec) -> np.ndarray:
 
 
 @functools.cache
-def heisenberg_tableau(block: BlockSpec) -> Tableau2:
-    """The conjugation tableau U_bar the Heisenberg engine propagates through.
+def heisenberg_tableau(block: BlockSpec) -> Clifford:
+    """The conjugation table of U_bar the Heisenberg engine propagates through.
 
-    Compiled once per block spec and process; a Tableau2 is immutable, so
+    Compiled once per block spec and process; a Clifford is immutable, so
     every circuit built from the same block shares it.
     """
     mat = interaction_matrix(block.gate)
@@ -117,11 +111,11 @@ def heisenberg_tableau(block: BlockSpec) -> Tableau2:
 
 
 def local_matrix(name: str) -> np.ndarray:
-    return standard_gate("I2" if name.lower() in ("i2", "i") else name)
+    return standard_gate(_LOCALS[name.lower()])
 
 
-def local_clifford(name: str) -> LocalClifford:
-    return _LOCALS[name.lower()]
+def local_clifford(name: str) -> Clifford:
+    return LOCAL_TABLES[_LOCALS[name.lower()]]
 
 
 def heisenberg_circuit(spec: CircuitSpec) -> HeisenbergCircuit:
@@ -238,27 +232,19 @@ def compare(spec: CircuitSpec, p: PureStateParams | None = None) -> ComparisonRe
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    """External layout of the apparatus between entry and exit ports.
-
-    delta_x and delta_t are the coordinate shifts of an internal traversal;
-    they are stored for completeness but small enough to play no role in the
-    dynamics.
-    """
+    """External layout of the apparatus between entry and exit ports."""
 
     hi_position: tuple[float, ...]
     ho_position: tuple[float, ...]
     external_transit_time: float
     c: float = 299792458.0
-    epsilon: tuple[float, ...] = ()
-    tau: float = 0.0
-    delta_x: tuple[float, ...] = ()
-    delta_t: float = 0.0
 
     def __post_init__(self) -> None:
+        values = (*self.hi_position, *self.ho_position, self.external_transit_time, self.c)
+        if not all(map(math.isfinite, values)):
+            raise ScenarioError(f"geometry values must be finite, got {self!r}")
         if self.c <= 0:
             raise ScenarioError("speed of light must be positive")
-        if self.tau < 0:
-            raise ScenarioError("time shift tau must be non-negative")
         if len(self.hi_position) != len(self.ho_position):
             raise ScenarioError("entry and exit positions need matching dimensions")
 

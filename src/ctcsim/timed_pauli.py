@@ -14,6 +14,12 @@ Algebraic rules:
     different times are orthogonal, so cross-label order carries nothing.
 
 Phases are tracked exactly as integer powers of i.
+
+Gates act on words through one type, Clifford: the table of U^dag P U for
+every Pauli string P of a one- or two-qubit gate, each entry read off the
+gate's Pauli transfer matrix (qlinalg.pauli_transfer) and confirmed against
+the dense conjugation.  Conjugating a letter or a letter pair is one table
+read of (power of i, letters).
 """
 
 from __future__ import annotations
@@ -22,6 +28,19 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
+
+import numpy as np
+
+from .qlinalg import (
+    CNOT,
+    CZ,
+    I2,
+    PAULI_PAIRS,
+    SWAP,
+    assert_unitary,
+    pauli_transfer,
+    standard_gate,
+)
 
 
 class DivergentPhaseError(ArithmeticError):
@@ -53,19 +72,9 @@ for _x, _y, _z in ((_L.X, _L.Y, _L.Z), (_L.Y, _L.Z, _L.X), (_L.Z, _L.X, _L.Y)):
 _IPOW_TO_PHASE = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-def letter_mul(a: PauliLetter, b: PauliLetter) -> tuple[complex, PauliLetter]:
-    """Product of two Pauli letters as (phase, letter)."""
-    ipow, letter = _MUL_TABLE[(a, b)]
-    return _IPOW_TO_PHASE[ipow], letter
-
-
 def letter_mul_ipow(a: PauliLetter, b: PauliLetter) -> tuple[int, PauliLetter]:
-    """Like letter_mul but with the phase as an exact power of i."""
+    """Product of two Pauli letters as (power of i, letter)."""
     return _MUL_TABLE[(a, b)]
-
-
-def letters_anticommute(a: PauliLetter, b: PauliLetter) -> bool:
-    return a != b and a is not _L.I and b is not _L.I
 
 
 @dataclass(frozen=True)
@@ -226,183 +235,104 @@ def word_mul(a: TimedPauliWord, b: TimedPauliWord) -> TimedPauliWord:
     return TimedPauliWord.build(ipow, letters, tail)
 
 
-def shift(w: TimedPauliWord, delta: int) -> TimedPauliWord:
-    return w.shift(delta)
+# -- Clifford conjugation tables -------------------------------------------
 
 
-# -- two-qubit Clifford tableaus ------------------------------------------
+class NotCliffordError(ValueError):
+    """A unitary did not map Pauli strings to signed Pauli strings."""
+
+
+# Letter order I, X, Y, Z is the Pauli index 0..3 of qlinalg.PAULIS.
+_INDEX = {letter: i for i, letter in enumerate(_L)}
 
 
 @dataclass(frozen=True)
-class Tableau2:
-    """A two-qubit Clifford as signed letter-pair images of the four Pauli generators.
+class Clifford:
+    """A one- or two-qubit Clifford gate as its conjugation table P -> U^dag P U.
 
-    Each image is (sign, upper_letter, lower_letter) for the conjugation used
-    by back-propagation, P -> U^dag P U.  In two-slot arrow notation the
-    controlled-sign rules read (I)(X) -> (Z)(X), (X)(I) -> (X)(Z), and so on;
-    for the self-inverse gates those rules are exactly these images.
+    table[i] is (ipow, letters), the image of the i-th Pauli string with one
+    letter per qubit; strings count in base 4 over (I, X, Y, Z), first
+    (upper) qubit most significant.  Images of Pauli strings are hermitian,
+    so ipow is 0 or 2.  Tables come only from tableau_from_unitary.
     """
 
-    xi: tuple[int, PauliLetter, PauliLetter]
-    zi: tuple[int, PauliLetter, PauliLetter]
-    ix: tuple[int, PauliLetter, PauliLetter]
-    iz: tuple[int, PauliLetter, PauliLetter]
-    name: str = ""
+    table: tuple[tuple[int, tuple[PauliLetter, ...]], ...]
 
-    def __post_init__(self) -> None:
-        gens = {"XI": (_L.X, _L.I), "ZI": (_L.Z, _L.I),
-                "IX": (_L.I, _L.X), "IZ": (_L.I, _L.Z)}
-        images = {"XI": self.xi, "ZI": self.zi, "IX": self.ix, "IZ": self.iz}
-        for key, (sign, u, low) in images.items():
-            if sign not in (1, -1):
-                raise ValueError(f"image sign of {key} must be +-1, got {sign!r}")
-            if u is _L.I and low is _L.I:
-                raise ValueError(f"image of {key} cannot be the identity pair")
-        # Symplectic condition: images preserve pairwise (anti)commutation.
-        keys = list(gens)
-        for i, ka in enumerate(keys):
-            for kb in keys[i + 1:]:
-                before = _pair_anticommute(gens[ka], gens[kb])
-                after = _pair_anticommute(images[ka][1:], images[kb][1:])
-                if before != after:
-                    raise ValueError(
-                        f"images of {ka} and {kb} break the commutation structure")
-
-    def image_ipow(self, key: str) -> tuple[int, PauliLetter, PauliLetter]:
-        sign, u, low = getattr(self, key)
-        return (0 if sign == 1 else 2, u, low)
-
-    def inverse(self) -> "Tableau2":
-        """Tableau of the inverse conjugation, found by searching letter pairs."""
-        found: dict[str, tuple[int, PauliLetter, PauliLetter]] = {}
-        targets = {"xi": (_L.X, _L.I), "zi": (_L.Z, _L.I),
-                   "ix": (_L.I, _L.X), "iz": (_L.I, _L.Z)}
-        for p in _L:
-            for q in _L:
-                if p is _L.I and q is _L.I:
-                    continue
-                sign, u, low = conj_pair(self, p, q)
-                for key, tgt in targets.items():
-                    if (u, low) == tgt:
-                        found[key] = (sign, p, q)
-        if set(found) != set(targets):
-            raise ValueError("tableau is not invertible")  # unreachable for valid tableaus
-        return Tableau2(found["xi"], found["zi"], found["ix"], found["iz"],
-                        name=f"{self.name}^-1" if self.name else "")
+    def conj(self, *letters: PauliLetter) -> tuple[int, tuple[PauliLetter, ...]]:
+        """Image (ipow, letters) of the Pauli string given one letter per qubit."""
+        i = 0
+        for letter in letters:
+            i = 4 * i + _INDEX[letter]
+        return self.table[i]
 
 
-def _pair_anticommute(a: tuple[PauliLetter, PauliLetter],
-                      b: tuple[PauliLetter, PauliLetter]) -> bool:
-    return letters_anticommute(a[0], b[0]) != letters_anticommute(a[1], b[1])
+def tableau_from_unitary(u: np.ndarray) -> Clifford:
+    """Conjugation table of a one- or two-qubit Clifford: images under U^dag P U.
+
+    The image of a Pauli string P is its row of the Pauli transfer matrix (a
+    one-qubit U is read as U x I).  The row's largest entry names the
+    candidate signed string, which must then match U^dag P U densely within
+    1e-9, or the gate is not Clifford.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape not in ((2, 2), (4, 4)):
+        raise NotCliffordError("a conjugation table needs a 2x2 or 4x4 unitary")
+    qubits = u.shape[0] // 2
+    assert_unitary(u, atol=1e-9)
+    if qubits == 1:
+        u = np.kron(u, I2)
+    rows = np.arange(0, 16, 4) if qubits == 1 else np.arange(16)  # strings P x I, or all
+    paulis = PAULI_PAIRS.reshape(16, 4, 4)
+    ptm = pauli_transfer(u).reshape(16, 16)[rows]
+    best = np.abs(ptm).argmax(axis=1)
+    signs = np.sign(ptm[np.arange(len(rows)), best])
+    dense = u.conj().T @ paulis[rows] @ u
+    exact = np.isclose(dense, signs[:, None, None] * paulis[best], atol=1e-9).all(axis=(1, 2))
+    letters = tuple(_L)
+    if not exact.all():
+        row = rows[np.argmin(exact)]
+        name = letters[row // 4].value + (letters[row % 4].value if qubits == 2 else "")
+        raise NotCliffordError(f"image of {name} is not a signed Pauli string")
+    return Clifford(tuple(
+        (0 if sign > 0 else 2, (letters[b // 4], letters[b % 4])[:qubits])
+        for sign, b in zip(signs, best)))
 
 
-def _slot_image_ipow(t: Tableau2, letter: PauliLetter,
-                     upper: bool) -> tuple[int, PauliLetter, PauliLetter]:
-    """Image of letter x I (upper) or I x letter (lower) under the tableau."""
-    if letter is _L.I:
-        return (0, _L.I, _L.I)
-    if letter is _L.X:
-        return t.image_ipow("xi" if upper else "ix")
-    if letter is _L.Z:
-        return t.image_ipow("zi" if upper else "iz")
-    # Y = i X Z, so the image composes the X and Z images with an extra i.
-    px, ux, lx = _slot_image_ipow(t, _L.X, upper)
-    pz, uz, lz = _slot_image_ipow(t, _L.Z, upper)
-    du, u = letter_mul_ipow(ux, uz)
-    dl, low = letter_mul_ipow(lx, lz)
-    return ((1 + px + pz + du + dl) % 4, u, low)
-
-
-def conj_pair(t: Tableau2, upper: PauliLetter,
+def conj_pair(t: Clifford, upper: PauliLetter,
               lower: PauliLetter) -> tuple[int, PauliLetter, PauliLetter]:
-    """Conjugate upper x lower through the gate; returns (sign, upper, lower).
-
-    Composed from the generator images, so the sign is always +-1 by
-    hermiticity.
-    """
-    pu, uu, lu = _slot_image_ipow(t, upper, upper=True)
-    pl, ul, ll = _slot_image_ipow(t, lower, upper=False)
-    du, u = letter_mul_ipow(uu, ul)
-    dl, low = letter_mul_ipow(lu, ll)
-    ipow = (pu + pl + du + dl) % 4
-    if ipow not in (0, 2):
-        raise ValueError("conjugation produced an imaginary sign")  # unreachable
+    """Conjugate upper x lower through a two-qubit gate; returns (sign, upper, lower)."""
+    ipow, (u, low) = t.conj(upper, lower)
     return (1 if ipow == 0 else -1, u, low)
 
 
-CZ_TABLEAU = Tableau2(
-    xi=(1, _L.X, _L.Z), zi=(1, _L.Z, _L.I),
-    ix=(1, _L.Z, _L.X), iz=(1, _L.I, _L.Z), name="cz")
-# First qubit is the control.
-CNOT_TABLEAU = Tableau2(
-    xi=(1, _L.X, _L.X), zi=(1, _L.Z, _L.I),
-    ix=(1, _L.I, _L.X), iz=(1, _L.Z, _L.Z), name="cnot")
-SWAP_TABLEAU = Tableau2(
-    xi=(1, _L.I, _L.X), zi=(1, _L.I, _L.Z),
-    ix=(1, _L.X, _L.I), iz=(1, _L.Z, _L.I), name="swap")
-IDENTITY_TABLEAU = Tableau2(
-    xi=(1, _L.X, _L.I), zi=(1, _L.Z, _L.I),
-    ix=(1, _L.I, _L.X), iz=(1, _L.I, _L.Z), name="i4")
-
-
-# -- single-qubit Cliffords ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalClifford:
-    """A single-qubit Clifford as signed letter images of X and Z."""
-
-    x_image: tuple[int, PauliLetter]
-    z_image: tuple[int, PauliLetter]
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        for sign, letter in (self.x_image, self.z_image):
-            if sign not in (1, -1) or letter is _L.I:
-                raise ValueError("images must be signed non-identity letters")
-        if not letters_anticommute(self.x_image[1], self.z_image[1]):
-            raise ValueError("images of X and Z must anticommute")
-
-    def image_ipow(self, letter: PauliLetter) -> tuple[int, PauliLetter]:
-        if letter is _L.I:
-            return (0, _L.I)
-        if letter is _L.X:
-            sign, out = self.x_image
-        elif letter is _L.Z:
-            sign, out = self.z_image
-        else:  # Y = i X Z
-            sx, ox = self.x_image
-            sz, oz = self.z_image
-            d, out = letter_mul_ipow(ox, oz)
-            ip = (1 + (0 if sx == 1 else 2) + (0 if sz == 1 else 2) + d) % 4
-            return (ip, out)
-        return (0 if sign == 1 else 2, out)
-
-
-LOCAL_I = LocalClifford((1, _L.X), (1, _L.Z), name="i2")
-LOCAL_H = LocalClifford((1, _L.Z), (1, _L.X), name="h")   # Z -> X, X -> Z, Y -> -Y
-LOCAL_X = LocalClifford((1, _L.X), (-1, _L.Z), name="x")
-LOCAL_Y = LocalClifford((-1, _L.X), (-1, _L.Z), name="y")
-LOCAL_Z = LocalClifford((-1, _L.X), (1, _L.Z), name="z")
-
-
-def apply_local(c: LocalClifford, w: TimedPauliWord) -> TimedPauliWord:
-    """Conjugate every letter of the word (including the tail) through a local gate."""
+def apply_local(c: Clifford, w: TimedPauliWord) -> TimedPauliWord:
+    """Conjugate every letter of the word (including the tail) through a one-qubit gate."""
     ipow = w.ipow
     letters: dict[int, PauliLetter] = {}
     for k, letter in w.head:
-        dp, out = c.image_ipow(letter)
+        dp, (out,) = c.conj(letter)
         ipow += dp
         letters[k] = out
     tail = None
     if w.tail is not None:
         start, letter = w.tail
-        dp, out = c.image_ipow(letter)
+        dp, (out,) = c.conj(letter)
         if dp % 4 != 0:
             raise DivergentPhaseError(
                 f"local image of tail letter {letter.value} carries sign i^{dp} per label")
         tail = (start, out)
     return TimedPauliWord.build(ipow, letters, tail)
+
+
+# Every table is read off a dense gate of qlinalg.  First qubit is the control.
+CZ_TABLEAU = tableau_from_unitary(CZ)
+CNOT_TABLEAU = tableau_from_unitary(CNOT)
+SWAP_TABLEAU = tableau_from_unitary(SWAP)
+
+# One-qubit tables keyed by qlinalg's standard gate names.
+LOCAL_TABLES = {name: tableau_from_unitary(standard_gate(name))
+                for name in ("I2", "H", "X", "Y", "Z", "S")}
+LOCAL_I, LOCAL_H, LOCAL_X, LOCAL_Y, LOCAL_Z, LOCAL_S = LOCAL_TABLES.values()
 
 
 # -- prime-notation rendering and parsing ----------------------------------

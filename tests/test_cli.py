@@ -1,11 +1,14 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctcsim import scenario
 from ctcsim.cli import RECORD_FIELDS, main, parse_config_text, parse_record_line
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +251,31 @@ class TestGeometryCommand:
         code, _, err = run_cli(capsys, "geometry", "--config", str(cfg))
         assert code == 2
         assert "geometry.ho" in err
+
+    def test_unused_keys_do_not_affect_the_check(self, tmp_path, capsys):
+        # epsilon, tau, delta_x and delta_t are read and checked, never used
+        full = (REPO / "configs" / "geometry.cfg").read_text()
+        stripped = tmp_path / "stripped.cfg"
+        stripped.write_text("".join(
+            line for line in full.splitlines(keepends=True)
+            if not line.startswith(("geometry.epsilon", "geometry.tau",
+                                    "geometry.delta_x", "geometry.delta_t"))))
+        assert stripped.read_text() != full
+        with_keys = run_cli(capsys, "geometry", "--config", str(REPO / "configs" / "geometry.cfg"))
+        without = run_cli(capsys, "geometry", "--config", str(stripped))
+        assert with_keys == without == (0, "ok margin=0.5\n", "")
+
+    @pytest.mark.parametrize("line", [
+        "geometry.transit = nan", "geometry.ho = inf 0", "geometry.c = inf",
+        "geometry.tau = -1", "geometry.tau = nan", "geometry.epsilon = 1 x",
+        "geometry.delta_t = soon"])
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "geo.cfg"
+        cfg.write_text("geometry.hi = 0 0\ngeometry.ho = 3e8 0\n"
+                       f"geometry.transit = 1.5\ngeometry.c = 3e8\n{line}\n")
+        code, out, err = run_cli(capsys, "geometry", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
 class TestConjectureCheck:

@@ -11,7 +11,6 @@ from ctcsim.heisenberg_model import (
     TimeDistribution,
     UnsupportedOverlapError,
     backpropagate_block,
-    backpropagate_circuit,
     backpropagate_circuit_detailed,
     evaluate_expectation,
     heisenberg_bloch,
@@ -123,12 +122,13 @@ class TestBackpropagateBlock:
 class TestBackpropagateCircuit:
     def test_single_cnot_no_locals(self):
         circuit = HeisenbergCircuit(blocks=(CNOT_TABLEAU,), local_gates=(LOCAL_I, LOCAL_I))
-        assert backpropagate_circuit(circuit, L.Z) == word_from_str("Z Z'")
+        word, _ = backpropagate_circuit_detailed(circuit, L.Z)
+        assert word == word_from_str("Z Z'")
 
     def test_chained_circuit_reverses_to_one_traversal(self):
         # the second wormhole undoes the first: J -> J' with phase +1
         for letter, expect in ((L.Z, "Z'"), (L.X, "X'"), (L.Y, "Y'")):
-            got = backpropagate_circuit(FIG2_CIRCUIT, letter)
+            got, _ = backpropagate_circuit_detailed(FIG2_CIRCUIT, letter)
             assert got == word_from_str(expect)
             assert got.ipow == 0
 
@@ -355,16 +355,38 @@ class TestHeisenbergBloch:
         assert res.statuses["z"] == "ok"  # two labels: the overlap formula applies
 
 
+# The paper's arrow rules: images of the generators under U^dag P U, written
+# out by hand as (sign, upper, lower) so the derived tables keep an
+# independent reference.  First qubit is the control.
+ARROW_RULES = {
+    "cz": (CZ, {(L.X, L.I): (1, L.X, L.Z), (L.Z, L.I): (1, L.Z, L.I),
+                (L.I, L.X): (1, L.Z, L.X), (L.I, L.Z): (1, L.I, L.Z)}),
+    "cnot": (CNOT, {(L.X, L.I): (1, L.X, L.X), (L.Z, L.I): (1, L.Z, L.I),
+                    (L.I, L.X): (1, L.I, L.X), (L.I, L.Z): (1, L.Z, L.Z)}),
+    "swap": (SWAP, {(L.X, L.I): (1, L.I, L.X), (L.Z, L.I): (1, L.I, L.Z),
+                    (L.I, L.X): (1, L.X, L.I), (L.I, L.Z): (1, L.Z, L.I)}),
+}
+
+
 class TestTableauFromUnitary:
     def test_reproduces_hand_coded_tableaus(self):
-        for gate, tab in ((CZ, CZ_TABLEAU), (CNOT, CNOT_TABLEAU), (SWAP, SWAP_TABLEAU)):
+        constants = {"cz": CZ_TABLEAU, "cnot": CNOT_TABLEAU, "swap": SWAP_TABLEAU}
+        for name, (gate, rules) in ARROW_RULES.items():
             got = tableau_from_unitary(gate)
-            for key in ("xi", "zi", "ix", "iz"):
-                assert getattr(got, key) == getattr(tab, key)
+            assert got == constants[name]
+            for (p, q), image in rules.items():
+                assert conj_pair(got, p, q) == image, (name, p, q)
+                sign, a, b = image
+                dense = gate.conj().T @ np.kron(PAULI_BY_NAME[p.value],
+                                                PAULI_BY_NAME[q.value]) @ gate
+                want = sign * np.kron(PAULI_BY_NAME[a.value], PAULI_BY_NAME[b.value])
+                assert np.allclose(dense, want, atol=1e-9), (name, p, q)
 
     def test_identity(self):
         got = tableau_from_unitary(I4)
-        assert got.xi == (1, L.X, L.I)
+        for p in L:
+            for q in L:
+                assert conj_pair(got, p, q) == (1, p, q)
 
     def test_non_clifford_rejected(self):
         t_gate = np.diag([1, 1, 1, np.exp(1j * np.pi / 4)])

@@ -1,7 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from ctcsim.qlinalg import CNOT, CZ, PureStateParams, SWAP
+from ctcsim.qlinalg import CNOT, CZ, PAULI_BY_NAME, PureStateParams, SWAP
 from ctcsim.scenario import (
     BlockSpec,
     CircuitSpec,
@@ -11,12 +14,15 @@ from ctcsim.scenario import (
     db_interaction,
     heisenberg_tableau,
     interaction_matrix,
+    local_clifford,
+    local_matrix,
     named_scenario,
     run_db,
     run_heisenberg,
     scenario_names,
     validate_geometry,
 )
+from ctcsim.timed_pauli import PauliLetter
 from helpers import random_params
 
 
@@ -85,10 +91,7 @@ class TestConventions:
         for with_swap_block, bare_block in pairs:
             assert np.allclose(db_interaction(with_swap_block),
                                db_interaction(bare_block), atol=0)
-            ta = heisenberg_tableau(with_swap_block)
-            tb = heisenberg_tableau(bare_block)
-            for key in ("xi", "zi", "ix", "iz"):
-                assert getattr(ta, key) == getattr(tb, key)
+            assert heisenberg_tableau(with_swap_block) == heisenberg_tableau(bare_block)
         for with_swap_block, bare_block in pairs:
             for _ in range(20):
                 p = random_params(rng)
@@ -106,6 +109,40 @@ class TestConventions:
     def test_local_count_validated(self):
         with pytest.raises(ScenarioError):
             spec_with([BlockSpec("cz_swap")], ["i2"], PureStateParams(1, 0))
+
+
+# Every block gate name the scenarios accept, with and without the swap suffix.
+BLOCK_GATES = [g + suffix for g in ("cz", "cnot", "swap", "i4") for suffix in ("", "_swap")]
+LOCAL_NAMES = ("i2", "i", "h", "x", "y", "z", "s")
+
+
+def assert_table_matches_dense(table, u, qubits):
+    """Every entry of the table, sign included, equals the dense U^dag P U."""
+    for p in itertools.product(PauliLetter, repeat=qubits):
+        ipow, image = table.conj(*p)
+        dense = u.conj().T @ pauli_string(p) @ u
+        assert np.allclose(dense, 1j**ipow * pauli_string(image), atol=1e-12), (p, ipow, image)
+
+
+def pauli_string(letters):
+    out = np.eye(1)
+    for letter in letters:
+        out = np.kron(out, PAULI_BY_NAME[letter.value])
+    return out
+
+
+class TestTables:
+    @pytest.mark.parametrize("convention", ["with_swap", "bare"])
+    @pytest.mark.parametrize("gate", BLOCK_GATES)
+    def test_block_table_matches_dense(self, gate, convention):
+        # the Heisenberg engine conjugates through U_bar = SWAP U, where U is
+        # the interaction the density-matrix engine applies
+        block = BlockSpec(gate, convention)
+        assert_table_matches_dense(heisenberg_tableau(block), SWAP @ db_interaction(block), 2)
+
+    @pytest.mark.parametrize("name", LOCAL_NAMES)
+    def test_local_table_matches_dense(self, name):
+        assert_table_matches_dense(local_clifford(name), local_matrix(name), 1)
 
 
 class TestCompileOnce:
@@ -147,6 +184,21 @@ class TestCompare:
         assert "diverge" in report.flags
         assert "agree" not in report.flags
         assert abs(report.trace_distance - 0.5) < 1e-9
+
+    @pytest.mark.parametrize("locals_", [("s", "i2"), ("i2", "s"), ("s", "s")])
+    @pytest.mark.parametrize("gate", ["cz_swap", "cnot_swap"])
+    def test_phase_gate_locals(self, gate, locals_, rng):
+        # both engines read the s gate off the same matrix: never a clean
+        # disagreement, and the controlled-sign block always agrees
+        for _ in range(15):
+            p = random_params(rng)
+            if abs(p.alpha - p.beta) < 1e-3:
+                continue
+            report = compare(spec_with([BlockSpec(gate)], locals_, p))
+            assert "diverge" not in report.flags
+            assert "agree" in report.flags or "singular" in report.flags
+            if gate == "cz_swap":
+                assert report.agree, report.flags
 
     def test_balanced_cnot_is_singular(self):
         report = compare(named_scenario("cnot", PureStateParams.from_alpha2(0.5, 0.0)))
@@ -193,8 +245,12 @@ class TestGeometry:
             GeometryConfig(hi_position=(0,), ho_position=(1,),
                            external_transit_time=1.0, c=0.0)
 
-    def test_stored_shifts_do_not_affect_the_check(self):
-        g = GeometryConfig(hi_position=(0.0,), ho_position=(3e8,),
-                           external_transit_time=1.5, c=3e8,
-                           epsilon=(5.0, 5.0), tau=2.0, delta_x=(0.1,), delta_t=0.2)
-        assert validate_geometry(g).margin == pytest.approx(0.5)
+    @pytest.mark.parametrize("field, value", [
+        ("hi_position", (math.nan, 0.0)), ("ho_position", (math.inf, 0.0)),
+        ("external_transit_time", math.nan), ("c", math.inf)])
+    def test_non_finite_values_rejected(self, field, value):
+        values = dict(hi_position=(0.0, 0.0), ho_position=(3e8, 0.0),
+                      external_transit_time=1.5, c=3e8)
+        values[field] = value
+        with pytest.raises(ScenarioError, match="finite"):
+            GeometryConfig(**values)

@@ -1,27 +1,41 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ctcsim.qlinalg import CNOT, CZ, PAULI_BY_NAME, SWAP
+from ctcsim.qlinalg import (
+    CNOT,
+    CZ,
+    HADAMARD,
+    I2,
+    I4,
+    PAULI_BY_NAME,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PHASE_S,
+    SWAP,
+)
 from ctcsim.timed_pauli import (
     CNOT_TABLEAU,
     CZ_TABLEAU,
     DivergentPhaseError,
-    IDENTITY_TABLEAU,
     LOCAL_H,
     LOCAL_I,
+    LOCAL_S,
     LOCAL_X,
-    LocalClifford,
+    LOCAL_Y,
+    LOCAL_Z,
+    NotCliffordError,
     PauliLetter,
     SWAP_TABLEAU,
-    Tableau2,
     TimedPauliWord,
     apply_local,
     conj_pair,
-    letter_mul,
-    letters_anticommute,
-    shift,
+    letter_mul_ipow,
+    tableau_from_unitary,
     word_from_str,
     word_mul,
     word_to_str,
@@ -38,20 +52,20 @@ W = TimedPauliWord
 
 class TestLetterMul:
     def test_squares_to_identity(self):
-        assert letter_mul(L.X, L.X) == (1 + 0j, L.I)
+        assert letter_mul_ipow(L.X, L.X) == (0, L.I)
 
     def test_xz_is_minus_i_y(self):
-        assert letter_mul(L.X, L.Z) == (-1j, L.Y)
+        assert letter_mul_ipow(L.X, L.Z) == (3, L.Y)
 
     def test_identity_absorbs(self):
-        assert letter_mul(L.I, L.Y) == (1 + 0j, L.Y)
+        assert letter_mul_ipow(L.I, L.Y) == (0, L.Y)
 
     def test_full_table_against_dense_matrices(self):
         for a in LETTERS:
             for b in LETTERS:
-                phase, c = letter_mul(a, b)
+                ipow, c = letter_mul_ipow(a, b)
                 dense = PAULI_BY_NAME[a.value] @ PAULI_BY_NAME[b.value]
-                assert np.allclose(dense, phase * PAULI_BY_NAME[c.value], atol=0)
+                assert np.allclose(dense, 1j**ipow * PAULI_BY_NAME[c.value], atol=0)
 
 
 # -- word strategies ---------------------------------------------------------
@@ -135,15 +149,15 @@ class TestWordMul:
 
 class TestShift:
     def test_adds_primes(self):
-        assert shift(W.single(0, L.Z), 1) == W.single(1, L.Z)
+        assert W.single(0, L.Z).shift(1) == W.single(1, L.Z)
 
     def test_empty_unchanged(self):
-        assert shift(W.identity(), 5) == W.identity()
+        assert W.identity().shift(5) == W.identity()
 
     @given(words(), st.integers(-3, 3))
     @settings(max_examples=200)
     def test_invertible(self, w, d):
-        assert shift(shift(w, d), -d) == w
+        assert w.shift(d).shift(-d) == w
 
 
 class TestCanonicalization:
@@ -163,10 +177,11 @@ class TestCanonicalization:
         assert W.build(0, {0: L.Z, 1: L.X}) == W.build(0, {1: L.X, 0: L.Z})
 
 
-# -- tableaus ----------------------------------------------------------------
+# -- Clifford tables ---------------------------------------------------------
 
 
 TABLEAUS = {"cz": (CZ_TABLEAU, CZ), "cnot": (CNOT_TABLEAU, CNOT), "swap": (SWAP_TABLEAU, SWAP)}
+IDENTITY_TABLEAU = tableau_from_unitary(I4)
 
 
 class TestConjPair:
@@ -193,19 +208,14 @@ class TestConjPair:
 
     @pytest.mark.parametrize("name", sorted(TABLEAUS))
     def test_inverse_round_trip(self, name):
-        tab, _ = TABLEAUS[name]
-        inv = tab.inverse()
+        # the table of U, then the table of U^dag, gives back every pair
+        tab, gate = TABLEAUS[name]
+        inv = tableau_from_unitary(gate.conj().T)
         for p in LETTERS:
             for q in LETTERS:
                 sign, u, low = conj_pair(tab, p, q)
                 sign_back, p_back, q_back = conj_pair(inv, u, low)
                 assert (sign * sign_back, p_back, q_back) == (1, p, q)
-
-    def test_symplectic_violation_rejected(self):
-        # sending both X x I and Z x I to the same image breaks anticommutation
-        with pytest.raises(ValueError):
-            Tableau2(xi=(1, L.X, L.I), zi=(1, L.X, L.I),
-                     ix=(1, L.I, L.X), iz=(1, L.I, L.Z))
 
 
 class TestApplyLocal:
@@ -234,16 +244,29 @@ class TestApplyLocal:
             assume(False)
         assert apply_local(LOCAL_H, once) == w
 
+    @pytest.mark.parametrize("local, x_image, z_image", [
+        # literal images under U^dag P U, independent of the derived tables
+        (LOCAL_I, (0, L.X), (0, L.Z)),
+        (LOCAL_H, (0, L.Z), (0, L.X)),
+        (LOCAL_X, (0, L.X), (2, L.Z)),
+        (LOCAL_Y, (2, L.X), (2, L.Z)),
+        (LOCAL_Z, (2, L.X), (0, L.Z)),
+        (LOCAL_S, (2, L.Y), (0, L.Z)),
+    ])
+    def test_literal_local_images(self, local, x_image, z_image):
+        assert apply_local(local, W.single(0, L.X)) == W.single(0, x_image[1], ipow=x_image[0])
+        assert apply_local(local, W.single(0, L.Z)) == W.single(0, z_image[1], ipow=z_image[0])
+
     def test_bad_local_images_rejected(self):
-        with pytest.raises(ValueError):
-            LocalClifford((1, L.X), (1, L.X))  # images must anticommute
-
-
-class TestAnticommutation:
-    def test_letters_anticommute(self):
-        assert letters_anticommute(L.X, L.Z)
-        assert not letters_anticommute(L.X, L.X)
-        assert not letters_anticommute(L.I, L.Z)
+        # a one-qubit gate whose images are not signed letters has no table
+        t_gate = np.diag([1, np.exp(1j * np.pi / 4)])
+        eps = 1e-3
+        kick = math.cos(eps) * np.eye(2) - 1j * math.sin(eps) * PAULI_X
+        with pytest.raises(NotCliffordError):
+            tableau_from_unitary(t_gate)
+        for gate in (I2, HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, PHASE_S):
+            with pytest.raises(NotCliffordError):
+                tableau_from_unitary(gate @ kick)
 
 
 # -- rendering ---------------------------------------------------------------
