@@ -11,12 +11,19 @@ from .qlinalg import (
     PureStateParams,
     bloch_from_density,
     density_from_bloch,
-    fidelity,
     standard_gate,
     state_prep_unitary,
     trace_distance,
 )
-from .db_model import DBBlock, DBSolution, ctc_map, db_output, run_chain, solve_fixed_point
+from .db_model import (
+    DBRun,
+    DBSolution,
+    ctc_map,
+    db_output,
+    run_chain,
+    solve_chain,
+    solve_fixed_point,
+)
 from .timed_pauli import (
     Clifford,
     PauliLetter,
@@ -46,6 +53,7 @@ from .scenario import (
     GeometryConfig,
     compare,
     named_scenario,
+    reconcile,
     validate_geometry,
 )
 

@@ -35,6 +35,7 @@ from .qlinalg import (
     PureStateParams,
     assert_density,
     assert_unitary,
+    bloch_from_density,
     density_from_bloch,
     partial_trace_first,
     partial_trace_second,
@@ -57,23 +58,23 @@ class FixedPointError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DBBlock:
-    """One wormhole interaction: the full two-qubit unitary including any swap."""
-
-    interaction: Mat4
-
-    def __post_init__(self) -> None:
-        assert_unitary(self.interaction)
-        if self.interaction.shape != (4, 4):
-            raise ValueError("interaction must be a two-qubit gate")
-
-
-@dataclass(frozen=True)
 class DBSolution:
     fixed_point: DensityMatrix
     output: DensityMatrix
     iterations: int
     residual: float
+    degenerate: bool
+
+
+@dataclass(frozen=True)
+class DBRun:
+    """A chain of blocks: the output, the largest residual, the summed
+    iterations and whether any block's fixed point was degenerate."""
+
+    output: DensityMatrix
+    bloch: BlochVector
+    residual: float
+    iterations: int
     degenerate: bool
 
 
@@ -158,6 +159,8 @@ def solve_fixed_point(u: Mat4, rho_in: DensityMatrix, method: str = "both", *,
     """
     if method not in ("iterate", "eigen", "both"):
         raise ValueError(f"unknown method {method!r}")
+    if np.shape(u) != (4, 4):
+        raise ValueError("interaction must be a two-qubit gate")
     assert_unitary(u)
     assert_density(rho_in)
 
@@ -185,37 +188,35 @@ def solve_fixed_point(u: Mat4, rho_in: DensityMatrix, method: str = "both", *,
                       residual=residual, degenerate=degenerate)
 
 
-def chain_solutions(blocks: Sequence[DBBlock | Mat4],
-                    local_gates: Sequence[Mat2] | None,
-                    p: PureStateParams, method: str = "eigen",
-                    ) -> tuple[list[DBSolution], DensityMatrix]:
-    """Like run_chain, but also return the per-block solutions (for flags)."""
-    mats = [b.interaction if isinstance(b, DBBlock) else np.asarray(b) for b in blocks]
-    if local_gates is None:
-        local_gates = [I2] * (len(mats) + 1)
-    if len(local_gates) != len(mats) + 1:
-        raise ValueError(
-            f"need {len(mats) + 1} local gates for {len(mats)} blocks, got {len(local_gates)}")
-    rho = p.density()
-    solutions: list[DBSolution] = []
-    for gate_before, u in zip(local_gates, mats):
-        rho = gate_before @ rho @ gate_before.conj().T
-        sol = solve_fixed_point(u, rho, method=method)
-        solutions.append(sol)
-        rho = sol.output
-    last = local_gates[-1]
-    rho = last @ rho @ last.conj().T
-    return solutions, rho
-
-
-def run_chain(blocks: Sequence[DBBlock | Mat4],
-              local_gates: Sequence[Mat2] | None,
-              p: PureStateParams, method: str = "eigen") -> DensityMatrix:
+def solve_chain(blocks: Sequence[Mat4], local_gates: Sequence[Mat2],
+                p: PureStateParams) -> DBRun:
     """Thread a prepared pure state through consecutive wormhole blocks.
 
-    local_gates interleaves the blocks (before, between, after); None means
-    all identities.  Each block is solved afresh with the current state as
-    the loop input, then replaced by the block's output.
+    local_gates interleaves the blocks (before, between, after).  Each block
+    is solved afresh by the direct solve with the current state as the loop
+    input, then replaced by the block's output.
     """
-    _, rho = chain_solutions(blocks, local_gates, p, method=method)
-    return rho
+    if len(local_gates) != len(blocks) + 1:
+        raise ValueError(
+            f"need {len(blocks) + 1} local gates for {len(blocks)} blocks, got {len(local_gates)}")
+    rho = p.density()
+    solutions: list[DBSolution] = []
+    for gate_before, u in zip(local_gates, blocks):
+        rho = gate_before @ rho @ gate_before.conj().T
+        solutions.append(solve_fixed_point(u, rho, method="eigen"))
+        rho = solutions[-1].output
+    last = local_gates[-1]
+    rho = last @ rho @ last.conj().T
+    return DBRun(
+        output=rho,
+        bloch=bloch_from_density(rho),
+        residual=max((s.residual for s in solutions), default=0.0),
+        iterations=sum(s.iterations for s in solutions),
+        degenerate=any(s.degenerate for s in solutions),
+    )
+
+
+def run_chain(blocks: Sequence[Mat4], local_gates: Sequence[Mat2],
+              p: PureStateParams) -> DensityMatrix:
+    """The output state of solve_chain alone."""
+    return solve_chain(blocks, local_gates, p).output

@@ -224,16 +224,3 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     evals = np.linalg.eigvalsh(np.asarray(rho) - np.asarray(sigma))
     return float(0.5 * np.sum(np.abs(evals)))
 
-
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity (squared convention) via the qubit closed form.
-
-    For 2x2 states F = Tr[rho sigma] + 2 sqrt(det rho det sigma); pure x pure
-    reduces to |<psi|phi>|^2.
-    """
-    rho = np.asarray(rho)
-    sigma = np.asarray(sigma)
-    cross = float(np.real(np.trace(rho @ sigma)))
-    dets = np.real(np.linalg.det(rho)) * np.real(np.linalg.det(sigma))
-    f = cross + 2.0 * math.sqrt(max(dets, 0.0))
-    return float(min(max(f, 0.0), 1.0))

@@ -29,6 +29,7 @@ from .heisenberg_model import (
     TimeDistribution,
     tableau_from_unitary,
 )
+from .db_model import DBRun
 from .qlinalg import BlochVector, PureStateParams, standard_gate
 from .timed_pauli import LOCAL_TABLES, Clifford
 
@@ -100,14 +101,12 @@ def db_interaction(block: BlockSpec) -> np.ndarray:
 
 @functools.cache
 def heisenberg_tableau(block: BlockSpec) -> Clifford:
-    """The conjugation table of U_bar the Heisenberg engine propagates through.
+    """The conjugation table of U_bar = SWAP @ U, the gate the Heisenberg engine reads.
 
     Compiled once per block spec and process; a Clifford is immutable, so
     every circuit built from the same block shares it.
     """
-    mat = interaction_matrix(block.gate)
-    ubar = qlinalg.SWAP @ mat if block.convention == "with_swap" else mat
-    return tableau_from_unitary(ubar)
+    return tableau_from_unitary(qlinalg.SWAP @ db_interaction(block))
 
 
 def local_matrix(name: str) -> np.ndarray:
@@ -154,35 +153,13 @@ def named_scenario(name: str, prep: PureStateParams | None = None,
     )
 
 
-@dataclass(frozen=True)
-class DBRun:
-    """Density-matrix engine result for a full circuit spec."""
-
-    output: np.ndarray
-    bloch: BlochVector
-    residual: float
-    iterations: int
-    degenerate: bool
+def run_db(spec: CircuitSpec) -> DBRun:
+    return db_model.solve_chain([db_interaction(b) for b in spec.blocks],
+                                [local_matrix(n) for n in spec.local_gates], spec.prep)
 
 
-def run_db(spec: CircuitSpec, p: PureStateParams | None = None,
-           method: str = "eigen") -> DBRun:
-    prep = p if p is not None else spec.prep
-    blocks = [db_interaction(b) for b in spec.blocks]
-    local_mats = [local_matrix(n) for n in spec.local_gates]
-    solutions, rho = db_model.chain_solutions(blocks, local_mats, prep, method=method)
-    return DBRun(
-        output=rho,
-        bloch=qlinalg.bloch_from_density(rho),
-        residual=max((s.residual for s in solutions), default=0.0),
-        iterations=sum(s.iterations for s in solutions),
-        degenerate=any(s.degenerate for s in solutions),
-    )
-
-
-def run_heisenberg(spec: CircuitSpec, p: PureStateParams | None = None) -> HeisenbergResult:
-    prep = p if p is not None else spec.prep
-    return heisenberg_model.heisenberg_bloch(heisenberg_circuit(spec), prep, spec.overlap)
+def run_heisenberg(spec: CircuitSpec) -> HeisenbergResult:
+    return heisenberg_model.heisenberg_bloch(heisenberg_circuit(spec), spec.prep, spec.overlap)
 
 
 @dataclass(frozen=True)
@@ -202,15 +179,13 @@ class ComparisonReport:
         return "agree" in self.flags
 
 
-def compare(spec: CircuitSpec, p: PureStateParams | None = None) -> ComparisonReport:
-    """Run both engines on one spec and reconcile the results.
+def reconcile(db_run: DBRun, heis: HeisenbergResult) -> ComparisonReport:
+    """The cross-engine verdict on one circuit.
 
     agree requires every Bloch component within COMPARISON_ATOL and neither a
     singular Heisenberg component nor a degenerate fixed point; diverge marks
     a clean numeric disagreement.
     """
-    db_run = run_db(spec, p)
-    heis = run_heisenberg(spec, p)
     flags: list[str] = []
     if db_run.degenerate:
         flags.append("degenerate")
@@ -225,6 +200,11 @@ def compare(spec: CircuitSpec, p: PureStateParams | None = None) -> ComparisonRe
     elif delta >= COMPARISON_ATOL:
         flags.append("diverge")
     return ComparisonReport(db_run, heis, tdist, delta, tuple(flags))
+
+
+def compare(spec: CircuitSpec) -> ComparisonReport:
+    """Run both engines on one spec and reconcile the results."""
+    return reconcile(run_db(spec), run_heisenberg(spec))
 
 
 # -- no-signaling geometry of the external apparatus ------------------------

@@ -181,12 +181,6 @@ class TimedPauliWord:
 
     # -- algebra -----------------------------------------------------------
 
-    def shift(self, delta: int) -> "TimedPauliWord":
-        """Add delta to every label (delta primes); phase unchanged."""
-        head = tuple((k + delta, letter) for k, letter in self.head)
-        tail = (self.tail[0] + delta, self.tail[1]) if self.tail is not None else None
-        return TimedPauliWord(self.ipow, head, tail)
-
     def __mul__(self, other: "TimedPauliWord") -> "TimedPauliWord":
         return word_mul(self, other)
 

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from ctcsim.db_model import (
-    DBBlock,
     FixedPointError,
     _bloch_affine,
-    chain_solutions,
     ctc_map,
     db_output,
     run_chain,
+    solve_chain,
     solve_fixed_point,
 )
 from ctcsim.qlinalg import (
@@ -21,6 +20,7 @@ from ctcsim.qlinalg import (
     PAULI_Y,
     PAULI_Z,
     PureStateParams,
+    QlinalgError,
     SWAP,
     bloch_from_density,
     trace_distance,
@@ -154,6 +154,14 @@ class TestSolveFixedPoint:
         with pytest.raises(ValueError):
             solve_fixed_point(I4, RHO_0, method="fancy")
 
+    def test_non_unitary_rejected(self):
+        with pytest.raises(QlinalgError):
+            solve_fixed_point(np.ones((4, 4), dtype=complex), RHO_0)
+
+    def test_one_qubit_gate_rejected(self):
+        with pytest.raises(ValueError, match="two-qubit"):
+            solve_fixed_point(HADAMARD, RHO_0)
+
 
 class TestDbOutput:
     def test_cnot_output_closed_form(self, rng):
@@ -206,26 +214,35 @@ class TestRunChain:
 
     def test_identity_block_passes_state_through(self):
         p = PureStateParams.from_alpha2(0.42, 1.1)
-        rho = run_chain([I4], None, p)
+        rho = run_chain([I4], [I2, I2], p)
         assert np.max(np.abs(rho - p.density())) < 1e-10
 
     def test_single_block_consistent_with_direct_solve(self):
         p = PureStateParams.from_alpha2(0.8, 0.5)
-        chained = run_chain([DBBlock(U_CNOT_SWAP)], [I2, I2], p)
+        chained = run_chain([U_CNOT_SWAP], [I2, I2], p)
         direct = solve_fixed_point(U_CNOT_SWAP, p.density()).output
-        assert np.max(np.abs(chained - direct)) < 1e-12
+        assert np.array_equal(chained, direct)
 
     def test_local_gate_count_validated(self):
         p = PureStateParams.from_alpha2(0.5)
         with pytest.raises(ValueError):
             run_chain([I4], [I2], p)
 
-    def test_chain_solutions_expose_flags(self):
-        p = PureStateParams.from_alpha2(0.75, 0.0)
-        sols, _ = chain_solutions([U_CNOT_SWAP, U_CNOT_SWAP],
-                                  [I2, HADAMARD, HADAMARD], p)
-        assert len(sols) == 2
-        assert all(s.residual < 1e-10 for s in sols)
+    def test_solve_chain_aggregates_block_solutions(self):
+        # the identity block fixes every trapped state, so only it is degenerate
+        p = PureStateParams.from_alpha2(0.3, 0.4)
+        blocks, locals_ = [U_CZ_SWAP, I4], [I2, HADAMARD, PAULI_X]
+        run = solve_chain(blocks, locals_, p)
+        rho, sols = p.density(), []
+        for gate, u in zip(locals_, blocks):
+            sols.append(solve_fixed_point(u, gate @ rho @ gate.conj().T, method="eigen"))
+            rho = sols[-1].output
+        assert [s.degenerate for s in sols] == [False, True]
+        assert run.degenerate
+        assert run.residual == max(s.residual for s in sols)
+        assert run.iterations == 0
+        assert np.array_equal(run.output, PAULI_X @ rho @ PAULI_X.conj().T)
+        assert run.bloch == bloch_from_density(run.output)
 
 
 class TestNonlinearity:
@@ -238,8 +255,3 @@ class TestNonlinearity:
         output_of_mixture = solve_fixed_point(U_CNOT_SWAP, I2 / 2).output
         assert trace_distance(mixture_of_outputs, output_of_mixture) > 1e-3
 
-
-class TestDBBlock:
-    def test_non_unitary_rejected(self):
-        with pytest.raises(Exception):
-            DBBlock(np.ones((4, 4), dtype=complex))

@@ -22,6 +22,7 @@ import pytest
 from ctcsim.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 PI = repr(math.pi)
 
 CASES: dict[str, list[str]] = {}
@@ -37,6 +38,11 @@ for _name in ("cnot", "cz", "chained_cnot_hadamard"):
     CASES[f"compare_{_name}_theta"] = ["compare", _name, "--alpha2", "0.3", "--theta", "0.7",
                                        "--format", "csv"]
 CASES["run_cz_gaussian"] = ["run", "cz", "--d", "0.5", "--tau", "1.0", "--format", "csv"]
+for _name, _cfg in (("run_config_chained", CONFIGS / "chained.cfg"),
+                    ("run_config_gaussian_cz", CONFIGS / "gaussian_cz.cfg"),
+                    ("compare_config_chained", CONFIGS / "chained.cfg"),
+                    ("run_config_bare_s_local", GOLDEN / "bare_s_local.cfg")):
+    CASES[_name] = [_name.split("_", 1)[0], "--config", str(_cfg), "--format", "csv"]
 
 CONJECTURE = ["conjecture-check", "--seed", "7", "--trials", "200"]
 MAX_DELTA_ATOL = 1e-12

@@ -14,7 +14,6 @@ from ctcsim.qlinalg import (
     assert_density,
     bloch_from_density,
     density_from_bloch,
-    fidelity,
     partial_trace_first,
     partial_trace_second,
     pauli_transfer,
@@ -166,20 +165,6 @@ class TestBlochAndMetrics:
     def test_trace_distance_to_mixed(self):
         rho0 = np.outer(KET0, KET0)
         assert abs(trace_distance(rho0, I2 / 2) - 0.5) < 1e-12
-
-    def test_fidelity_bounds_and_self(self, rng):
-        for _ in range(30):
-            rho = random_density(rng)
-            sigma = random_density(rng)
-            f = fidelity(rho, sigma)
-            assert 0.0 <= f <= 1.0
-            assert abs(fidelity(rho, rho) - 1.0) < 1e-10
-
-    def test_fidelity_pure_overlap(self):
-        plus = np.array([1, 1]) / np.sqrt(2)
-        rho0 = np.outer(KET0, KET0)
-        rho_plus = np.outer(plus, plus)
-        assert abs(fidelity(rho0, rho_plus) - 0.5) < 1e-12
 
 
 class TestDensityValidation:

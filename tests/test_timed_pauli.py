@@ -147,19 +147,6 @@ class TestWordMul:
         assert np.array_equal(got, want)
 
 
-class TestShift:
-    def test_adds_primes(self):
-        assert W.single(0, L.Z).shift(1) == W.single(1, L.Z)
-
-    def test_empty_unchanged(self):
-        assert W.identity().shift(5) == W.identity()
-
-    @given(words(), st.integers(-3, 3))
-    @settings(max_examples=200)
-    def test_invertible(self, w, d):
-        assert w.shift(d).shift(-d) == w
-
-
 class TestCanonicalization:
     def test_identity_letters_dropped(self):
         assert W.build(0, {0: L.I, 2: L.X}) == W.single(2, L.X)
