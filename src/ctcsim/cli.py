@@ -29,10 +29,11 @@ import numpy as np
 
 from . import db_model, heisenberg_model, qlinalg, scenario
 from .heisenberg_model import TimeDistribution
-from .qlinalg import PureStateParams
-from .scenario import CircuitSpec, BlockSpec, GeometryConfig, ScenarioError
+from .qlinalg import CtcsimError, EngineError, PureStateParams
+from .scenario import CircuitSpec, BlockSpec, GeometryConfig
 
-class ConfigError(ValueError):
+
+class ConfigError(CtcsimError, ValueError):
     pass
 
 
@@ -151,32 +152,27 @@ def spec_from_config(cfg: dict) -> CircuitSpec:
         raise ConfigError("missing config field 'block' (at least one)")
     try:
         blocks = tuple(BlockSpec(g, c) for g, c in cfg["block"])
-    except ScenarioError as exc:
+    except CtcsimError as exc:
         raise ConfigError(f"config field 'block': {exc}") from exc
     local_names = tuple(cfg.get("locals", "").split()) or ("i2",) * (len(blocks) + 1)
     kind = cfg.get("overlap.kind", "orthogonal_limit")
     if kind == "gaussian":
-        overlap = _gaussian(_cfg_float(cfg, "overlap.d"), _cfg_float(cfg, "overlap.tau"))
+        overlap = TimeDistribution.gaussian(_cfg_float(cfg, "overlap.d"),
+                                            _cfg_float(cfg, "overlap.tau"))
     elif kind == "orthogonal_limit":
         overlap = TimeDistribution.orthogonal()
     else:
         raise ConfigError(f"config field 'overlap.kind' unknown: {kind!r}")
-    try:
-        return CircuitSpec(prep=prep, blocks=blocks, local_gates=local_names, overlap=overlap)
-    except ScenarioError as exc:
-        raise ConfigError(str(exc)) from exc
+    return CircuitSpec(prep=prep, blocks=blocks, local_gates=local_names, overlap=overlap)
 
 
 def geometry_from_config(cfg: dict) -> GeometryConfig:
-    try:
-        geometry = GeometryConfig(
-            hi_position=_cfg_vector(cfg, "geometry.hi"),
-            ho_position=_cfg_vector(cfg, "geometry.ho"),
-            external_transit_time=_cfg_float(cfg, "geometry.transit"),
-            c=_cfg_float(cfg, "geometry.c", 299792458.0),
-        )
-    except ScenarioError as exc:
-        raise ConfigError(str(exc)) from exc
+    geometry = GeometryConfig(
+        hi_position=_cfg_vector(cfg, "geometry.hi"),
+        ho_position=_cfg_vector(cfg, "geometry.ho"),
+        external_transit_time=_cfg_float(cfg, "geometry.transit"),
+        c=_cfg_float(cfg, "geometry.c", 299792458.0),
+    )
     # Mouth displacement, time shift and per-traversal shifts: read and
     # checked so a malformed file still fails, but unused by the check.
     _cfg_vector(cfg, "geometry.epsilon", optional=True)
@@ -185,13 +181,6 @@ def geometry_from_config(cfg: dict) -> GeometryConfig:
     if not 0 <= _cfg_float(cfg, "geometry.tau", 0.0) < math.inf:
         raise ConfigError("time shift tau must be finite and non-negative")
     return geometry
-
-
-def _gaussian(d: float, tau: float) -> TimeDistribution:
-    try:
-        return TimeDistribution.gaussian(d, tau)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def load_spec(target: str, args: argparse.Namespace) -> tuple[str, CircuitSpec]:
@@ -203,16 +192,13 @@ def load_spec(target: str, args: argparse.Namespace) -> tuple[str, CircuitSpec]:
     else:
         spec = scenario.named_scenario(target)
         name = target
-    prep = spec.prep
-    if args.alpha2 is not None or args.theta is not None:
-        alpha2 = args.alpha2 if args.alpha2 is not None else prep.alpha**2
-        theta = args.theta if args.theta is not None else prep.theta
-        prep = PureStateParams.from_alpha2(alpha2, theta)
+    given = {"alpha2": args.alpha2, "theta": args.theta}
+    prep = replace(spec.prep, **{k: v for k, v in given.items() if v is not None})
     overlap = spec.overlap
     if args.tau is not None and args.d is None:
         raise ConfigError("--tau needs --d: the shift only applies to gaussian overlap")
     if args.d is not None:
-        overlap = _gaussian(args.d, args.tau if args.tau is not None else 0.0)
+        overlap = TimeDistribution.gaussian(args.d, args.tau if args.tau is not None else 0.0)
     return name, replace(spec, prep=prep, overlap=overlap)
 
 
@@ -225,7 +211,7 @@ def _mark(value: float | None, status: str) -> float | str:
 
 def records_for(name: str, spec: CircuitSpec, model: str,
                 with_compare: bool = False) -> list[RunRecord]:
-    alpha2 = spec.prep.alpha**2
+    alpha2 = spec.prep.alpha2
     theta = spec.prep.theta
     recs: list[RunRecord] = []
     tdist = None
@@ -297,7 +283,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not -math.inf < args.start < args.stop < math.inf:
+    if not args.start < args.stop or not math.isfinite(args.stop - args.start):
         raise ConfigError(
             f"sweep range must be finite with from < to, got {args.start} .. {args.stop}")
     if args.steps < 2:
@@ -305,10 +291,7 @@ def cmd_sweep(args) -> int:
     name, spec = load_spec(args.target, args)
     records: list[RunRecord] = []
     for value in np.linspace(args.start, args.stop, args.steps):
-        if args.param == "alpha2":
-            prep = PureStateParams.from_alpha2(float(value), spec.prep.theta)
-        else:
-            prep = PureStateParams.from_alpha2(spec.prep.alpha**2, float(value))
+        prep = replace(spec.prep, **{args.param: float(value)})
         records.extend(records_for(name, replace(spec, prep=prep), args.model))
     emit(records, args.format, sys.stdout)
     return 0
@@ -444,15 +427,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give a scenario name or --config")
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError, qlinalg.QlinalgError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (db_model.FixedPointError,
-            heisenberg_model.NotCliffordError,
-            heisenberg_model.UnsupportedOverlapError) as exc:
+    except EngineError as exc:
         sys.stderr.write(f"engine error: {exc}\n")
         return 1
-    except OSError as exc:
+    except (CtcsimError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

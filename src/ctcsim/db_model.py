@@ -28,6 +28,7 @@ from .qlinalg import (
     ATOL_SOLVER,
     BlochVector,
     DensityMatrix,
+    EngineError,
     I2,
     Mat2,
     Mat4,
@@ -49,7 +50,7 @@ MAX_ITERS_DEFAULT = 100_000
 DEGENERACY_TOL = 1e-8
 
 
-class FixedPointError(RuntimeError):
+class FixedPointError(EngineError, RuntimeError):
     """Iteration failed to converge; carries the last residual."""
 
     def __init__(self, message: str, residual: float):

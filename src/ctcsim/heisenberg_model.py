@@ -29,12 +29,12 @@ with non-negligible overlap is supported for two-label words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .qlinalg import BlochVector, PureStateParams
+from .qlinalg import BlochVector, EngineError, PureStateParams, QlinalgError
 
-# NotCliffordError and tableau_from_unitary are also looked up here by the
-# CLI and by callers that compile a gate for this engine.
+# tableau_from_unitary, and the NotCliffordError it raises, are also looked
+# up here by the CLI and by callers that compile a gate for this engine.
 from .timed_pauli import (
     Clifford,
     DivergentPhaseError,
@@ -53,11 +53,11 @@ _L = PauliLetter
 SINGULAR_ATOL = 1e-9
 
 
-class SingularRecurrenceError(RuntimeError):
+class SingularRecurrenceError(EngineError, RuntimeError):
     """The block recurrence cycled through non-constant letters (no period-1 word)."""
 
 
-class UnsupportedOverlapError(ValueError):
+class UnsupportedOverlapError(EngineError, ValueError):
     """Gaussian overlap evaluation is defined for at most two non-identity labels."""
 
 
@@ -76,12 +76,12 @@ class TimeDistribution:
 
     def __post_init__(self) -> None:
         if self.kind not in ("orthogonal_limit", "gaussian"):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
+            raise QlinalgError(f"unknown distribution kind {self.kind!r}")
         if self.kind == "gaussian":
             if self.d is None or not 0 < self.d < math.inf:
-                raise ValueError(f"gaussian kind needs a finite width d > 0, got {self.d!r}")
+                raise QlinalgError(f"gaussian kind needs a finite width d > 0, got {self.d!r}")
             if self.tau is None or not 0 <= self.tau < math.inf:
-                raise ValueError(f"gaussian kind needs a finite shift tau >= 0, got {self.tau!r}")
+                raise QlinalgError(f"gaussian kind needs a finite shift tau >= 0, got {self.tau!r}")
 
     @staticmethod
     def orthogonal() -> "TimeDistribution":
@@ -127,11 +127,10 @@ class HeisenbergCircuit:
 
 @dataclass(frozen=True)
 class HeisenbergResult:
-    """Per-axis expectation values, words, and statuses of a circuit evaluation."""
+    """Per-axis expectation values and statuses of a circuit evaluation."""
 
     components: dict[str, float | None]
     statuses: dict[str, str]
-    words: dict[str, TimedPauliWord | None] = field(default_factory=dict)
 
     @property
     def all_ok(self) -> bool:
@@ -343,20 +342,16 @@ def heisenberg_bloch(circuit: HeisenbergCircuit, p: PureStateParams,
         t = TimeDistribution.orthogonal()
     components: dict[str, float | None] = {}
     statuses: dict[str, str] = {}
-    words: dict[str, TimedPauliWord | None] = {}
     for axis, letter in (("x", _L.X), ("y", _L.Y), ("z", _L.Z)):
         try:
             word, _ = backpropagate_circuit_detailed(circuit, letter)
-            words[axis] = word
             value, status = evaluate_expectation(word, p, t)
         except DivergentPhaseError:
-            words.setdefault(axis, None)
             value, status = None, "divergent"
         except SingularRecurrenceError:
-            words.setdefault(axis, None)
             value, status = None, "singular"
         except UnsupportedOverlapError:
             value, status = None, "unsupported"
         components[axis] = value
         statuses[axis] = status
-    return HeisenbergResult(components, statuses, words)
+    return HeisenbergResult(components, statuses)

@@ -3,13 +3,15 @@
 Everything here is plain double-precision numpy on 2x2 and 4x4 arrays:
 states, gates, tensor products, partial traces and distance measures.
 This module is the numeric oracle the symbolic engine is checked against,
-so it stays deliberately dumb -- no sparsity, no n-qubit generality.
+so it stays deliberately dumb -- no sparsity, no n-qubit generality.  As
+the bottom of the import graph it also holds the prepared state and the
+root of ctcsim's exceptions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +25,16 @@ Mat4 = np.ndarray
 DensityMatrix = np.ndarray
 
 
-class QlinalgError(ValueError):
-    """Structurally invalid state or operator."""
+class CtcsimError(Exception):
+    """Root of every ctcsim error; the CLI reports one as bad input (exit 2)."""
+
+
+class EngineError(CtcsimError):
+    """An engine could not produce a result for valid input (CLI exit 1)."""
+
+
+class QlinalgError(CtcsimError, ValueError):
+    """Structurally invalid state, operator or time profile."""
 
 
 I2 = np.eye(2, dtype=complex)
@@ -71,29 +81,32 @@ PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
 PAULI_PAIRS = np.einsum("kab,lcd->klacbd", PAULIS, PAULIS).reshape(4, 4, 4, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PureStateParams:
-    """Real amplitudes and phase of the input qubit alpha e^{i theta}|0> + beta e^{-i theta}|1>."""
+    """The input qubit alpha e^{i theta}|0> + beta e^{-i theta}|1>, kept as given.
 
-    alpha: float
-    beta: float
+    alpha2 is the |0> population in [0, 1]; the real amplitudes
+    alpha = sqrt(alpha2) and beta = sqrt(1 - alpha2) are derived once.
+    """
+
+    alpha2: float
     theta: float = 0.0
+    alpha: float = field(init=False, repr=False, compare=False)
+    beta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.alpha, self.beta, self.theta))):
+        # 2 theta is the angle every closed form reads, so it must be finite too
+        if not (math.isfinite(self.alpha2) and math.isfinite(2.0 * self.theta)):
             raise QlinalgError(f"state parameters must be finite, got {self!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise QlinalgError("amplitudes must be non-negative; phases live in theta")
-        if abs(self.alpha**2 + self.beta**2 - 1.0) > ATOL_STRUCT:
-            raise QlinalgError(
-                f"alpha^2 + beta^2 = {self.alpha**2 + self.beta**2!r}, expected 1")
+        if not 0.0 <= self.alpha2 <= 1.0:
+            raise QlinalgError(f"alpha2 must be in [0, 1], got {self.alpha2!r}")
+        object.__setattr__(self, "alpha", math.sqrt(self.alpha2))
+        object.__setattr__(self, "beta", math.sqrt(1.0 - self.alpha2))
 
     @classmethod
     def from_alpha2(cls, alpha2: float, theta: float = 0.0) -> "PureStateParams":
         """Build params from the |0> population alpha^2 in [0, 1]."""
-        if not 0.0 <= alpha2 <= 1.0:
-            raise QlinalgError(f"alpha2 must be in [0, 1], got {alpha2!r}")
-        return cls(math.sqrt(alpha2), math.sqrt(1.0 - alpha2), theta)
+        return cls(alpha2=alpha2, theta=theta)
 
     def ket(self) -> np.ndarray:
         """Column vector of the prepared state."""

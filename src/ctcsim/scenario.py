@@ -30,7 +30,7 @@ from .heisenberg_model import (
     tableau_from_unitary,
 )
 from .db_model import DBRun
-from .qlinalg import BlochVector, PureStateParams, standard_gate
+from .qlinalg import BlochVector, CtcsimError, PureStateParams, standard_gate
 from .timed_pauli import LOCAL_TABLES, Clifford
 
 # The symbolic engine is exact, so the direct fixed-point solve dominates
@@ -45,7 +45,7 @@ _LOCALS: dict[str, str] = {
 }
 
 
-class ScenarioError(ValueError):
+class ScenarioError(CtcsimError, ValueError):
     pass
 
 
@@ -82,10 +82,7 @@ def interaction_matrix(name: str) -> np.ndarray:
     key = name.lower()
     follow_swap = key.endswith("_swap") and key != "swap"
     base = key[:-5] if follow_swap else key
-    try:
-        mat = standard_gate(base)
-    except qlinalg.QlinalgError as exc:
-        raise ScenarioError(str(exc)) from exc
+    mat = standard_gate(base)
     if mat.shape != (4, 4):
         raise ScenarioError(f"block gate {name!r} is not a two-qubit gate")
     return qlinalg.SWAP @ mat if follow_swap else mat

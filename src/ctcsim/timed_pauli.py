@@ -34,6 +34,7 @@ import numpy as np
 from .qlinalg import (
     CNOT,
     CZ,
+    EngineError,
     I2,
     PAULI_PAIRS,
     SWAP,
@@ -43,7 +44,7 @@ from .qlinalg import (
 )
 
 
-class DivergentPhaseError(ArithmeticError):
+class DivergentPhaseError(EngineError, ArithmeticError):
     """An infinite tail would accumulate a non-unit phase per label."""
 
 
@@ -232,7 +233,7 @@ def word_mul(a: TimedPauliWord, b: TimedPauliWord) -> TimedPauliWord:
 # -- Clifford conjugation tables -------------------------------------------
 
 
-class NotCliffordError(ValueError):
+class NotCliffordError(EngineError, ValueError):
     """A unitary did not map Pauli strings to signed Pauli strings."""
 
 
@@ -396,11 +397,5 @@ def word_from_str(s: str) -> TimedPauliWord:
         if not letters:
             raise ValueError("tail marker with no letters")
         last = max(letters)
-        letter = letters[last]
-        start = last
-        while (start - 1) in letters and letters[start - 1] is letter:
-            start -= 1
-        for k in range(start, last + 1):
-            del letters[k]
-        tail = (start, letter)
+        tail = (last, letters.pop(last))  # build absorbs the equal letters before it
     return TimedPauliWord.build(ipow, letters, tail)

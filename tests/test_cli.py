@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from ctcsim import scenario
-from ctcsim.cli import RECORD_FIELDS, main, parse_config_text, parse_record_line
+from ctcsim.cli import ConfigError, RECORD_FIELDS, main, parse_config_text, parse_record_line
+from ctcsim.db_model import FixedPointError
+from ctcsim.heisenberg_model import NotCliffordError, UnsupportedOverlapError
+from ctcsim.qlinalg import CtcsimError, EngineError, QlinalgError
+from ctcsim.scenario import ScenarioError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -299,6 +303,8 @@ class TestInputBoundary:
         ["run", "cz", "--tau", "5"],
         ["run", "cnot", "--d", "nan", "--tau", "1"],
         ["sweep", "cnot", "theta", "0", "inf", "3"],
+        ["run", "cnot", "--theta", "1e308"],
+        ["sweep", "--format", "csv", "--", "cnot", "theta", "-1e308", "1e308", "3"],
     ])
     def test_single_error_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -324,3 +330,36 @@ class TestInputBoundary:
             run_cli(capsys, "run", "--config", str(cfg))
             run_cli(capsys, "geometry", "--config", str(cfg))
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_alpha2_is_kept_as_given(self, capsys):
+        # one state, three spellings: the default alpha2, the same value given
+        # again, and the first point of a theta sweep
+        _, theta_only, _ = run_cli(capsys, "run", "cz", "--theta", "0.3", "--format", "csv")
+        _, both, _ = run_cli(capsys, "run", "cz", "--alpha2", "0.75", "--theta", "0.3",
+                             "--format", "csv")
+        _, sweep, _ = run_cli(capsys, "sweep", "cz", "theta", "0.3", "0.6", "2", "--format", "csv")
+        assert theta_only == both
+        assert sweep.splitlines()[:3] == both.splitlines()
+        assert [line.split(",")[2] for line in both.splitlines()[1:]] == ["0.75", "0.75"]
+
+
+class TestErrorRoot:
+    """One root decides the exit code: EngineError exits 1, any other CtcsimError 2."""
+
+    @pytest.mark.parametrize("cls, builtin", [
+        (QlinalgError, ValueError), (ScenarioError, ValueError), (ConfigError, ValueError)])
+    def test_input_errors(self, cls, builtin):
+        assert issubclass(cls, CtcsimError) and issubclass(cls, builtin)
+        assert not issubclass(cls, EngineError)
+
+    @pytest.mark.parametrize("cls, builtin", [
+        (FixedPointError, RuntimeError), (NotCliffordError, ValueError),
+        (UnsupportedOverlapError, ValueError)])
+    def test_engine_errors(self, cls, builtin):
+        assert issubclass(cls, EngineError) and issubclass(cls, builtin)
+
+    def test_engine_error_is_one_line_and_exit_1(self, capsys, monkeypatch):
+        def fail(spec):
+            raise FixedPointError("no fixed point", residual=1.0)
+        monkeypatch.setattr(scenario, "run_db", fail)
+        assert run_cli(capsys, "run", "cz") == (1, "", "engine error: no fixed point\n")

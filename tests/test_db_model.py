@@ -64,7 +64,7 @@ class TestCtcMap:
         assert np.max(np.abs(got - rho)) < 1e-12
 
     def test_zero_state_fixed_by_cz_interaction(self):
-        p = PureStateParams(1.0, 0.0, 0.0)
+        p = PureStateParams.from_alpha2(1.0)
         got = ctc_map(U_CZ_SWAP, p.density(), RHO_0)
         assert np.max(np.abs(got - RHO_0)) < 1e-12
 
@@ -249,8 +249,8 @@ class TestNonlinearity:
     def test_mixture_of_outputs_differs_from_output_of_mixture(self):
         # inputs |0><0| and |1><1| each scatter to |0><0|, but their mixture
         # scatters to I/2: the composed map cannot be linear
-        out_a = solve_fixed_point(U_CNOT_SWAP, PureStateParams(1.0, 0.0).density()).output
-        out_b = solve_fixed_point(U_CNOT_SWAP, PureStateParams(0.0, 1.0).density()).output
+        out_a = solve_fixed_point(U_CNOT_SWAP, PureStateParams.from_alpha2(1.0).density()).output
+        out_b = solve_fixed_point(U_CNOT_SWAP, PureStateParams.from_alpha2(0.0).density()).output
         mixture_of_outputs = 0.5 * (out_a + out_b)
         output_of_mixture = solve_fixed_point(U_CNOT_SWAP, I2 / 2).output
         assert trace_distance(mixture_of_outputs, output_of_mixture) > 1e-3

@@ -9,6 +9,8 @@ and each max_delta within 1e-12 of the stored value.
 Regenerate (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites only the files whose own check fails.
 """
 
 import contextlib
@@ -66,23 +68,37 @@ def _fields(line: str) -> dict[str, str]:
     return dict(tok.split("=", 1) for tok in line.split()[1:])
 
 
-def test_conjecture_check_matches_up_to_max_delta_rounding():
-    expected = (GOLDEN / "conjecture_check.txt").read_text().splitlines()
-    got = cli_stdout(CONJECTURE).splitlines()
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert g.split()[0] == e.split()[0]
+def conjecture_difference(got: str, expected: str) -> tuple[str, str] | None:
+    """The first (got, expected) line pair that differs beyond max_delta rounding."""
+    got_lines, expected_lines = got.splitlines(), expected.splitlines()
+    if len(got_lines) != len(expected_lines):
+        return f"{len(got_lines)} lines", f"{len(expected_lines)} lines"
+    for g, e in zip(got_lines, expected_lines):
         gf, ef = _fields(g), _fields(e)
-        assert gf.keys() == ef.keys()
-        for key in ef:
-            if key == "max_delta":
-                assert abs(float(gf[key]) - float(ef[key])) <= MAX_DELTA_ATOL, (g, e)
-            else:
-                assert gf[key] == ef[key], (g, e)
+        same = g.split()[0] == e.split()[0] and gf.keys() == ef.keys() and all(
+            abs(float(gf[key]) - float(ef[key])) <= MAX_DELTA_ATOL if key == "max_delta"
+            else gf[key] == ef[key] for key in ef)
+        if not same:
+            return g, e
+    return None
+
+
+def test_conjecture_check_matches_up_to_max_delta_rounding():
+    expected = (GOLDEN / "conjecture_check.txt").read_text()
+    assert conjecture_difference(cli_stdout(CONJECTURE), expected) is None
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    written = 0
     for case, argv in sorted(CASES.items()) + [("conjecture_check", CONJECTURE)]:
-        (GOLDEN / f"{case}.txt").write_text(cli_stdout(argv))
-    sys.stdout.write(f"wrote {len(CASES) + 1} files to {GOLDEN}\n")
+        path = GOLDEN / f"{case}.txt"
+        got = cli_stdout(argv)
+        if path.exists():
+            stored = path.read_text()
+            if (conjecture_difference(got, stored) is None if case == "conjecture_check"
+                    else got == stored):
+                continue
+        path.write_text(got)
+        written += 1
+    sys.stdout.write(f"wrote {written} of {len(CASES) + 1} files to {GOLDEN}\n")

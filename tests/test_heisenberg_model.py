@@ -156,7 +156,7 @@ class TestBackpropagateCircuit:
 
 class TestLetterExpectation:
     def test_prepared_zero_state(self):
-        assert letter_expectation(L.Z, PureStateParams(1.0, 0.0)) == 1.0
+        assert letter_expectation(L.Z, PureStateParams.from_alpha2(1.0)) == 1.0
 
     def test_x_value_frozen_oracle(self):
         # dense oracle <0| Us^dag X Us |0> at alpha^2 = 0.75, theta = 0
@@ -207,7 +207,7 @@ class TestEvaluateExpectation:
         assert value is None and status == "singular"
 
     def test_empty_word(self):
-        assert evaluate_expectation(W.identity(), PureStateParams(1, 0), ORTHO) == (1.0, "ok")
+        assert evaluate_expectation(W.identity(), PureStateParams.from_alpha2(1.0), ORTHO) == (1.0, "ok")
 
     def test_gaussian_zero_shift_restores_unity(self):
         w = word_from_str("Z Z'")
@@ -219,12 +219,12 @@ class TestEvaluateExpectation:
     def test_gaussian_three_labels_unsupported(self):
         w = word_from_str("Z X' Z''")
         with pytest.raises(UnsupportedOverlapError):
-            evaluate_expectation(w, PureStateParams(1, 0), TimeDistribution.gaussian(1, 1))
+            evaluate_expectation(w, PureStateParams.from_alpha2(1.0), TimeDistribution.gaussian(1, 1))
 
     def test_gaussian_tail_unsupported(self):
         w = word_from_str("X' X'' X'''...")
         with pytest.raises(UnsupportedOverlapError):
-            evaluate_expectation(w, PureStateParams(1, 0), TimeDistribution.gaussian(1, 1))
+            evaluate_expectation(w, PureStateParams.from_alpha2(1.0), TimeDistribution.gaussian(1, 1))
 
     def test_gaussian_single_label_ignores_overlap(self):
         p = PureStateParams.from_alpha2(0.8, 0.3)
@@ -244,7 +244,7 @@ class TestEvaluateExpectation:
 
     def test_imaginary_word_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_expectation(W.single(0, L.X, ipow=1), PureStateParams(1, 0), ORTHO)
+            evaluate_expectation(W.single(0, L.X, ipow=1), PureStateParams.from_alpha2(1.0), ORTHO)
 
     @given(st.integers(0, 1), st.floats(0.02, 0.98), st.floats(0, 6.28))
     @settings(max_examples=200)

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,26 +32,29 @@ KET1 = np.array([0, 1], dtype=complex)
 
 
 class TestPureStateParams:
-    def test_normalization_enforced(self):
-        with pytest.raises(QlinalgError):
-            PureStateParams(0.9, 0.9, 0.0)
+    def test_kept_as_given(self):
+        p = PureStateParams(alpha2=0.3, theta=0.2)
+        assert (p.alpha2, p.theta, p.alpha, p.beta) == (0.3, 0.2, math.sqrt(0.3), math.sqrt(0.7))
+        assert replace(p, theta=1.0).alpha2 == 0.3
 
-    def test_negative_amplitude_rejected(self):
-        with pytest.raises(QlinalgError):
-            PureStateParams(-0.6, 0.8, 0.0)
+    def test_positional_call_rejected(self):
+        # an (alpha, beta, theta) call from before alpha2 was stored fails loudly
+        with pytest.raises(TypeError):
+            PureStateParams(0.6, 0.8, 0.0)
 
     def test_from_alpha2_range(self):
         with pytest.raises(QlinalgError):
             PureStateParams.from_alpha2(1.2)
 
-    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan, 1e308])
     def test_non_finite_theta_rejected(self, theta):
+        # 1e308 is finite, but the angle 2 theta that the closed forms read is not
         with pytest.raises(QlinalgError, match="finite"):
             PureStateParams.from_alpha2(0.75, theta)
 
     def test_non_finite_amplitude_rejected(self):
         with pytest.raises(QlinalgError, match="finite"):
-            PureStateParams(np.nan, 1.0, 0.0)
+            PureStateParams.from_alpha2(np.nan)
 
     def test_bloch_matches_density(self, rng):
         for _ in range(50):
@@ -60,7 +66,7 @@ class TestPureStateParams:
 
 class TestStatePrep:
     def test_identity_case(self):
-        u = state_prep_unitary(PureStateParams(1.0, 0.0, 0.0))
+        u = state_prep_unitary(PureStateParams.from_alpha2(1.0))
         assert np.allclose(u, I2, atol=1e-12)
 
     def test_prepares_target_state(self, rng):
@@ -76,7 +82,7 @@ class TestStatePrep:
 
     def test_beta_one_maps_zero_to_one(self):
         # the rotation block at alpha=0 is [[0,-1],[1,0]]: |0> -> |1> exactly
-        u = state_prep_unitary(PureStateParams(0.0, 1.0, 0.0))
+        u = state_prep_unitary(PureStateParams.from_alpha2(0.0))
         assert np.allclose(u @ KET0, KET1, atol=0)
         assert np.allclose(u, np.array([[0, -1], [1, 0]]), atol=0)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ctcsim.qlinalg import CNOT, CZ, PAULI_BY_NAME, PureStateParams, SWAP
+from ctcsim.qlinalg import CNOT, CZ, PAULI_BY_NAME, PureStateParams, QlinalgError, SWAP
 from ctcsim.scenario import (
     BlockSpec,
     CircuitSpec,
@@ -71,7 +71,8 @@ class TestConventions:
         assert np.allclose(interaction_matrix("cz_swap"), SWAP @ CZ, atol=0)
 
     def test_unknown_gate(self):
-        with pytest.raises(ScenarioError):
+        # the name reaches qlinalg.standard_gate, whose error is not converted
+        with pytest.raises(QlinalgError, match="unknown gate name 'xx'"):
             BlockSpec("xx_swap")
 
     def test_one_qubit_gate_rejected_as_block(self):
@@ -104,11 +105,11 @@ class TestConventions:
 
     def test_local_gate_names_validated(self):
         with pytest.raises(ScenarioError):
-            spec_with([BlockSpec("cz_swap")], ["i2", "cnot"], PureStateParams(1, 0))
+            spec_with([BlockSpec("cz_swap")], ["i2", "cnot"], PureStateParams.from_alpha2(1.0))
 
     def test_local_count_validated(self):
         with pytest.raises(ScenarioError):
-            spec_with([BlockSpec("cz_swap")], ["i2"], PureStateParams(1, 0))
+            spec_with([BlockSpec("cz_swap")], ["i2"], PureStateParams.from_alpha2(1.0))
 
 
 # Every block gate name the scenarios accept, with and without the swap suffix.
