@@ -53,7 +53,6 @@ from .scenario import (
     GeometryConfig,
     compare,
     named_scenario,
-    reconcile,
     validate_geometry,
 )
 

@@ -1,7 +1,7 @@
 """Command-line front end: run scenarios through either engine, sweep, compare.
 
 Config files are flat key-value text (dotted sections), diff-friendly and
-parseable anywhere:
+parseable anywhere.  run, sweep and compare read a circuit:
 
     prep.alpha2 = 0.75
     prep.theta = 0.0
@@ -9,13 +9,11 @@ parseable anywhere:
     block = cnot_swap with_swap
     locals = i2 h h
     overlap.kind = orthogonal_limit
-    geometry.hi = 0 0
-    geometry.ho = 3e8 0
-    geometry.transit = 1.5
-    geometry.c = 3e8
 
-Repeated "block" lines keep their order.  Values that cannot be evaluated
-are emitted as the literal token "singular" (never NaN).
+and geometry reads geometry.hi, geometry.ho, geometry.transit and
+geometry.c.  Repeated "block" lines keep their order; no other key may
+repeat.  Values that cannot be evaluated are emitted as the literal token
+"singular" (never NaN).
 """
 
 from __future__ import annotations
@@ -27,10 +25,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import db_model, heisenberg_model, qlinalg, scenario
-from .heisenberg_model import TimeDistribution
+from . import qlinalg, scenario
 from .qlinalg import CtcsimError, EngineError, PureStateParams
-from .scenario import CircuitSpec, BlockSpec, GeometryConfig
+from .scenario import BlockSpec, CircuitSpec, GeometryConfig, TimeDistribution
 
 
 class ConfigError(CtcsimError, ValueError):
@@ -96,9 +93,39 @@ def parse_record_line(line: str) -> RunRecord:
 # -- config files ------------------------------------------------------------
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse the flat key-value format into {key: str, "block": [(gate, conv), ...]}."""
-    out: dict = {"block": []}
+def _vector(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split())
+
+
+def _block(text: str) -> BlockSpec:
+    gate, *convention = text.split()
+    if len(convention) > 1:
+        raise ConfigError(f"wants 'gate [convention]', got {text!r}")
+    return BlockSpec(gate, *convention)
+
+
+# The keys each subcommand reads, and the parser of each value: CIRCUIT_KEYS
+# for run, sweep and compare, GEOMETRY_KEYS for geometry.  Only "block"
+# repeats.
+CIRCUIT_KEYS = {
+    "prep.alpha2": float, "prep.theta": float, "block": _block, "locals": str.split,
+    "overlap.kind": str, "overlap.d": float, "overlap.tau": float,
+}
+GEOMETRY_KEYS = {
+    "geometry.hi": _vector, "geometry.ho": _vector,
+    "geometry.transit": float, "geometry.c": float,
+}
+
+
+def parse_config_text(text: str, keys: dict = CIRCUIT_KEYS) -> dict:
+    """Parse the flat key-value format into {key: value, "block": [BlockSpec, ...]}.
+
+    An unknown key, a repeated key other than "block", an empty value, a
+    value its parser refuses, and overlap.d or overlap.tau without
+    overlap.kind = gaussian each raise a ConfigError that names the line.
+    """
+    out: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,92 +133,63 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
+        key, value = key.strip().lower(), value.strip()
+        if key not in keys:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}; known: {', '.join(keys)}")
+        if key in first_line and key != "block":
+            raise ConfigError(f"line {lineno}: {key} repeats line {first_line[key]}")
+        if not value:
+            raise ConfigError(f"line {lineno}: {key} has no value")
+        first_line.setdefault(key, lineno)
+        try:
+            parsed = keys[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
         if key == "block":
-            parts = value.split()
-            if len(parts) == 1:
-                parts.append("with_swap")
-            if len(parts) != 2:
-                raise ConfigError(f"line {lineno}: block wants 'gate [convention]', got {value!r}")
-            out["block"].append((parts[0], parts[1]))
+            out.setdefault(key, []).append(parsed)
         else:
-            out[key] = value
+            out[key] = parsed
+    for key in ("overlap.d", "overlap.tau"):
+        if key in out and out.get("overlap.kind") != "gaussian":
+            raise ConfigError(f"line {first_line[key]}: {key} needs overlap.kind = gaussian")
     return out
 
 
-def _cfg_float(cfg: dict, key: str, default: float | None = None) -> float:
+def _required(cfg: dict, key: str):
     if key not in cfg:
-        if default is not None:
-            return default
         raise ConfigError(f"missing config field {key!r}")
-    try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"config field {key!r} is not a number: {cfg[key]!r}") from exc
-
-
-def _cfg_vector(cfg: dict, key: str, optional: bool = False) -> tuple[float, ...]:
-    if key not in cfg:
-        if optional:
-            return ()
-        raise ConfigError(f"missing config field {key!r}")
-    try:
-        return tuple(float(x) for x in cfg[key].split())
-    except ValueError as exc:
-        raise ConfigError(f"config field {key!r} is not a vector: {cfg[key]!r}") from exc
+    return cfg[key]
 
 
 def spec_from_config(cfg: dict) -> CircuitSpec:
-    try:
-        prep = PureStateParams.from_alpha2(
-            _cfg_float(cfg, "prep.alpha2"), _cfg_float(cfg, "prep.theta", 0.0))
-    except qlinalg.QlinalgError as exc:
-        raise ConfigError(f"config fields 'prep.*': {exc}") from exc
-    if not cfg["block"]:
-        raise ConfigError("missing config field 'block' (at least one)")
-    try:
-        blocks = tuple(BlockSpec(g, c) for g, c in cfg["block"])
-    except CtcsimError as exc:
-        raise ConfigError(f"config field 'block': {exc}") from exc
-    local_names = tuple(cfg.get("locals", "").split()) or ("i2",) * (len(blocks) + 1)
-    kind = cfg.get("overlap.kind", "orthogonal_limit")
-    if kind == "gaussian":
-        overlap = TimeDistribution.gaussian(_cfg_float(cfg, "overlap.d"),
-                                            _cfg_float(cfg, "overlap.tau"))
-    elif kind == "orthogonal_limit":
-        overlap = TimeDistribution.orthogonal()
-    else:
-        raise ConfigError(f"config field 'overlap.kind' unknown: {kind!r}")
-    return CircuitSpec(prep=prep, blocks=blocks, local_gates=local_names, overlap=overlap)
+    blocks = tuple(_required(cfg, "block"))
+    return CircuitSpec(
+        prep=PureStateParams.from_alpha2(_required(cfg, "prep.alpha2"),
+                                         cfg.get("prep.theta", 0.0)),
+        blocks=blocks,
+        local_gates=tuple(cfg.get("locals", ("i2",) * (len(blocks) + 1))),
+        overlap=TimeDistribution(cfg.get("overlap.kind", "orthogonal_limit"),
+                                 cfg.get("overlap.d"), cfg.get("overlap.tau")))
 
 
 def geometry_from_config(cfg: dict) -> GeometryConfig:
-    geometry = GeometryConfig(
-        hi_position=_cfg_vector(cfg, "geometry.hi"),
-        ho_position=_cfg_vector(cfg, "geometry.ho"),
-        external_transit_time=_cfg_float(cfg, "geometry.transit"),
-        c=_cfg_float(cfg, "geometry.c", 299792458.0),
+    return GeometryConfig(
+        hi_position=_required(cfg, "geometry.hi"),
+        ho_position=_required(cfg, "geometry.ho"),
+        external_transit_time=_required(cfg, "geometry.transit"),
+        c=cfg.get("geometry.c", 299792458.0),
     )
-    # Mouth displacement, time shift and per-traversal shifts: read and
-    # checked so a malformed file still fails, but unused by the check.
-    _cfg_vector(cfg, "geometry.epsilon", optional=True)
-    _cfg_vector(cfg, "geometry.delta_x", optional=True)
-    _cfg_float(cfg, "geometry.delta_t", 0.0)
-    if not 0 <= _cfg_float(cfg, "geometry.tau", 0.0) < math.inf:
-        raise ConfigError("time shift tau must be finite and non-negative")
-    return geometry
 
 
 def load_spec(target: str, args: argparse.Namespace) -> tuple[str, CircuitSpec]:
     """Resolve a scenario name or a --config path, then apply flag overrides."""
+    if args.config and target:
+        raise ConfigError(f"give a scenario name or --config, not both (got {target!r})")
     if args.config:
         with open(args.config) as fh:
             spec = spec_from_config(parse_config_text(fh.read()))
-        name = target or "config"
     else:
         spec = scenario.named_scenario(target)
-        name = target
     given = {"alpha2": args.alpha2, "theta": args.theta}
     prep = replace(spec.prep, **{k: v for k, v in given.items() if v is not None})
     overlap = spec.overlap
@@ -199,7 +197,7 @@ def load_spec(target: str, args: argparse.Namespace) -> tuple[str, CircuitSpec]:
         raise ConfigError("--tau needs --d: the shift only applies to gaussian overlap")
     if args.d is not None:
         overlap = TimeDistribution.gaussian(args.d, args.tau if args.tau is not None else 0.0)
-    return name, replace(spec, prep=prep, overlap=overlap)
+    return target or "config", replace(spec, prep=prep, overlap=overlap)
 
 
 # -- record production -------------------------------------------------------
@@ -289,8 +287,10 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ConfigError(f"sweep needs at least 2 steps, got {args.steps}")
     name, spec = load_spec(args.target, args)
+    with np.errstate(over="ignore"):  # only the last point can overflow; linspace sets it to `to`
+        grid = np.linspace(args.start, args.stop, args.steps)
     records: list[RunRecord] = []
-    for value in np.linspace(args.start, args.stop, args.steps):
+    for value in grid:
         prep = replace(spec.prep, **{args.param: float(value)})
         records.extend(records_for(name, replace(spec, prep=prep), args.model))
     emit(records, args.format, sys.stdout)
@@ -306,7 +306,7 @@ def cmd_compare(args) -> int:
 
 def cmd_geometry(args) -> int:
     with open(args.config) as fh:
-        cfg = parse_config_text(fh.read())
+        cfg = parse_config_text(fh.read(), GEOMETRY_KEYS)
     check = scenario.validate_geometry(geometry_from_config(cfg))
     verdict = "ok" if check.ok else "violation"
     sys.stdout.write(f"{verdict} margin={check.margin!r}\n")
@@ -333,23 +333,21 @@ def cmd_conjecture_check(args) -> int:
 
     Exploratory: mismatches and unresolvable blocks are reported, never fatal.
     """
+    for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
+        if value < 0:
+            raise ConfigError(f"{flag} must not be negative, got {value}")
     rng = np.random.default_rng(args.seed)
     mismatches = 0
     degenerate_mismatches = 0
     unresolved = 0
     for trial in range(args.trials):
         ubar = _random_clifford(rng)
-        tableau = heisenberg_model.tableau_from_unitary(ubar)
         alpha2 = float(rng.uniform(0.02, 0.98))
         if abs(math.sqrt(alpha2) - math.sqrt(1 - alpha2)) < 1e-3:
             alpha2 += 0.05
         prep = PureStateParams.from_alpha2(alpha2, float(rng.uniform(0, math.pi)))
-        circuit = heisenberg_model.HeisenbergCircuit(
-            blocks=(tableau,),
-            local_gates=(scenario.local_clifford("i2"), scenario.local_clifford("i2")))
-        heis = heisenberg_model.heisenberg_bloch(circuit, prep)
-        db_run = db_model.solve_chain([qlinalg.SWAP @ ubar], [qlinalg.I2, qlinalg.I2], prep)
-        report = scenario.reconcile(db_run, heis)
+        report = scenario.compare(CircuitSpec(prep, (BlockSpec(ubar, "bare"),), ("i2", "i2")))
+        db_run, heis = report.db, report.heisenberg
         if "singular" in report.flags:
             unresolved += 1
             statuses = ",".join(f"{a}={s}" for a, s in sorted(heis.statuses.items()) if s != "ok")
@@ -372,7 +370,7 @@ def cmd_conjecture_check(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, with_model: bool = True) -> None:
-    p.add_argument("--config", help="config file path (overrides the scenario name)")
+    p.add_argument("--config", help="config file path, given instead of a scenario name")
     p.add_argument("--alpha2", type=float, help="|0> population of the prepared state")
     p.add_argument("--theta", type=float, help="preparation phase angle (radians)")
     p.add_argument("--tau", type=float, help="wormhole time shift for gaussian overlap")

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 from .qlinalg import BlochVector, EngineError, PureStateParams, QlinalgError
 
-# tableau_from_unitary, and the NotCliffordError it raises, are also looked
-# up here by the CLI and by callers that compile a gate for this engine.
+# Re-exported for scenario and the benchmark tracer: tableau_from_unitary, NotCliffordError.
 from .timed_pauli import (
     Clifford,
     DivergentPhaseError,

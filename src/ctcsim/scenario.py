@@ -1,7 +1,7 @@
 """Shared circuit specifications, named scenarios, and dual-model comparison.
 
-A CircuitSpec is consumed by both engines.  Each block stores a two-qubit
-gate name plus a convention:
+Only this module wires a CircuitSpec into the two engines.  Each block
+stores a two-qubit gate, named or an anonymous 4x4 matrix, plus a convention:
 
   * with_swap -- the stored gate is the full interaction U including any
     trailing swap; the density-matrix engine uses it directly and the
@@ -51,13 +51,13 @@ class ScenarioError(CtcsimError, ValueError):
 
 @dataclass(frozen=True)
 class BlockSpec:
-    gate: str
+    gate: str | np.ndarray
     convention: str = "with_swap"
 
     def __post_init__(self) -> None:
         if self.convention not in ("with_swap", "bare"):
             raise ScenarioError(f"unknown block convention {self.convention!r}")
-        interaction_matrix(self.gate)  # validate the name early
+        interaction_matrix(self.gate)  # validate the name or shape early
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,16 @@ class CircuitSpec:
                 raise ScenarioError(f"unknown local gate {name!r}")
 
 
-def interaction_matrix(name: str) -> np.ndarray:
-    """Two-qubit gate matrix for a block name; "<g>_swap" composes a swap after g."""
-    key = name.lower()
-    follow_swap = key.endswith("_swap") and key != "swap"
-    base = key[:-5] if follow_swap else key
-    mat = standard_gate(base)
+def interaction_matrix(gate: str | np.ndarray) -> np.ndarray:
+    """Two-qubit gate matrix of a block gate; "<g>_swap" composes a swap after g."""
+    if not isinstance(gate, str):  # an anonymous matrix is its own gate
+        mat, follow_swap = np.asarray(gate), False
+    else:
+        key = gate.lower()
+        follow_swap = key.endswith("_swap") and key != "swap"
+        mat = standard_gate(key[:-5] if follow_swap else key)
     if mat.shape != (4, 4):
-        raise ScenarioError(f"block gate {name!r} is not a two-qubit gate")
+        raise ScenarioError(f"block gate {gate!r} is not a two-qubit gate")
     return qlinalg.SWAP @ mat if follow_swap else mat
 
 
@@ -97,13 +99,18 @@ def db_interaction(block: BlockSpec) -> np.ndarray:
 
 
 @functools.cache
+def _named_tableau(block: BlockSpec) -> Clifford:
+    return tableau_from_unitary(qlinalg.SWAP @ db_interaction(block))
+
+
 def heisenberg_tableau(block: BlockSpec) -> Clifford:
     """The conjugation table of U_bar = SWAP @ U, the gate the Heisenberg engine reads.
 
-    Compiled once per block spec and process; a Clifford is immutable, so
-    every circuit built from the same block shares it.
+    Cached per named block, so circuits share one immutable Clifford; never for a matrix.
     """
-    return tableau_from_unitary(qlinalg.SWAP @ db_interaction(block))
+    if isinstance(block.gate, str):
+        return _named_tableau(block)
+    return _named_tableau.__wrapped__(block)  # uncached
 
 
 def local_matrix(name: str) -> np.ndarray:
@@ -176,13 +183,14 @@ class ComparisonReport:
         return "agree" in self.flags
 
 
-def reconcile(db_run: DBRun, heis: HeisenbergResult) -> ComparisonReport:
-    """The cross-engine verdict on one circuit.
+def compare(spec: CircuitSpec) -> ComparisonReport:
+    """Run both engines on one spec and give the cross-engine verdict.
 
     agree requires every Bloch component within COMPARISON_ATOL and neither a
     singular Heisenberg component nor a degenerate fixed point; diverge marks
     a clean numeric disagreement.
     """
+    db_run, heis = run_db(spec), run_heisenberg(spec)
     flags: list[str] = []
     if db_run.degenerate:
         flags.append("degenerate")
@@ -197,11 +205,6 @@ def reconcile(db_run: DBRun, heis: HeisenbergResult) -> ComparisonReport:
     elif delta >= COMPARISON_ATOL:
         flags.append("diverge")
     return ComparisonReport(db_run, heis, tdist, delta, tuple(flags))
-
-
-def compare(spec: CircuitSpec) -> ComparisonReport:
-    """Run both engines on one spec and reconcile the results."""
-    return reconcile(run_db(spec), run_heisenberg(spec))
 
 
 # -- no-signaling geometry of the external apparatus ------------------------

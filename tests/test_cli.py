@@ -10,7 +10,7 @@ from ctcsim.cli import ConfigError, RECORD_FIELDS, main, parse_config_text, pars
 from ctcsim.db_model import FixedPointError
 from ctcsim.heisenberg_model import NotCliffordError, UnsupportedOverlapError
 from ctcsim.qlinalg import CtcsimError, EngineError, QlinalgError
-from ctcsim.scenario import ScenarioError
+from ctcsim.scenario import BlockSpec, ScenarioError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -188,7 +188,7 @@ overlap.kind = orthogonal_limit
 
     def test_parse_config_keeps_block_order(self):
         cfg = parse_config_text("block = cz_swap\nblock = cnot_swap bare\n")
-        assert cfg["block"] == [("cz_swap", "with_swap"), ("cnot_swap", "bare")]
+        assert cfg["block"] == [BlockSpec("cz_swap", "with_swap"), BlockSpec("cnot_swap", "bare")]
 
     def test_gaussian_overlap_keys(self, tmp_path, capsys):
         cfg = tmp_path / "gauss.cfg"
@@ -256,27 +256,33 @@ class TestGeometryCommand:
         assert code == 2
         assert "geometry.ho" in err
 
-    def test_unused_keys_do_not_affect_the_check(self, tmp_path, capsys):
-        # epsilon, tau, delta_x and delta_t are read and checked, never used
-        full = (REPO / "configs" / "geometry.cfg").read_text()
-        stripped = tmp_path / "stripped.cfg"
-        stripped.write_text("".join(
-            line for line in full.splitlines(keepends=True)
-            if not line.startswith(("geometry.epsilon", "geometry.tau",
-                                    "geometry.delta_x", "geometry.delta_t"))))
-        assert stripped.read_text() != full
-        with_keys = run_cli(capsys, "geometry", "--config", str(REPO / "configs" / "geometry.cfg"))
-        without = run_cli(capsys, "geometry", "--config", str(stripped))
-        assert with_keys == without == (0, "ok margin=0.5\n", "")
+    @pytest.mark.parametrize("key", ["geometry.epsilon", "geometry.tau",
+                                     "geometry.delta_x", "geometry.delta_t"])
+    def test_deleted_key_is_rejected(self, tmp_path, capsys, key):
+        # these keys were once parsed and dropped; a key that changes nothing is refused
+        cfg = tmp_path / "geo.cfg"
+        cfg.write_text((REPO / "configs" / "geometry.cfg").read_text() + f"{key} = 0\n")
+        lineno = len(cfg.read_text().splitlines())
+        code, out, err = run_cli(capsys, "geometry", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {lineno}: unknown key {key!r}")
+        assert len(err.splitlines()) == 1
+
+    def test_shipped_config_passes(self, capsys):
+        assert run_cli(capsys, "geometry", "--config", str(REPO / "configs" / "geometry.cfg")) \
+            == (0, "ok margin=0.5\n", "")
 
     @pytest.mark.parametrize("line", [
         "geometry.transit = nan", "geometry.ho = inf 0", "geometry.c = inf",
         "geometry.tau = -1", "geometry.tau = nan", "geometry.epsilon = 1 x",
         "geometry.delta_t = soon"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, line):
+        # the base leaves out the key under test, so a value check is not a repeat
+        base = ["geometry.hi = 0 0", "geometry.ho = 3e8 0", "geometry.transit = 1.5",
+                "geometry.c = 3e8"]
+        key = line.split()[0]
         cfg = tmp_path / "geo.cfg"
-        cfg.write_text("geometry.hi = 0 0\ngeometry.ho = 3e8 0\n"
-                       f"geometry.transit = 1.5\ngeometry.c = 3e8\n{line}\n")
+        cfg.write_text("\n".join([b for b in base if b.split()[0] != key] + [line]) + "\n")
         code, out, err = run_cli(capsys, "geometry", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1, err
@@ -305,13 +311,29 @@ class TestInputBoundary:
         ["sweep", "cnot", "theta", "0", "inf", "3"],
         ["run", "cnot", "--theta", "1e308"],
         ["sweep", "--format", "csv", "--", "cnot", "theta", "-1e308", "1e308", "3"],
+        ["sweep", "cz", "alpha2", "0", "1.7976931348623157e+308", "7"],
+        ["conjecture-check", "--seed", "-1"],
+        ["conjecture-check", "--trials", "-3"],
+        ["run", "cnot", "--config", str(REPO / "configs" / "chained.cfg")],
+        # a (text, line) pair stands for a config file whose error names that line
+        ["run", "--config", ("prep.alpha2 = 0.75\nprep.thta = 1.0\nblock = cz_swap\n", 2)],
+        ["run", "--config", ("prep.alpha2 = 0.75\nblock = cz_swap\noverlap.d = 3\n", 3)],
+        ["run", "--config", ("prep.alpha2 = 0.75\nprep.alpha2 = 0.5\nblock = cz_swap\n", 2)],
+        ["run", "--config", ("prep.alpha2 = 0.75\nblock = cz_swap\ngeometry.hi = 0 0\n", 3)],
+        ["run", "--config", ("prep.alpha2 = 0.75\nblock = cz_swap\nlocals =\n", 3)],
     ])
-    def test_single_error_line(self, capsys, argv):
+    def test_single_error_line(self, tmp_path, capsys, argv):
+        config = next((arg for arg in argv if isinstance(arg, tuple)), None)
+        if config is not None:
+            (tmp_path / "case.cfg").write_text(config[0])
+            argv = [str(tmp_path / "case.cfg") if arg is config else arg for arg in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
+        if config is not None:
+            assert lines[0].startswith(f"error: line {config[1]}: "), err
 
     def test_bad_gaussian_config(self, tmp_path, capsys):
         cfg = tmp_path / "gauss.cfg"
