@@ -5,20 +5,22 @@ parseable anywhere.  run, sweep and compare read a circuit:
 
     prep.alpha2 = 0.75
     prep.theta = 0.0
-    block = cnot_swap with_swap
-    block = cnot_swap with_swap
+    block = cnot_swap
+    block = cnot_swap
     locals = i2 h h
     overlap.kind = orthogonal_limit
 
 and geometry reads geometry.hi, geometry.ho, geometry.transit and
-geometry.c.  Repeated "block" lines keep their order; no other key may
-repeat.  Values that cannot be evaluated are emitted as the literal token
-"singular" (never NaN).
+geometry.c.  Each block line names one interaction gate.  Repeated "block"
+lines keep their order; no other key may repeat.  A refused value is
+reported with its line.  Values that cannot be evaluated are emitted as the
+literal token "singular" (never NaN).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -97,18 +99,11 @@ def _vector(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split())
 
 
-def _block(text: str) -> BlockSpec:
-    gate, *convention = text.split()
-    if len(convention) > 1:
-        raise ConfigError(f"wants 'gate [convention]', got {text!r}")
-    return BlockSpec(gate, *convention)
-
-
 # The keys each subcommand reads, and the parser of each value: CIRCUIT_KEYS
 # for run, sweep and compare, GEOMETRY_KEYS for geometry.  Only "block"
 # repeats.
 CIRCUIT_KEYS = {
-    "prep.alpha2": float, "prep.theta": float, "block": _block, "locals": str.split,
+    "prep.alpha2": float, "prep.theta": float, "block": BlockSpec, "locals": str.split,
     "overlap.kind": str, "overlap.d": float, "overlap.tau": float,
 }
 GEOMETRY_KEYS = {
@@ -117,15 +112,30 @@ GEOMETRY_KEYS = {
 }
 
 
-def parse_config_text(text: str, keys: dict = CIRCUIT_KEYS) -> dict:
+class Config(dict):
+    """Parsed values by key, and the line each key is first given on."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.line: dict[str, int] = {}
+
+    @contextlib.contextmanager
+    def at(self, key: str):
+        """Report a value that a check after parsing refuses on the key's line."""
+        try:
+            yield
+        except CtcsimError as exc:
+            raise ConfigError(f"line {self.line[key]}: {key}: {exc}") from exc
+
+
+def parse_config_text(text: str, keys: dict = CIRCUIT_KEYS) -> Config:
     """Parse the flat key-value format into {key: value, "block": [BlockSpec, ...]}.
 
     An unknown key, a repeated key other than "block", an empty value, a
     value its parser refuses, and overlap.d or overlap.tau without
     overlap.kind = gaussian each raise a ConfigError that names the line.
     """
-    out: dict = {}
-    first_line: dict[str, int] = {}
+    out = Config()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,11 +146,11 @@ def parse_config_text(text: str, keys: dict = CIRCUIT_KEYS) -> dict:
         key, value = key.strip().lower(), value.strip()
         if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}; known: {', '.join(keys)}")
-        if key in first_line and key != "block":
-            raise ConfigError(f"line {lineno}: {key} repeats line {first_line[key]}")
+        if key in out.line and key != "block":
+            raise ConfigError(f"line {lineno}: {key} repeats line {out.line[key]}")
         if not value:
             raise ConfigError(f"line {lineno}: {key} has no value")
-        first_line.setdefault(key, lineno)
+        out.line.setdefault(key, lineno)
         try:
             parsed = keys[key](value)
         except ValueError as exc:
@@ -151,7 +161,7 @@ def parse_config_text(text: str, keys: dict = CIRCUIT_KEYS) -> dict:
             out[key] = parsed
     for key in ("overlap.d", "overlap.tau"):
         if key in out and out.get("overlap.kind") != "gaussian":
-            raise ConfigError(f"line {first_line[key]}: {key} needs overlap.kind = gaussian")
+            raise ConfigError(f"line {out.line[key]}: {key} needs overlap.kind = gaussian")
     return out
 
 
@@ -161,15 +171,29 @@ def _required(cfg: dict, key: str):
     return cfg[key]
 
 
-def spec_from_config(cfg: dict) -> CircuitSpec:
+def spec_from_config(cfg: Config) -> CircuitSpec:
+    """The circuit of a parsed config, built one key at a time, so the check
+    that refuses a value names that value's line."""
     blocks = tuple(_required(cfg, "block"))
-    return CircuitSpec(
-        prep=PureStateParams.from_alpha2(_required(cfg, "prep.alpha2"),
-                                         cfg.get("prep.theta", 0.0)),
-        blocks=blocks,
-        local_gates=tuple(cfg.get("locals", ("i2",) * (len(blocks) + 1))),
-        overlap=TimeDistribution(cfg.get("overlap.kind", "orthogonal_limit"),
-                                 cfg.get("overlap.d"), cfg.get("overlap.tau")))
+    alpha2 = _required(cfg, "prep.alpha2")
+    with cfg.at("prep.alpha2"):
+        prep = PureStateParams(alpha2=alpha2)
+    with cfg.at("prep.theta"):
+        prep = replace(prep, theta=cfg.get("prep.theta", 0.0))
+    kind = cfg.get("overlap.kind", "orthogonal_limit")
+    if kind != "gaussian":
+        with cfg.at("overlap.kind"):
+            overlap = TimeDistribution(kind)
+    else:
+        with cfg.at("overlap.kind"):
+            d, tau = _required(cfg, "overlap.d"), _required(cfg, "overlap.tau")
+        with cfg.at("overlap.d"):  # d alone first, with the valid shift 0
+            TimeDistribution.gaussian(d, 0.0)
+        with cfg.at("overlap.tau"):
+            overlap = TimeDistribution.gaussian(d, tau)
+    with cfg.at("locals"):
+        return CircuitSpec(prep, blocks,
+                           tuple(cfg.get("locals", ("i2",) * (len(blocks) + 1))), overlap)
 
 
 def geometry_from_config(cfg: dict) -> GeometryConfig:
@@ -225,7 +249,7 @@ def records_for(name: str, spec: CircuitSpec, model: str,
         recs.append(RunRecord(
             scenario=name, model="db", alpha2=alpha2, theta=theta,
             x=db_run.bloch.rx, y=db_run.bloch.ry, z=db_run.bloch.rz,
-            residual=db_run.residual, iterations=db_run.iterations,
+            residual=db_run.residual, iterations=0,  # the direct solve does not iterate
             flags=_join_flags("degenerate" if db_run.degenerate else "", compare_flags),
             trace_distance=tdist))
     if model in ("heisenberg", "both"):
@@ -346,7 +370,8 @@ def cmd_conjecture_check(args) -> int:
         if abs(math.sqrt(alpha2) - math.sqrt(1 - alpha2)) < 1e-3:
             alpha2 += 0.05
         prep = PureStateParams.from_alpha2(alpha2, float(rng.uniform(0, math.pi)))
-        report = scenario.compare(CircuitSpec(prep, (BlockSpec(ubar, "bare"),), ("i2", "i2")))
+        block = BlockSpec(qlinalg.SWAP @ ubar)  # the interaction U whose U_bar is ubar
+        report = scenario.compare(CircuitSpec(prep, (block,), ("i2", "i2")))
         db_run, heis = report.db, report.heisenberg
         if "singular" in report.flags:
             unresolved += 1

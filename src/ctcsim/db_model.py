@@ -69,13 +69,12 @@ class DBSolution:
 
 @dataclass(frozen=True)
 class DBRun:
-    """A chain of blocks: the output, the largest residual, the summed
-    iterations and whether any block's fixed point was degenerate."""
+    """A chain of blocks: the output, the largest residual and whether any
+    block's fixed point was degenerate."""
 
     output: DensityMatrix
     bloch: BlochVector
     residual: float
-    iterations: int
     degenerate: bool
 
 
@@ -212,7 +211,6 @@ def solve_chain(blocks: Sequence[Mat4], local_gates: Sequence[Mat2],
         output=rho,
         bloch=bloch_from_density(rho),
         residual=max((s.residual for s in solutions), default=0.0),
-        iterations=sum(s.iterations for s in solutions),
         degenerate=any(s.degenerate for s in solutions),
     )
 

@@ -1,13 +1,11 @@
 """Shared circuit specifications, named scenarios, and dual-model comparison.
 
-Only this module wires a CircuitSpec into the two engines.  Each block
-stores a two-qubit gate, named or an anonymous 4x4 matrix, plus a convention:
-
-  * with_swap -- the stored gate is the full interaction U including any
-    trailing swap; the density-matrix engine uses it directly and the
-    Heisenberg engine conjugates through U_bar = U followed by a swap.
-  * bare -- the stored gate is already U_bar; the density-matrix engine
-    appends the swap itself.
+Only this module wires a CircuitSpec into the two engines.  Each block is
+one interaction U, given by name or as an anonymous 4x4 matrix: the qubit
+meets its own past self through U followed by a swap.  The density-matrix
+engine conjugates with U, and the Heisenberg engine conjugates through
+U_bar = SWAP U.  A block resolves U once and keeps the Clifford table of
+U_bar, compiled on first use.
 
 Gate names accept a "_swap" suffix meaning "followed by a swap", so the
 canonical interactions (a controlled gate chased by a swap) are expressible
@@ -51,13 +49,29 @@ class ScenarioError(CtcsimError, ValueError):
 
 @dataclass(frozen=True)
 class BlockSpec:
+    """One wormhole block: a gate name ("<g>_swap" composes a swap after g) or a 4x4 matrix.
+
+    u, the interaction U, is resolved once; clifford, the table of
+    U_bar = SWAP @ U, is compiled on first use and kept with the block.
+    """
+
     gate: str | np.ndarray
-    convention: str = "with_swap"
+    u: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.convention not in ("with_swap", "bare"):
-            raise ScenarioError(f"unknown block convention {self.convention!r}")
-        interaction_matrix(self.gate)  # validate the name or shape early
+        if isinstance(self.gate, str):
+            key = self.gate.lower()
+            follow_swap = key.endswith("_swap") and key != "swap"
+            mat = standard_gate(key[:-5] if follow_swap else key)
+        else:  # an anonymous matrix is its own gate
+            mat, follow_swap = np.array(self.gate), False  # a copy: u must not change
+        if mat.shape != (4, 4):
+            raise ScenarioError(f"block gate {self.gate!r} is not a two-qubit gate")
+        object.__setattr__(self, "u", qlinalg.SWAP @ mat if follow_swap else mat)
+
+    @functools.cached_property
+    def clifford(self) -> Clifford:
+        return tableau_from_unitary(qlinalg.SWAP @ self.u)
 
 
 @dataclass(frozen=True)
@@ -77,42 +91,6 @@ class CircuitSpec:
                 raise ScenarioError(f"unknown local gate {name!r}")
 
 
-def interaction_matrix(gate: str | np.ndarray) -> np.ndarray:
-    """Two-qubit gate matrix of a block gate; "<g>_swap" composes a swap after g."""
-    if not isinstance(gate, str):  # an anonymous matrix is its own gate
-        mat, follow_swap = np.asarray(gate), False
-    else:
-        key = gate.lower()
-        follow_swap = key.endswith("_swap") and key != "swap"
-        mat = standard_gate(key[:-5] if follow_swap else key)
-    if mat.shape != (4, 4):
-        raise ScenarioError(f"block gate {gate!r} is not a two-qubit gate")
-    return qlinalg.SWAP @ mat if follow_swap else mat
-
-
-def db_interaction(block: BlockSpec) -> np.ndarray:
-    """The interaction U the density-matrix engine conjugates with."""
-    mat = interaction_matrix(block.gate)
-    if block.convention == "with_swap":
-        return mat
-    return qlinalg.SWAP @ mat  # stored U_bar, so U = U_bar then swap
-
-
-@functools.cache
-def _named_tableau(block: BlockSpec) -> Clifford:
-    return tableau_from_unitary(qlinalg.SWAP @ db_interaction(block))
-
-
-def heisenberg_tableau(block: BlockSpec) -> Clifford:
-    """The conjugation table of U_bar = SWAP @ U, the gate the Heisenberg engine reads.
-
-    Cached per named block, so circuits share one immutable Clifford; never for a matrix.
-    """
-    if isinstance(block.gate, str):
-        return _named_tableau(block)
-    return _named_tableau.__wrapped__(block)  # uncached
-
-
 def local_matrix(name: str) -> np.ndarray:
     return standard_gate(_LOCALS[name.lower()])
 
@@ -123,19 +101,20 @@ def local_clifford(name: str) -> Clifford:
 
 def heisenberg_circuit(spec: CircuitSpec) -> HeisenbergCircuit:
     return HeisenbergCircuit(
-        blocks=tuple(heisenberg_tableau(b) for b in spec.blocks),
+        blocks=tuple(b.clifford for b in spec.blocks),
         local_gates=tuple(local_clifford(n) for n in spec.local_gates),
     )
 
 
 DEFAULT_PREP = PureStateParams.from_alpha2(0.75, 0.0)
 
+# (blocks, local gates) per name.  The blocks live at module level, so each
+# named table is compiled once per process.
+_CNOT = BlockSpec("cnot_swap")
 _NAMED = {
-    "cz": ([BlockSpec("cz_swap", "with_swap")], ["i2", "i2"]),
-    "cnot": ([BlockSpec("cnot_swap", "with_swap")], ["i2", "i2"]),
-    "chained_cnot_hadamard": (
-        [BlockSpec("cnot_swap", "with_swap"), BlockSpec("cnot_swap", "with_swap")],
-        ["i2", "h", "h"]),
+    "cz": ((BlockSpec("cz_swap"),), ("i2", "i2")),
+    "cnot": ((_CNOT,), ("i2", "i2")),
+    "chained_cnot_hadamard": ((_CNOT, _CNOT), ("i2", "h", "h")),
 }
 
 
@@ -148,17 +127,12 @@ def named_scenario(name: str, prep: PureStateParams | None = None,
     """A paper scenario by stable public name: cz, cnot, chained_cnot_hadamard."""
     if name not in _NAMED:
         raise ScenarioError(f"unknown scenario {name!r}; known: {', '.join(_NAMED)}")
-    blocks, local_names = _NAMED[name]
-    return CircuitSpec(
-        prep=prep if prep is not None else DEFAULT_PREP,
-        blocks=tuple(blocks),
-        local_gates=tuple(local_names),
-        overlap=overlap if overlap is not None else TimeDistribution.orthogonal(),
-    )
+    return CircuitSpec(prep if prep is not None else DEFAULT_PREP, *_NAMED[name],
+                       overlap if overlap is not None else TimeDistribution.orthogonal())
 
 
 def run_db(spec: CircuitSpec) -> DBRun:
-    return db_model.solve_chain([db_interaction(b) for b in spec.blocks],
+    return db_model.solve_chain([b.u for b in spec.blocks],
                                 [local_matrix(n) for n in spec.local_gates], spec.prep)
 
 

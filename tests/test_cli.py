@@ -157,8 +157,8 @@ class TestConfigFiles:
 # chained run
 prep.alpha2 = 0.75
 prep.theta = 0.0
-block = cnot_swap with_swap
-block = cnot_swap with_swap
+block = cnot_swap
+block = cnot_swap
 locals = i2 h h
 overlap.kind = orthogonal_limit
 """
@@ -187,8 +187,8 @@ overlap.kind = orthogonal_limit
         assert "block" in err
 
     def test_parse_config_keeps_block_order(self):
-        cfg = parse_config_text("block = cz_swap\nblock = cnot_swap bare\n")
-        assert cfg["block"] == [BlockSpec("cz_swap", "with_swap"), BlockSpec("cnot_swap", "bare")]
+        cfg = parse_config_text("block = cz_swap\nblock = cnot\n")
+        assert cfg["block"] == [BlockSpec("cz_swap"), BlockSpec("cnot")]
 
     def test_gaussian_overlap_keys(self, tmp_path, capsys):
         cfg = tmp_path / "gauss.cfg"
@@ -321,6 +321,18 @@ class TestInputBoundary:
         ["run", "--config", ("prep.alpha2 = 0.75\nprep.alpha2 = 0.5\nblock = cz_swap\n", 2)],
         ["run", "--config", ("prep.alpha2 = 0.75\nblock = cz_swap\ngeometry.hi = 0 0\n", 3)],
         ["run", "--config", ("prep.alpha2 = 0.75\nblock = cz_swap\nlocals =\n", 3)],
+        # values that parse but a later check refuses, and a missing gaussian key
+        ["run", "--config", ("block = cz_swap\nprep.alpha2 = 2\n", 2)],
+        ["run", "--config", ("prep.alpha2 = 0.75\nprep.theta = 1e308\nblock = cz_swap\n", 2)],
+        ["run", "--config", ("prep.alpha2 = 0.75\nblock = cz_swap\noverlap.kind = gaussian\n"
+                             "overlap.tau = 1\n", 3)],
+        ["run", "--config", ("prep.alpha2 = 0.75\nblock = cz_swap\noverlap.kind = gaussian\n"
+                             "overlap.d = -1\noverlap.tau = 1\n", 4)],
+        ["run", "--config", ("prep.alpha2 = 0.75\nblock = cz_swap\nlocals = i2 h s\n", 3)],
+        ["run", "--config", ("prep.alpha2 = 0.75\nblock = cz_swap\nlocals = i2 cnot\n", 3)],
+        # a block line takes a gate name only
+        ["run", "--config", ("prep.alpha2 = 0.75\nblock = cz bare\n", 2)],
+        ["run", "--config", ("prep.alpha2 = 0.75\nblock = cnot_swap with_swap\n", 2)],
     ])
     def test_single_error_line(self, tmp_path, capsys, argv):
         config = next((arg for arg in argv if isinstance(arg, tuple)), None)
@@ -342,6 +354,13 @@ class TestInputBoundary:
         code, out, err = run_cli(capsys, "run", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_missing_gaussian_key_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "gauss.cfg"
+        cfg.write_text("prep.alpha2 = 0.75\nblock = cz_swap\noverlap.kind = gaussian\n"
+                       "overlap.tau = 1.0\n")
+        assert run_cli(capsys, "run", "--config", str(cfg)) == (
+            2, "", "error: line 3: overlap.kind: missing config field 'overlap.d'\n")
 
     def test_config_files_are_closed(self, tmp_path, capsys):
         cfg = tmp_path / "geo.cfg"

@@ -240,7 +240,6 @@ class TestRunChain:
         assert [s.degenerate for s in sols] == [False, True]
         assert run.degenerate
         assert run.residual == max(s.residual for s in sols)
-        assert run.iterations == 0
         assert np.array_equal(run.output, PAULI_X @ rho @ PAULI_X.conj().T)
         assert run.bloch == bloch_from_density(run.output)
 

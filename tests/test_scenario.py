@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from ctcsim import cli, scenario
+from ctcsim.db_model import DBRun
 from ctcsim.qlinalg import CNOT, CZ, PAULI_BY_NAME, PureStateParams, QlinalgError, SWAP
 from ctcsim.scenario import (
     BlockSpec,
@@ -11,9 +13,6 @@ from ctcsim.scenario import (
     GeometryConfig,
     ScenarioError,
     compare,
-    db_interaction,
-    heisenberg_tableau,
-    interaction_matrix,
     local_clifford,
     local_matrix,
     named_scenario,
@@ -22,7 +21,7 @@ from ctcsim.scenario import (
     scenario_names,
     validate_geometry,
 )
-from ctcsim.timed_pauli import PauliLetter
+from ctcsim.timed_pauli import NotCliffordError, PauliLetter
 from helpers import random_params
 
 
@@ -67,8 +66,8 @@ class TestNamedScenarios:
 
 class TestConventions:
     def test_interaction_matrix_swap_suffix(self):
-        assert np.allclose(interaction_matrix("cnot_swap"), SWAP @ CNOT, atol=0)
-        assert np.allclose(interaction_matrix("cz_swap"), SWAP @ CZ, atol=0)
+        assert np.array_equal(BlockSpec("cnot_swap").u, SWAP @ CNOT)
+        assert np.array_equal(BlockSpec("cz_swap").u, SWAP @ CZ)
 
     def test_unknown_gate(self):
         # the name reaches qlinalg.standard_gate, whose error is not converted
@@ -78,30 +77,6 @@ class TestConventions:
     def test_one_qubit_gate_rejected_as_block(self):
         with pytest.raises(ScenarioError):
             BlockSpec("h")
-
-    def test_with_swap_vs_bare_equivalence(self, rng):
-        # storing U with the swap folded in, or its bare counterpart, must
-        # not change either engine
-        pairs = [
-            (BlockSpec("cz_swap", "with_swap"), BlockSpec("cz", "bare")),
-            (BlockSpec("cnot_swap", "with_swap"), BlockSpec("cnot", "bare")),
-            (BlockSpec("swap", "with_swap"), BlockSpec("i4", "bare")),
-            (BlockSpec("cz", "with_swap"), BlockSpec("cz_swap", "bare")),
-            (BlockSpec("cnot", "with_swap"), BlockSpec("cnot_swap", "bare")),
-        ]
-        for with_swap_block, bare_block in pairs:
-            assert np.allclose(db_interaction(with_swap_block),
-                               db_interaction(bare_block), atol=0)
-            assert heisenberg_tableau(with_swap_block) == heisenberg_tableau(bare_block)
-        for with_swap_block, bare_block in pairs:
-            for _ in range(20):
-                p = random_params(rng)
-                spec_a = spec_with([with_swap_block], ["i2", "i2"], p)
-                spec_b = spec_with([bare_block], ["i2", "i2"], p)
-                assert np.max(np.abs(run_db(spec_a).output - run_db(spec_b).output)) < 1e-12
-                ha, hb = run_heisenberg(spec_a), run_heisenberg(spec_b)
-                assert ha.statuses == hb.statuses
-                assert ha.components == hb.components
 
     def test_local_gate_names_validated(self):
         with pytest.raises(ScenarioError):
@@ -133,13 +108,12 @@ def pauli_string(letters):
 
 
 class TestTables:
-    @pytest.mark.parametrize("convention", ["with_swap", "bare"])
     @pytest.mark.parametrize("gate", BLOCK_GATES)
-    def test_block_table_matches_dense(self, gate, convention):
+    def test_block_table_matches_dense(self, gate):
         # the Heisenberg engine conjugates through U_bar = SWAP U, where U is
         # the interaction the density-matrix engine applies
-        block = BlockSpec(gate, convention)
-        assert_table_matches_dense(heisenberg_tableau(block), SWAP @ db_interaction(block), 2)
+        block = BlockSpec(gate)
+        assert_table_matches_dense(block.clifford, SWAP @ block.u, 2)
 
     @pytest.mark.parametrize("name", LOCAL_NAMES)
     def test_local_table_matches_dense(self, name):
@@ -147,10 +121,29 @@ class TestTables:
 
 
 class TestCompileOnce:
-    def test_tableau_is_compiled_once_per_block(self):
-        first = heisenberg_tableau(BlockSpec("cnot_swap"))
-        assert heisenberg_tableau(BlockSpec("cnot_swap")) is first
-        assert heisenberg_tableau(BlockSpec("cnot_swap", "bare")) is not first
+    def test_config_sweep_compiles_each_block_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(u, _real=scenario.tableau_from_unitary):
+            calls.append(u)
+            return _real(u)
+
+        monkeypatch.setattr(scenario, "tableau_from_unitary", counted)
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("prep.alpha2 = 0.75\nblock = cnot_swap\nblock = cnot_swap\n"
+                       "locals = i2 h h\n")
+        assert cli.main(["sweep", "--config", str(cfg), "alpha2", "0", "1", "5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 2
+        assert len(calls) == 2
+
+    def test_table_is_compiled_on_first_use(self):
+        # a controlled phase of pi/4 is unitary but not Clifford: the
+        # density-matrix engine runs it, and only the Heisenberg engine refuses
+        block = BlockSpec(SWAP @ np.diag([1, 1, 1, np.exp(0.25j * np.pi)]))
+        spec = spec_with([block], ["i2", "i2"], PureStateParams.from_alpha2(0.3, 0.2))
+        assert isinstance(run_db(spec), DBRun)
+        with pytest.raises(NotCliffordError):
+            run_heisenberg(spec)
 
 
 class TestCompare:
