@@ -108,11 +108,14 @@ def pauli_string(letters):
 
 
 class TestTables:
+    @pytest.mark.parametrize("convention", ["with_swap", "bare"])
     @pytest.mark.parametrize("gate", BLOCK_GATES)
-    def test_block_table_matches_dense(self, gate):
+    def test_block_table_matches_dense(self, gate, convention):
         # the Heisenberg engine conjugates through U_bar = SWAP U, where U is
-        # the interaction the density-matrix engine applies
-        block = BlockSpec(gate)
+        # the interaction the density-matrix engine applies; "bare" reads the
+        # named gate as U_bar and passes U = SWAP U_bar as an anonymous matrix
+        named = BlockSpec(gate)
+        block = named if convention == "with_swap" else BlockSpec(SWAP @ named.u)
         assert_table_matches_dense(block.clifford, SWAP @ block.u, 2)
 
     @pytest.mark.parametrize("name", LOCAL_NAMES)
