@@ -40,6 +40,18 @@ for _name in ("cnot", "cz", "chained_cnot_hadamard"):
     CASES[f"compare_{_name}_theta"] = ["compare", _name, "--alpha2", "0.3", "--theta", "0.7",
                                        "--format", "csv"]
 CASES["run_cz_gaussian"] = ["run", "cz", "--d", "0.5", "--tau", "1.0", "--format", "csv"]
+# Sweeps whose every point must match the scalar evaluation bit for bit: a
+# 101-point grid where a batched pseudo-inverse would flip last bits, one
+# engine at a time, gaussian overlap, and a config circuit of two blocks.
+CASES["sweep_cnot_alpha2_101_both"] = ["sweep", "cnot", "alpha2", "0", "1", "101", "--model",
+                                       "both", "--theta", "1.9", "--format", "csv"]
+for _model in ("db", "heisenberg"):
+    CASES[f"sweep_cz_theta_{_model}"] = ["sweep", "cz", "theta", "0", PI, "11", "--alpha2", "0.3",
+                                         "--model", _model, "--format", "csv"]
+CASES["sweep_cz_alpha2_gaussian"] = ["sweep", "cz", "alpha2", "0", "1", "11", "--d", "0.5",
+                                     "--tau", "1.0", "--format", "csv"]
+CASES["sweep_config_chained_theta"] = ["sweep", "--config", str(CONFIGS / "chained.cfg"),
+                                       "theta", "0", PI, "11", "--format", "csv"]
 for _name, _cfg in (("run_config_chained", CONFIGS / "chained.cfg"),
                     ("run_config_gaussian_cz", CONFIGS / "gaussian_cz.cfg"),
                     ("compare_config_chained", CONFIGS / "chained.cfg"),
