@@ -21,15 +21,24 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import qlinalg, scenario
-from .qlinalg import CtcsimError, EngineError, PureStateParams
+from .db_model import DBBatch
+from .heisenberg_model import HeisenbergBatch
+from .qlinalg import CtcsimError, EngineError, Preparations, PureStateParams
 from .scenario import BlockSpec, CircuitSpec, GeometryConfig, TimeDistribution
+
+# The largest grid a sweep evaluates: every point's states live in memory
+# at once (about 180 MB at this size).
+MAX_SWEEP_STEPS = 100_000
 
 
 class ConfigError(CtcsimError, ValueError):
@@ -51,19 +60,12 @@ class RunRecord:
     trace_distance: float | None = None
 
     def values(self) -> list[str]:
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                out.append("")
-            elif isinstance(v, float):
-                out.append(repr(v))
-            else:
-                out.append(str(v))
-        return out
+        return ["" if v is None else repr(v) if isinstance(v, float) else str(v)
+                for v in _record_values(self)]
 
 
 RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+_record_values = operator.attrgetter(*RECORD_FIELDS)
 
 
 def parse_record_line(line: str) -> RunRecord:
@@ -227,41 +229,35 @@ def load_spec(target: str, args: argparse.Namespace) -> tuple[str, CircuitSpec]:
 # -- record production -------------------------------------------------------
 
 
-def _mark(value: float | None, status: str) -> float | str:
-    return value if status == "ok" else status
+def records_for(name: str, alpha2: Sequence[float], theta: Sequence[float],
+                db: DBBatch | None = None, heis: HeisenbergBatch | None = None,
+                compare_flags: str = "", trace_distance: float | None = None) -> list[RunRecord]:
+    """The records of N points, each point's db record before its heisenberg one.
 
-
-def records_for(name: str, spec: CircuitSpec, model: str,
-                with_compare: bool = False) -> list[RunRecord]:
-    alpha2 = spec.prep.alpha2
-    theta = spec.prep.theta
+    alpha2 and theta give each point's preparation, and db and heis the N
+    results of each engine, or None for an engine that did not run.
+    """
+    missing = itertools.repeat(None)
+    db_rows = missing if db is None else zip(
+        db.bloch.tolist(), db.residual.tolist(), db.degenerate.tolist())
+    heis_rows = missing if heis is None else zip(
+        *(zip(heis.values[axis].tolist(), heis.statuses[axis]) for axis in ("x", "y", "z")))
     recs: list[RunRecord] = []
-    tdist = None
-    compare_flags = ""
-    db_run = heis = None
-    if with_compare:
-        report = scenario.compare(spec)
-        db_run, heis = report.db, report.heisenberg
-        tdist = report.trace_distance
-        compare_flags = ";".join(report.flags)
-    if model in ("db", "both"):
-        db_run = db_run or scenario.run_db(spec)
-        recs.append(RunRecord(
-            scenario=name, model="db", alpha2=alpha2, theta=theta,
-            x=db_run.bloch.rx, y=db_run.bloch.ry, z=db_run.bloch.rz,
-            residual=db_run.residual, iterations=0,  # the direct solve does not iterate
-            flags=_join_flags("degenerate" if db_run.degenerate else "", compare_flags),
-            trace_distance=tdist))
-    if model in ("heisenberg", "both"):
-        heis = heis or scenario.run_heisenberg(spec)
-        bad = sorted({s for s in heis.statuses.values() if s != "ok"})
-        recs.append(RunRecord(
-            scenario=name, model="heisenberg", alpha2=alpha2, theta=theta,
-            x=_mark(heis.components["x"], heis.statuses["x"]),
-            y=_mark(heis.components["y"], heis.statuses["y"]),
-            z=_mark(heis.components["z"], heis.statuses["z"]),
-            flags=_join_flags(";".join(bad), compare_flags),
-            trace_distance=tdist))
+    for a2, th, db_row, heis_row in zip(alpha2, theta, db_rows, heis_rows):
+        if db_row is not None:
+            (x, y, z), residual, degenerate = db_row
+            recs.append(RunRecord(
+                name, "db", a2, th, x, y, z,
+                residual=residual, iterations=0,  # the direct solve does not iterate
+                flags=_join_flags("degenerate" if degenerate else "", compare_flags),
+                trace_distance=trace_distance))
+        if heis_row is not None:
+            bad = sorted({status for _, status in heis_row if status != "ok"})
+            recs.append(RunRecord(
+                name, "heisenberg", a2, th,
+                *(value if status == "ok" else status for value, status in heis_row),
+                flags=_join_flags(";".join(bad), compare_flags),
+                trace_distance=trace_distance))
     return recs
 
 
@@ -299,32 +295,42 @@ def emit(records: list[RunRecord], fmt: str, out) -> None:
 
 def cmd_run(args) -> int:
     name, spec = load_spec(args.target, args)
-    records = records_for(name, spec, args.model)
-    emit(records, args.format, sys.stdout)
+    db = DBBatch.of(scenario.run_db(spec)) if args.model in ("db", "both") else None
+    heis = (HeisenbergBatch.of(scenario.run_heisenberg(spec))
+            if args.model in ("heisenberg", "both") else None)
+    emit(records_for(name, [spec.prep.alpha2], [spec.prep.theta], db, heis),
+         args.format, sys.stdout)
     return 0
 
 
 def cmd_sweep(args) -> int:
+    """Compile the circuit once and evaluate it on the whole grid at once."""
     if not args.start < args.stop or not math.isfinite(args.stop - args.start):
         raise ConfigError(
             f"sweep range must be finite with from < to, got {args.start} .. {args.stop}")
-    if args.steps < 2:
-        raise ConfigError(f"sweep needs at least 2 steps, got {args.steps}")
+    if not 2 <= args.steps <= MAX_SWEEP_STEPS:
+        raise ConfigError(f"sweep needs 2 to {MAX_SWEEP_STEPS} steps, got {args.steps}")
     name, spec = load_spec(args.target, args)
     with np.errstate(over="ignore"):  # only the last point can overflow; linspace sets it to `to`
         grid = np.linspace(args.start, args.stop, args.steps)
-    records: list[RunRecord] = []
-    for value in grid:
-        prep = replace(spec.prep, **{args.param: float(value)})
-        records.extend(records_for(name, replace(spec, prep=prep), args.model))
-    emit(records, args.format, sys.stdout)
+    preps = Preparations(**{"alpha2": spec.prep.alpha2, "theta": spec.prep.theta,
+                            args.param: grid})
+    circuit = scenario.compile(spec)
+    db = scenario.evaluate_db(circuit, preps) if args.model in ("db", "both") else None
+    heis = (scenario.evaluate_heisenberg(circuit, preps)
+            if args.model in ("heisenberg", "both") else None)
+    emit(records_for(name, preps.alpha2.tolist(), preps.theta.tolist(), db, heis),
+         args.format, sys.stdout)
     return 0
 
 
 def cmd_compare(args) -> int:
     name, spec = load_spec(args.target, args)
-    records = records_for(name, spec, "both", with_compare=True)
-    emit(records, args.format, sys.stdout)
+    report = scenario.compare(spec)
+    emit(records_for(name, [spec.prep.alpha2], [spec.prep.theta], DBBatch.of(report.db),
+                     HeisenbergBatch.of(report.heisenberg), ";".join(report.flags),
+                     report.trace_distance),
+         args.format, sys.stdout)
     return 0
 
 

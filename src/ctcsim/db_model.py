@@ -15,6 +15,11 @@ tableau) and checked by one dense trip around the loop.  When the fixed
 subspace has dimension > 1 the solvers return the maximum-entropy fixed
 point (minimum Bloch norm) and flag the degeneracy rather than silently
 picking a representative.
+
+The direct solve runs on stacks of states: solve_chain_batch threads N
+preparations through a chain in one pass, with every check applied to
+every state, and solve_chain and solve_fixed_point(method="eigen") are its
+one-state case.  The iteration stays scalar, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ from .qlinalg import (
     Mat2,
     Mat4,
     PAULIS,
+    Preparations,
     PureStateParams,
     assert_density,
     assert_unitary,
-    bloch_from_density,
+    bloch_coordinates,
     density_from_bloch,
     partial_trace_first,
     partial_trace_second,
@@ -78,52 +84,117 @@ class DBRun:
     degenerate: bool
 
 
+@dataclass(frozen=True, eq=False)
+class DBBatch:
+    """A chain of blocks run on N preparations: row n is the DBRun of the n-th.
+
+    output is (N, 2, 2), bloch (N, 3), residual and degenerate (N,).
+    """
+
+    output: np.ndarray
+    bloch: np.ndarray
+    residual: np.ndarray
+    degenerate: np.ndarray
+
+    @classmethod
+    def of(cls, run: DBRun) -> "DBBatch":
+        """One run as a batch of one."""
+        return cls(run.output[None], np.array([run.bloch.as_tuple()]),
+                   np.array([run.residual]), np.array([run.degenerate]))
+
+    def __getitem__(self, n: int) -> DBRun:
+        return DBRun(self.output[n], BlochVector(*self.bloch[n].tolist()),
+                     self.residual[n].item(), self.degenerate[n].item())
+
+
+def loop_transfer(u: Mat4) -> np.ndarray:
+    """The slice of U's Pauli transfer matrix that the loop map reads.
+
+    loop[l, i, j] = R[0l, ij] for l = x, y, z: the trapped qubit's l
+    coordinate after U acts on s_i x s_j.  U is checked to be a two-qubit
+    unitary first.
+    """
+    if np.shape(u) != (4, 4):
+        raise ValueError("interaction must be a two-qubit gate")
+    assert_unitary(u)
+    return pauli_transfer(u)[0, 1:]
+
+
+def _joint(u: Mat4, rho_in: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """U (rho_in x rho) U^dag, for single states or stacks of them."""
+    return u @ tensor(rho_in, rho) @ u.conj().T
+
+
 def ctc_map(u: Mat4, rho_in: DensityMatrix, rho: DensityMatrix) -> DensityMatrix:
     """One trip around the loop: Tr_1[U (rho_in x rho) U^dag]."""
-    return partial_trace_first(u @ tensor(rho_in, rho) @ u.conj().T)
+    return partial_trace_first(_joint(u, rho_in, rho))
 
 
 def db_output(u: Mat4, rho_in: DensityMatrix, rho: DensityMatrix) -> DensityMatrix:
     """State of the free qubit after the interaction: Tr_2[U (rho_in x rho) U^dag]."""
-    return partial_trace_second(u @ tensor(rho_in, rho) @ u.conj().T)
+    return partial_trace_second(_joint(u, rho_in, rho))
 
 
-def _spectral_norm_herm(m: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+def _spectral_norm_herm(m: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(np.linalg.eigvalsh(m)), axis=-1)
 
 
-def _bloch_affine(u: Mat4, rho_in: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _bloch_affine(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The loop map as r -> M r + c on Bloch coordinates (it is trace preserving).
 
-    Read off the Pauli transfer matrix R of U: with a = (1, r_in) the
-    trapped qubit's coordinates leave as sum_ij R[0l, ij] a_i b_j for
-    b = (1, r), so M[l, j] = sum_i R[0l, ij] a_i and c[l] = sum_i R[0l, i0] a_i.
+    With a = (1, r_in) the trapped qubit's coordinates leave as
+    sum_ij loop[l, i, j] a_i b_j for b = (1, r), so M[l, j] = sum_i loop[l, i, j] a_i
+    and c[l] = sum_i loop[l, i, 0] a_i.  rho_in may be one state or a stack,
+    and the sum runs over i in order for every row alike.
     """
-    a = np.einsum("iab,ba->i", PAULIS, rho_in).real
-    loop = np.einsum("lij,i->lj", pauli_transfer(u)[0, 1:], a)
-    return loop[:, 1:], loop[:, 0]
+    a = np.einsum("iab,...ba->...i", PAULIS, rho_in).real
+    affine = sum(a[..., i, None, None] * loop[:, i] for i in range(4))
+    return affine[..., 1:], affine[..., 0]
 
 
-def _solve_eigen(u: Mat4, rho_in: DensityMatrix) -> tuple[DensityMatrix, bool]:
-    """Direct solve of (I - M) r = c.
+def _solve_eigen(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct solve of (I - M) r = c for each state of a stack.
 
     lstsq returns the minimum-norm solution on rank deficiency, which is the
-    maximum-entropy fixed point for a qubit (entropy decreases with |r|).
+    maximum-entropy fixed point for a qubit (entropy decreases with |r|).  It
+    runs once per state: a batched pseudo-inverse rounds differently.
     """
-    m, c = _bloch_affine(u, rho_in)
+    m, c = _bloch_affine(loop, rho_in)
     a = np.eye(3) - m
-    r, _, rank, svals = np.linalg.lstsq(a, c, rcond=DEGENERACY_TOL)
-    degenerate = bool(rank < 3) or bool(np.min(svals) < DEGENERACY_TOL * max(np.max(svals), 1.0))
-    if np.linalg.norm(a @ r - c) > 1e-8:
+    solutions = [np.linalg.lstsq(am, cm, rcond=DEGENERACY_TOL) for am, cm in zip(a, c)]
+    r = np.array([s[0] for s in solutions]).reshape(c.shape)
+    rank = np.array([s[2] for s in solutions])
+    svals = np.array([s[3] for s in solutions]).reshape(c.shape)
+    degenerate = (rank < 3) | (svals.min(axis=-1)
+                               < DEGENERACY_TOL * np.maximum(svals.max(axis=-1), 1.0))
+    miss = (a @ r[..., None])[..., 0] - c
+    gap = np.sqrt(np.sum(miss * miss, axis=-1))
+    if (gap > 1e-8).any():
         raise FixedPointError("consistency equation admits no solution (numerical)",
-                              residual=float(np.linalg.norm(a @ r - c)))
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0 + 1e-9:
-        raise FixedPointError(f"fixed-point solution left the Bloch ball (|r| = {norm!r})",
-                              residual=norm - 1.0)
-    if norm > 1.0:
-        r = r / norm  # float spill just past the sphere
-    return density_from_bloch(BlochVector(*r)), degenerate
+                              residual=gap[np.argmax(gap > 1e-8)].item())
+    norm = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])  # as np.linalg.norm of one row
+    if (norm > 1.0 + 1e-9).any():
+        worst = norm[np.argmax(norm > 1.0 + 1e-9)].item()
+        raise FixedPointError(f"fixed-point solution left the Bloch ball (|r| = {worst!r})",
+                              residual=worst - 1.0)
+    spill = norm > 1.0  # float spill just past the sphere
+    if spill.any():
+        r[spill] = r[spill] / norm[spill, None]
+    return density_from_bloch(r), degenerate
+
+
+def _close_loop(u: Mat4, rho_in: np.ndarray, rho: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Check each fixed point by one dense trip around the loop; return the
+    residuals and the outputs, which the same trip gives."""
+    joint = _joint(u, rho_in, rho)
+    residual = _spectral_norm_herm(partial_trace_first(joint) - rho)
+    if (residual > tol).any():
+        worst = residual[np.argmax(residual > tol)].item()
+        raise FixedPointError(f"returned state misses the fixed point by {worst:.3e}",
+                              residual=worst)
+    assert_density(rho, atol=1e-9)
+    return residual, partial_trace_second(joint)
 
 
 def _solve_iterate(u: Mat4, rho_in: DensityMatrix, tol: float,
@@ -134,7 +205,7 @@ def _solve_iterate(u: Mat4, rho_in: DensityMatrix, tol: float,
     residual = float("inf")
     for n in range(1, max_iters + 1):
         nxt = ctc_map(u, rho_in, rho)
-        residual = _spectral_norm_herm(nxt - rho)
+        residual = float(_spectral_norm_herm(nxt - rho))
         rho = nxt
         if residual < tol:
             return rho, n, residual
@@ -150,7 +221,8 @@ def solve_fixed_point(u: Mat4, rho_in: DensityMatrix, method: str = "both", *,
 
     method:
         "iterate" -- plain iteration of the loop map starting from I/2;
-        "eigen"   -- direct solve of the vectorized Bloch-space action;
+        "eigen"   -- direct solve of the vectorized Bloch-space action, the
+                     one-state case of the kernel solve_chain_batch runs;
         "both"    -- run both and require agreement within 1e-8 unless the
                      fixed subspace is degenerate.
 
@@ -159,60 +231,59 @@ def solve_fixed_point(u: Mat4, rho_in: DensityMatrix, method: str = "both", *,
     """
     if method not in ("iterate", "eigen", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if np.shape(u) != (4, 4):
-        raise ValueError("interaction must be a two-qubit gate")
-    assert_unitary(u)
+    loop = loop_transfer(u)
+    rho_in = np.asarray(rho_in)[None]
     assert_density(rho_in)
 
-    rho_eigen, degenerate = _solve_eigen(u, rho_in)
+    rho, degenerate = _solve_eigen(loop, rho_in)
     iterations = 0
-    if method == "eigen":
-        rho = rho_eigen
-    elif method == "iterate":
-        rho, iterations, _ = _solve_iterate(u, rho_in, tol, max_iters)
-    else:
-        rho_iter, iterations, _ = _solve_iterate(u, rho_in, tol, max_iters)
-        gap = _spectral_norm_herm(rho_iter - rho_eigen)
-        if gap > 1e-8 and not degenerate:
+    if method != "eigen":
+        rho_iter, iterations, _ = _solve_iterate(u, rho_in[0], tol, max_iters)
+        gap = float(_spectral_norm_herm(rho_iter - rho[0]))
+        if method == "both" and gap > 1e-8 and not degenerate[0]:
             raise FixedPointError(
                 f"iterate and eigen solvers disagree by {gap:.3e} on a "
                 "non-degenerate fixed point", residual=gap)
-        rho = rho_eigen
-    residual = _spectral_norm_herm(ctc_map(u, rho_in, rho) - rho)
-    if residual > tol:
-        raise FixedPointError(f"returned state misses the fixed point by {residual:.3e}",
-                              residual=residual)
-    assert_density(rho, atol=1e-9)
-    out = db_output(u, rho_in, rho)
-    return DBSolution(fixed_point=rho, output=out, iterations=iterations,
-                      residual=residual, degenerate=degenerate)
+        if method == "iterate":
+            rho = rho_iter[None]
+    residual, out = _close_loop(u, rho_in, rho, tol)
+    return DBSolution(fixed_point=rho[0], output=out[0], iterations=iterations,
+                      residual=residual[0].item(), degenerate=degenerate[0].item())
 
 
-def solve_chain(blocks: Sequence[Mat4], local_gates: Sequence[Mat2],
-                p: PureStateParams) -> DBRun:
-    """Thread a prepared pure state through consecutive wormhole blocks.
+def solve_chain_batch(blocks: Sequence[tuple[Mat4, np.ndarray]], local_gates: Sequence[Mat2],
+                      preps: Preparations) -> DBBatch:
+    """Thread N prepared pure states through consecutive wormhole blocks.
 
-    local_gates interleaves the blocks (before, between, after).  Each block
-    is solved afresh by the direct solve with the current state as the loop
-    input, then replaced by the block's output.
+    blocks holds each interaction U with its loop_transfer(U); local_gates
+    interleaves the blocks (before, between, after).  Each block is solved
+    by the direct solve with the current states as the loop inputs, then
+    each state is replaced by its block output.  Every check runs on every
+    state.
     """
     if len(local_gates) != len(blocks) + 1:
         raise ValueError(
             f"need {len(blocks) + 1} local gates for {len(blocks)} blocks, got {len(local_gates)}")
-    rho = p.density()
-    solutions: list[DBSolution] = []
-    for gate_before, u in zip(local_gates, blocks):
+    rho = preps.density()
+    residual = np.zeros(len(preps))
+    degenerate = np.zeros(len(preps), dtype=bool)
+    for gate_before, (u, loop) in zip(local_gates, blocks):
         rho = gate_before @ rho @ gate_before.conj().T
-        solutions.append(solve_fixed_point(u, rho, method="eigen"))
-        rho = solutions[-1].output
+        assert_density(rho)
+        fixed, block_degenerate = _solve_eigen(loop, rho)
+        block_residual, rho = _close_loop(u, rho, fixed, ATOL_SOLVER)
+        residual = np.maximum(residual, block_residual)
+        degenerate |= block_degenerate
     last = local_gates[-1]
     rho = last @ rho @ last.conj().T
-    return DBRun(
-        output=rho,
-        bloch=bloch_from_density(rho),
-        residual=max((s.residual for s in solutions), default=0.0),
-        degenerate=any(s.degenerate for s in solutions),
-    )
+    return DBBatch(rho, bloch_coordinates(rho), residual, degenerate)
+
+
+def solve_chain(blocks: Sequence[Mat4], local_gates: Sequence[Mat2],
+                p: PureStateParams) -> DBRun:
+    """solve_chain_batch on the one state p."""
+    return solve_chain_batch([(u, loop_transfer(u)) for u in blocks], local_gates,
+                             p.batch)[0]
 
 
 def run_chain(blocks: Sequence[Mat4], local_gates: Sequence[Mat2],

@@ -24,6 +24,12 @@ Expectation values use the orthogonal-histories rule: distinct labels carry
 negligible temporal overlap, so a cross-label product factorizes into
 per-label expectations in the prepared state.  A Gaussian temporal profile
 with non-negligible overlap is supported for two-label words.
+
+The whole circuit lives in the back-propagated words and the prepared state
+enters only at the final expectation, so evaluation has two steps:
+compile_words back-propagates each axis once per circuit, and
+evaluate_words takes the closed-form letter expectations of N preparations
+at once.  heisenberg_bloch is the one-state case.
 """
 
 from __future__ import annotations
@@ -31,10 +37,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .qlinalg import BlochVector, EngineError, PureStateParams, QlinalgError
+import numpy as np
+
+from .qlinalg import BlochVector, EngineError, Preparations, PureStateParams, QlinalgError
 
 # Re-exported for scenario and the benchmark tracer: tableau_from_unitary, NotCliffordError.
 from .timed_pauli import (
+    PAULI_INDEX,
     Clifford,
     DivergentPhaseError,
     NotCliffordError,
@@ -46,6 +55,7 @@ from .timed_pauli import (
 )
 
 _L = PauliLetter
+_AXES = (("x", _L.X), ("y", _L.Y), ("z", _L.Z))
 
 # An infinite tail whose per-label factor sits on the unit circle has no
 # convergent product; report it instead of extrapolating.
@@ -140,6 +150,28 @@ class HeisenbergResult:
             bad = {a: s for a, s in self.statuses.items() if s != "ok"}
             raise ValueError(f"no Bloch vector: components not evaluable: {bad}")
         return BlochVector(self.components["x"], self.components["y"], self.components["z"])
+
+
+@dataclass(frozen=True, eq=False)
+class HeisenbergBatch:
+    """N evaluations: per axis, each point's value (nan where its status is
+    not ok) and status.  Row n is the HeisenbergResult of the n-th point."""
+
+    values: dict[str, np.ndarray]
+    statuses: dict[str, list[str]]
+
+    @classmethod
+    def of(cls, result: HeisenbergResult) -> "HeisenbergBatch":
+        """One result as a batch of one."""
+        return cls({axis: np.array([np.nan if v is None else v])
+                    for axis, v in result.components.items()},
+                   {axis: [status] for axis, status in result.statuses.items()})
+
+    def __getitem__(self, n: int) -> HeisenbergResult:
+        statuses = {axis: s[n] for axis, s in self.statuses.items()}
+        return HeisenbergResult(
+            {axis: v[n].item() if statuses[axis] == "ok" else None
+             for axis, v in self.values.items()}, statuses)
 
 
 def backpropagate_block(gate: Clifford, measured: TimedPauliWord) -> BlockResult:
@@ -260,14 +292,7 @@ def backpropagate_circuit_detailed(
 
 def letter_expectation(letter: PauliLetter, p: PureStateParams) -> float:
     """Expectation of one letter in the prepared state (closed form)."""
-    if letter is _L.I:
-        return 1.0
-    if letter is _L.Z:
-        return p.alpha**2 - p.beta**2
-    two_ab = 2.0 * p.alpha * p.beta
-    if letter is _L.X:
-        return two_ab * math.cos(2.0 * p.theta)
-    return -two_ab * math.sin(2.0 * p.theta)
+    return p.batch.pauli_expectations[0, PAULI_INDEX[letter]].item()
 
 
 def overlap(t: TimeDistribution) -> float:
@@ -283,13 +308,19 @@ def overlap(t: TimeDistribution) -> float:
     return math.exp(-0.25 * x * x)
 
 
-def evaluate_expectation(w: TimedPauliWord, p: PureStateParams,
-                         t: TimeDistribution) -> tuple[float | None, str]:
-    """Expectation of a hermitian word in the prepared state.
+def _check_overlap(w: TimedPauliWord, t: TimeDistribution) -> None:
+    if t.kind == "gaussian" and (w.tail is not None or len(w.head) > 2):
+        raise UnsupportedOverlapError(
+            "gaussian overlap evaluation supports at most two non-identity labels")
+
+
+def word_expectations(w: TimedPauliWord, preps: Preparations,
+                      t: TimeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Expectation of a hermitian word in each prepared state, and where it is defined.
 
     Orthogonal limit: the product of per-label expectations.  An infinite
-    tail contributes the limit of the geometric product: 0 for |factor| < 1
-    and "singular" for |factor| = 1, where no value is assigned.
+    tail contributes the limit of the geometric product: 0 for |factor| < 1,
+    and no value (not defined) for |factor| = 1.
 
     Gaussian: supported for at most two non-identity labels; the overlapping
     fraction omega acts through the symmetrized same-time product, so equal
@@ -297,37 +328,79 @@ def evaluate_expectation(w: TimedPauliWord, p: PureStateParams,
     """
     if not w.is_hermitian:
         raise ValueError(f"word must be hermitian, has phase i^{w.ipow}")
+    _check_overlap(w, t)
     sign = float(w.sign)
+    letters = preps.pauli_expectations
 
-    if t.kind == "gaussian":
-        if w.tail is not None or len(w.head) > 2:
-            raise UnsupportedOverlapError(
-                "gaussian overlap evaluation supports at most two non-identity labels")
-        if len(w.head) == 2:
-            (_, a), (_, b) = w.head
-            om = overlap(t)
-            separate = letter_expectation(a, p) * letter_expectation(b, p)
-            # In the overlap region both orderings of the instants weigh in
-            # equally, so anticommuting letters cancel and only the
-            # symmetrized (real-signed) product survives.
-            dp, prod_letter = letter_mul_ipow(a, b)
-            together = letter_expectation(prod_letter, p) if dp == 0 else \
-                -letter_expectation(prod_letter, p) if dp == 2 else 0.0
-            return sign * ((1.0 - om) * separate + om * together), "ok"
-        value = sign
-        for _, letter in w.head:
-            value *= letter_expectation(letter, p)
-        return value, "ok"
+    def value(letter: PauliLetter) -> np.ndarray:
+        return letters[:, PAULI_INDEX[letter]]
 
     if w.tail is not None:
-        factor = letter_expectation(w.tail[1], p)
-        if abs(factor) >= 1.0 - SINGULAR_ATOL:
-            return None, "singular"
-        return 0.0, "ok"
-    value = sign
+        defined = np.abs(value(w.tail[1])) < 1.0 - SINGULAR_ATOL
+        return np.where(defined, 0.0, np.nan), defined
+    everywhere = np.ones(len(preps), dtype=bool)
+    if t.kind == "gaussian" and len(w.head) == 2:
+        (_, a), (_, b) = w.head
+        om = overlap(t)
+        separate = value(a) * value(b)
+        # In the overlap region both orderings of the instants weigh in
+        # equally, so anticommuting letters cancel and only the
+        # symmetrized (real-signed) product survives.
+        dp, prod_letter = letter_mul_ipow(a, b)
+        together = value(prod_letter) if dp == 0 else \
+            -value(prod_letter) if dp == 2 else 0.0
+        return sign * ((1.0 - om) * separate + om * together), everywhere
+    product = np.full(len(preps), sign)
     for _, letter in w.head:
-        value *= letter_expectation(letter, p)
-    return value, "ok"
+        product = product * value(letter)
+    return product, everywhere
+
+
+def evaluate_expectation(w: TimedPauliWord, p: PureStateParams,
+                         t: TimeDistribution) -> tuple[float | None, str]:
+    """word_expectations on the one state p: (value, "ok"), or (None, "singular")
+    where an infinite tail has no limit."""
+    values, defined = word_expectations(w, p.batch, t)
+    return (values[0].item(), "ok") if defined[0] else (None, "singular")
+
+
+def compile_words(circuit: HeisenbergCircuit,
+                  t: TimeDistribution) -> dict[str, TimedPauliWord | str]:
+    """Each axis's observable back-propagated to the preparation point.
+
+    The words depend on the circuit and the overlap kind alone.  An axis
+    that hits a divergent phase, a singular recurrence or an unsupported
+    overlap is given by that status instead of a word.
+    """
+    words: dict[str, TimedPauliWord | str] = {}
+    for axis, letter in _AXES:
+        try:
+            word, _ = backpropagate_circuit_detailed(circuit, letter)
+            _check_overlap(word, t)
+        except DivergentPhaseError:
+            word = "divergent"
+        except SingularRecurrenceError:
+            word = "singular"
+        except UnsupportedOverlapError:
+            word = "unsupported"
+        words[axis] = word
+    return words
+
+
+def evaluate_words(words: dict[str, TimedPauliWord | str], preps: Preparations,
+                   t: TimeDistribution) -> HeisenbergBatch:
+    """Evaluate compiled words on N preparations; a tail without a limit
+    marks its point singular."""
+    values: dict[str, np.ndarray] = {}
+    statuses: dict[str, list[str]] = {}
+    for axis, word in words.items():
+        if isinstance(word, str):
+            values[axis] = np.full(len(preps), np.nan)
+            statuses[axis] = [word] * len(preps)
+        else:
+            values[axis], defined = word_expectations(word, preps, t)
+            statuses[axis] = ["ok" if d else "singular" for d in defined.tolist()]
+    return HeisenbergBatch(values, statuses)
 
 
 def heisenberg_bloch(circuit: HeisenbergCircuit, p: PureStateParams,
@@ -339,18 +412,4 @@ def heisenberg_bloch(circuit: HeisenbergCircuit, p: PureStateParams,
     """
     if t is None:
         t = TimeDistribution.orthogonal()
-    components: dict[str, float | None] = {}
-    statuses: dict[str, str] = {}
-    for axis, letter in (("x", _L.X), ("y", _L.Y), ("z", _L.Z)):
-        try:
-            word, _ = backpropagate_circuit_detailed(circuit, letter)
-            value, status = evaluate_expectation(word, p, t)
-        except DivergentPhaseError:
-            value, status = None, "divergent"
-        except SingularRecurrenceError:
-            value, status = None, "singular"
-        except UnsupportedOverlapError:
-            value, status = None, "unsupported"
-        components[axis] = value
-        statuses[axis] = status
-    return HeisenbergResult(components, statuses)
+    return evaluate_words(compile_words(circuit, t), p.batch, t)[0]

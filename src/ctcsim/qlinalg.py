@@ -2,15 +2,18 @@
 
 Everything here is plain double-precision numpy on 2x2 and 4x4 arrays:
 states, gates, tensor products, partial traces and distance measures.
-This module is the numeric oracle the symbolic engine is checked against,
-so it stays deliberately dumb -- no sparsity, no n-qubit generality.  As
-the bottom of the import graph it also holds the prepared state and the
-root of ctcsim's exceptions.
+The state helpers also take stacks of them, one per prepared state, and
+check each member.  This module is the numeric oracle the symbolic engine
+is checked against, so it stays deliberately dumb -- no sparsity, no
+n-qubit generality.  As the bottom of the import graph it also holds the
+prepared states and the root of ctcsim's exceptions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +22,7 @@ import numpy as np
 # fixed-point solvers converge to ATOL_SOLVER.
 ATOL_STRUCT = 1e-12
 ATOL_SOLVER = 1e-10
+_HALF_MAX = sys.float_info.max / 2
 
 Mat2 = np.ndarray
 Mat4 = np.ndarray
@@ -108,20 +112,76 @@ class PureStateParams:
         """Build params from the |0> population alpha^2 in [0, 1]."""
         return cls(alpha2=alpha2, theta=theta)
 
-    def ket(self) -> np.ndarray:
-        """Column vector of the prepared state."""
-        return np.array([self.alpha * np.exp(1j * self.theta),
-                         self.beta * np.exp(-1j * self.theta)])
+    @functools.cached_property
+    def batch(self) -> "Preparations":
+        """This one state as a batch of one, derived once like alpha and beta."""
+        return Preparations(np.array([self.alpha2]), np.array([self.theta]))
 
     def density(self) -> DensityMatrix:
-        k = self.ket()
-        return np.outer(k, k.conj())
+        return self.batch.density()[0]
 
     def bloch(self) -> "BlochVector":
+        return BlochVector(*self.batch.pauli_expectations[0, 1:].tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class Preparations:
+    """N prepared states, one per (alpha2, theta) pair; scalars broadcast.
+
+    Each pair is checked as PureStateParams checks one, and the first bad
+    pair raises that class's error.  alpha and beta are derived once, with
+    the arithmetic of PureStateParams.
+    """
+
+    alpha2: np.ndarray
+    theta: np.ndarray
+    alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    beta: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        alpha2 = np.atleast_1d(np.asarray(self.alpha2, dtype=float))
+        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
+        if alpha2.shape != theta.shape:
+            alpha2, theta = np.broadcast_arrays(alpha2, theta)
+        # |theta| <= max / 2 is exactly "2 theta is finite", without overflowing
+        ok = (alpha2 >= 0.0) & (alpha2 <= 1.0) & (np.abs(theta) <= _HALF_MAX)
+        if not ok.all():
+            n = int(np.argmin(ok))
+            PureStateParams(alpha2=alpha2[n].item(), theta=theta[n].item())  # raises its error
+        object.__setattr__(self, "alpha2", alpha2)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "alpha", np.sqrt(alpha2))
+        object.__setattr__(self, "beta", np.sqrt(1.0 - alpha2))
+
+    def __len__(self) -> int:
+        return len(self.alpha2)
+
+    def density(self) -> np.ndarray:
+        """(N, 2, 2) density matrices: the outer product of each ket with itself."""
+        ket = np.empty((len(self), 2), dtype=complex)
+        ket[:, 0] = self.alpha * np.exp(1j * self.theta)
+        ket[:, 1] = self.beta * np.exp(-1j * self.theta)
+        return ket[:, :, None] * ket.conj()[:, None, :]
+
+    @functools.cached_property
+    def pauli_expectations(self) -> np.ndarray:
+        """(N, 4) closed-form expectations of I, X, Y, Z in each state.
+
+        The Z column squares through Python's float power, which rounds
+        differently from x * x in about 0.1% of cases; the printed values
+        have always been computed that way.
+        """
         two_ab = 2.0 * self.alpha * self.beta
-        return BlochVector(two_ab * math.cos(2.0 * self.theta),
-                           -two_ab * math.sin(2.0 * self.theta),
-                           self.alpha**2 - self.beta**2)
+        out = np.empty((len(self), 4))
+        out[:, 0] = 1.0
+        out[:, 1] = two_ab * np.cos(2.0 * self.theta)
+        out[:, 2] = -two_ab * np.sin(2.0 * self.theta)
+        out[:, 3] = _float_squares(self.alpha) - _float_squares(self.beta)
+        return out
+
+
+def _float_squares(x: np.ndarray) -> np.ndarray:
+    return np.array([v**2 for v in x.tolist()])
 
 
 @dataclass(frozen=True)
@@ -160,9 +220,13 @@ def standard_gate(name: str) -> np.ndarray:
     return _GATES[key].copy()
 
 
-def tensor(a: Mat2, b: Mat2) -> Mat4:
-    """Kronecker product; first factor is qubit 1."""
-    return np.kron(a, b)
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product over the last two axes, stacked over any leading ones;
+    first factor is qubit 1.  Each entry is one product, as np.kron forms it."""
+    a, b = np.asarray(a), np.asarray(b)
+    shape = (*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]),
+             a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape)
 
 
 def pauli_transfer(u: Mat4) -> np.ndarray:
@@ -176,16 +240,16 @@ def pauli_transfer(u: Mat4) -> np.ndarray:
     return np.einsum("klab,ijba->klij", PAULI_PAIRS, images).real / 4.0
 
 
-def partial_trace_first(m: Mat4) -> Mat2:
-    """Trace out qubit 1 of a two-qubit operator."""
-    r = np.asarray(m).reshape(2, 2, 2, 2)
-    return np.einsum("aiaj->ij", r)
+def partial_trace_first(m: np.ndarray) -> np.ndarray:
+    """Trace out qubit 1 of a two-qubit operator, or of each in a stack (..., 4, 4)."""
+    r = np.asarray(m).reshape(*np.shape(m)[:-2], 2, 2, 2, 2)
+    return np.einsum("...aiaj->...ij", r)
 
 
-def partial_trace_second(m: Mat4) -> Mat2:
-    """Trace out qubit 2 of a two-qubit operator."""
-    r = np.asarray(m).reshape(2, 2, 2, 2)
-    return np.einsum("aibi->ab", r)
+def partial_trace_second(m: np.ndarray) -> np.ndarray:
+    """Trace out qubit 2 of a two-qubit operator, or of each in a stack (..., 4, 4)."""
+    r = np.asarray(m).reshape(*np.shape(m)[:-2], 2, 2, 2, 2)
+    return np.einsum("...aibi->...ab", r)
 
 
 def assert_unitary(u: np.ndarray, atol: float = ATOL_STRUCT) -> None:
@@ -197,39 +261,51 @@ def assert_unitary(u: np.ndarray, atol: float = ATOL_STRUCT) -> None:
         raise QlinalgError(f"matrix is not unitary (deviation {dev:.3e})")
 
 
+def _check_each(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise message, formatted with the value at the first bad entry, if any."""
+    if bad.any():
+        raise QlinalgError(message.format(values[bad].flat[0].item()))
+
+
 def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> None:
-    """Check hermiticity, unit trace and positivity.
+    """Check hermiticity, unit trace and positivity of a 2x2 matrix, or of
+    each in a stack (..., 2, 2); the first failing matrix is reported.
 
     Asymmetry beyond tolerance is an error rather than being symmetrized away:
     a lopsided matrix here means an engine bug upstream.
     """
     rho = np.asarray(rho)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise QlinalgError(f"density matrix must be 2x2, got {rho.shape}")
-    herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > atol:
-        raise QlinalgError(f"density matrix not hermitian (deviation {herm_dev:.3e})")
-    tr_dev = abs(np.trace(rho) - 1.0)
-    if tr_dev > atol:
-        raise QlinalgError(f"density matrix trace deviates from 1 by {tr_dev:.3e}")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -atol:
-        raise QlinalgError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+    herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    _check_each(herm_dev > atol, herm_dev, "density matrix not hermitian (deviation {:.3e})")
+    tr_dev = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
+    _check_each(tr_dev > atol, tr_dev, "density matrix trace deviates from 1 by {:.3e}")
+    low = np.linalg.eigvalsh(rho)[..., 0]
+    _check_each(low < -atol, low, "density matrix has negative eigenvalue {:.3e}")
+
+
+def bloch_coordinates(rho: np.ndarray) -> np.ndarray:
+    """(Tr[X rho], Tr[Y rho], Tr[Z rho]) of a valid density matrix, or (..., 3)
+    for a stack, each checked as a density matrix with a Bloch norm of at most 1."""
+    rho = np.asarray(rho)
+    assert_density(rho)
+    r = np.trace(PAULIS[1:] @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+    norm = np.sqrt(np.sum(r * r, axis=-1))
+    _check_each(norm > 1.0 + 1e-9, norm, "Bloch vector norm {!r} exceeds 1")
+    return r
 
 
 def bloch_from_density(rho: DensityMatrix) -> BlochVector:
-    """(Tr[X rho], Tr[Y rho], Tr[Z rho]) of a valid density matrix."""
-    assert_density(rho)
-    return BlochVector(
-        float(np.real(np.trace(PAULI_X @ rho))),
-        float(np.real(np.trace(PAULI_Y @ rho))),
-        float(np.real(np.trace(PAULI_Z @ rho))),
-    )
+    return BlochVector(*bloch_coordinates(rho).tolist())
 
 
-def density_from_bloch(r: BlochVector) -> DensityMatrix:
-    """Reconstruct (I + r . sigma) / 2; the BlochVector type enforces |r| <= 1."""
-    return 0.5 * (I2 + r.rx * PAULI_X + r.ry * PAULI_Y + r.rz * PAULI_Z)
+def density_from_bloch(r: BlochVector | np.ndarray) -> np.ndarray:
+    """Reconstruct (I + r . sigma) / 2 from a BlochVector, whose type enforces
+    |r| <= 1, or from each row of a stack of coordinates (..., 3)."""
+    r = np.asarray(r.as_tuple() if isinstance(r, BlochVector) else r)[..., None, None]
+    return 0.5 * (I2 + r[..., 0, :, :] * PAULI_X + r[..., 1, :, :] * PAULI_Y
+                  + r[..., 2, :, :] * PAULI_Z)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

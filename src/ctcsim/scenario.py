@@ -4,8 +4,15 @@ Only this module wires a CircuitSpec into the two engines.  Each block is
 one interaction U, given by name or as an anonymous 4x4 matrix: the qubit
 meets its own past self through U followed by a swap.  The density-matrix
 engine conjugates with U, and the Heisenberg engine conjugates through
-U_bar = SWAP U.  A block resolves U once and keeps the Clifford table of
-U_bar, compiled on first use.
+U_bar = SWAP U.  A block resolves U once and keeps, each compiled on first
+use, the slice of U's Pauli transfer matrix that the loop map reads and
+the Clifford table of U_bar.
+
+Evaluation has two steps.  compile(spec) holds what does not depend on the
+preparation: the blocks and, per axis, the back-propagated word.
+evaluate_db and evaluate_heisenberg then run that circuit on N
+preparations at once; run_db, run_heisenberg and compare are the N = 1
+case.
 
 Gate names accept a "_swap" suffix meaning "followed by a swap", so the
 canonical interactions (a controlled gate chased by a swap) are expressible
@@ -22,14 +29,22 @@ import numpy as np
 
 from . import db_model, heisenberg_model, qlinalg
 from .heisenberg_model import (
+    HeisenbergBatch,
     HeisenbergCircuit,
     HeisenbergResult,
     TimeDistribution,
     tableau_from_unitary,
 )
-from .db_model import DBRun
-from .qlinalg import BlochVector, CtcsimError, PureStateParams, standard_gate
-from .timed_pauli import LOCAL_TABLES, Clifford
+from .db_model import DBBatch, DBRun
+from .qlinalg import (
+    BlochVector,
+    CtcsimError,
+    Preparations,
+    PureStateParams,
+    QlinalgError,
+    standard_gate,
+)
+from .timed_pauli import LOCAL_TABLES, Clifford, TimedPauliWord
 
 # The symbolic engine is exact, so the direct fixed-point solve dominates
 # the disagreement budget.
@@ -51,8 +66,9 @@ class ScenarioError(CtcsimError, ValueError):
 class BlockSpec:
     """One wormhole block: a gate name ("<g>_swap" composes a swap after g) or a 4x4 matrix.
 
-    u, the interaction U, is resolved once; clifford, the table of
-    U_bar = SWAP @ U, is compiled on first use and kept with the block.
+    u, the interaction U, is resolved once.  loop, U's loop slice of its
+    Pauli transfer matrix (checked unitary), and clifford, the table of
+    U_bar = SWAP @ U, are each compiled on first use and kept with the block.
     """
 
     gate: str | np.ndarray
@@ -62,12 +78,19 @@ class BlockSpec:
         if isinstance(self.gate, str):
             key = self.gate.lower()
             follow_swap = key.endswith("_swap") and key != "swap"
-            mat = standard_gate(key[:-5] if follow_swap else key)
+            try:
+                mat = standard_gate(key[:-5] if follow_swap else key)
+            except QlinalgError:  # name the value given, not the stripped name
+                raise QlinalgError(f"unknown gate name {self.gate!r}") from None
         else:  # an anonymous matrix is its own gate
             mat, follow_swap = np.array(self.gate), False  # a copy: u must not change
         if mat.shape != (4, 4):
             raise ScenarioError(f"block gate {self.gate!r} is not a two-qubit gate")
         object.__setattr__(self, "u", qlinalg.SWAP @ mat if follow_swap else mat)
+
+    @functools.cached_property
+    def loop(self) -> np.ndarray:
+        return db_model.loop_transfer(self.u)
 
     @functools.cached_property
     def clifford(self) -> Clifford:
@@ -131,9 +154,39 @@ def named_scenario(name: str, prep: PureStateParams | None = None,
                        overlap if overlap is not None else TimeDistribution.orthogonal())
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledCircuit:
+    """The preparation-independent part of a spec, each half compiled on
+    first use.  The density-matrix half is each block's u and loop, kept
+    with the block; the Heisenberg half is the words, kept here.  A spec
+    whose blocks are not Clifford still runs through the density-matrix
+    engine."""
+
+    spec: CircuitSpec
+
+    @functools.cached_property
+    def words(self) -> dict[str, TimedPauliWord | str]:
+        """Per axis, the back-propagated word or the status that stops it."""
+        return heisenberg_model.compile_words(heisenberg_circuit(self.spec), self.spec.overlap)
+
+
+def compile(spec: CircuitSpec) -> CompiledCircuit:
+    """The circuit of spec, to evaluate on any number of preparations; spec.prep is not read."""
+    return CompiledCircuit(spec)
+
+
+def evaluate_db(circuit: CompiledCircuit, preps: Preparations) -> DBBatch:
+    spec = circuit.spec
+    return db_model.solve_chain_batch([(b.u, b.loop) for b in spec.blocks],
+                                      [local_matrix(n) for n in spec.local_gates], preps)
+
+
+def evaluate_heisenberg(circuit: CompiledCircuit, preps: Preparations) -> HeisenbergBatch:
+    return heisenberg_model.evaluate_words(circuit.words, preps, circuit.spec.overlap)
+
+
 def run_db(spec: CircuitSpec) -> DBRun:
-    return db_model.solve_chain([b.u for b in spec.blocks],
-                                [local_matrix(n) for n in spec.local_gates], spec.prep)
+    return evaluate_db(compile(spec), spec.prep.batch)[0]
 
 
 def run_heisenberg(spec: CircuitSpec) -> HeisenbergResult:

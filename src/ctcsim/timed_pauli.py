@@ -24,10 +24,12 @@ read of (power of i, letters).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -53,6 +55,10 @@ class PauliLetter(Enum):
     X = "X"
     Y = "Y"
     Z = "Z"
+
+    # Members are singletons compared by identity, so identity hashing is
+    # exact; it spares every table lookup Enum's hash of the member name.
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # terse in test output
         return self.value
@@ -238,7 +244,7 @@ class NotCliffordError(EngineError, ValueError):
 
 
 # Letter order I, X, Y, Z is the Pauli index 0..3 of qlinalg.PAULIS.
-_INDEX = {letter: i for i, letter in enumerate(_L)}
+PAULI_INDEX = {letter: i for i, letter in enumerate(_L)}
 
 
 @dataclass(frozen=True)
@@ -257,8 +263,15 @@ class Clifford:
         """Image (ipow, letters) of the Pauli string given one letter per qubit."""
         i = 0
         for letter in letters:
-            i = 4 * i + _INDEX[letter]
+            i = 4 * i + PAULI_INDEX[letter]
         return self.table[i]
+
+    @functools.cached_property
+    def is_identity(self) -> bool:
+        """Whether every Pauli string is its own image."""
+        qubits = len(self.table[0][1])
+        return all(ipow == 0 and image == string for (ipow, image), string
+                   in zip(self.table, itertools.product(_L, repeat=qubits)))
 
 
 def tableau_from_unitary(u: np.ndarray) -> Clifford:
@@ -302,6 +315,8 @@ def conj_pair(t: Clifford, upper: PauliLetter,
 
 def apply_local(c: Clifford, w: TimedPauliWord) -> TimedPauliWord:
     """Conjugate every letter of the word (including the tail) through a one-qubit gate."""
+    if c.is_identity:
+        return w
     ipow = w.ipow
     letters: dict[int, PauliLetter] = {}
     for k, letter in w.head:

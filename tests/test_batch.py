@@ -1,0 +1,118 @@
+"""Compile once, evaluate the whole grid.
+
+A sweep compiles its circuit once, whatever the grid size: one loop slice
+per block, and one back-propagation per block and axis.  An N-point
+evaluation gives the records of N one-point evaluations, bit for bit, and
+its density-matrix components agree with the plain-iteration oracle.
+"""
+
+import pathlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctcsim import cli, db_model, heisenberg_model, scenario
+from ctcsim.db_model import DBBatch, FixedPointError, solve_fixed_point
+from ctcsim.heisenberg_model import HeisenbergBatch
+from ctcsim.qlinalg import SWAP, Preparations, PureStateParams, bloch_from_density
+from ctcsim.scenario import BlockSpec, CircuitSpec
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+AXES = 3
+
+
+class TestCompileOnce:
+    # Config blocks are fresh per parse, so nothing is cached between runs:
+    # the named scenarios' module-level blocks would compile once per process.
+    CNOT = "prep.alpha2 = 0.75\nblock = cnot_swap\n"
+
+    @pytest.mark.parametrize("steps", [11, 1001])
+    @pytest.mark.parametrize("circuit, blocks", [("cnot", 1), ("chained", 2)])
+    def test_sweep_compiles_each_block_once(self, tmp_path, monkeypatch, capsys,
+                                            circuit, blocks, steps):
+        calls = {"backpropagate_block": 0, "pauli_transfer": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(heisenberg_model, "backpropagate_block")
+        counted(db_model, "pauli_transfer")
+        if circuit == "cnot":
+            config = tmp_path / "cnot.cfg"
+            config.write_text(self.CNOT)
+        else:
+            config = CONFIGS / "chained.cfg"
+        assert cli.main(["sweep", "--config", str(config), "alpha2", "0", "1", str(steps),
+                         "--model", "both", "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * steps
+        assert calls == {"backpropagate_block": blocks * AXES, "pauli_transfer": blocks}
+
+
+LOCALS = ("i2", "h", "s", "x", "y", "z")
+
+
+@st.composite
+def circuits(draw):
+    """The blocks and local gates of a named scenario, or of one or two random Cliffords."""
+    name = draw(st.sampled_from(["cz", "cnot", "chained_cnot_hadamard", "random", "random"]))
+    if name != "random":
+        spec = scenario.named_scenario(name)
+        return spec.blocks, spec.local_gates
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 2))
+    blocks = tuple(BlockSpec(SWAP @ cli._random_clifford(rng)) for _ in range(count))
+    return blocks, tuple(draw(st.lists(st.sampled_from(LOCALS), min_size=count + 1,
+                                       max_size=count + 1)))
+
+
+GRIDS = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.5, 1.0])), min_size=n,
+             max_size=n),
+    st.lists(st.floats(-7, 7), min_size=n, max_size=n)))
+
+
+def iterate_chain(spec, p):
+    """The chain's output Bloch vector by plain iteration, block by block."""
+    rho = p.density()
+    for gate, block in zip(spec.local_gates, spec.blocks):
+        g = scenario.local_matrix(gate)
+        rho = solve_fixed_point(block.u, g @ rho @ g.conj().T, method="iterate",
+                                max_iters=5_000).output
+    g = scenario.local_matrix(spec.local_gates[-1])
+    return bloch_from_density(g @ rho @ g.conj().T).as_tuple()
+
+
+@given(circuit=circuits(), grid=GRIDS)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_batch_is_n_single_evaluations(circuit, grid):
+    blocks, local_gates = circuit
+    alpha2, theta = grid
+    spec = CircuitSpec(scenario.DEFAULT_PREP, blocks, local_gates)
+    compiled = scenario.compile(spec)
+    preps = Preparations(np.array(alpha2), np.array(theta))
+    db = scenario.evaluate_db(compiled, preps)
+    heis = scenario.evaluate_heisenberg(compiled, preps)
+
+    singles = []
+    for a2, th in zip(alpha2, theta):
+        one = replace(spec, prep=PureStateParams(alpha2=a2, theta=th))
+        singles += cli.records_for("p", [a2], [th], DBBatch.of(scenario.run_db(one)),
+                                   HeisenbergBatch.of(scenario.run_heisenberg(one)))
+    assert repr(cli.records_for("p", alpha2, theta, db, heis)) == repr(singles)
+
+    for n, (a2, th) in enumerate(zip(alpha2, theta)):
+        if db.degenerate[n]:
+            continue
+        try:
+            want = iterate_chain(spec, PureStateParams(alpha2=a2, theta=th))
+        except FixedPointError:
+            continue  # iteration crawls this close to a degenerate fixed point
+        assert np.max(np.abs(db.bloch[n] - want)) < 1e-8, (n, a2, th)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from ctcsim import scenario
-from ctcsim.cli import ConfigError, RECORD_FIELDS, main, parse_config_text, parse_record_line
+from ctcsim.cli import (
+    MAX_SWEEP_STEPS,
+    RECORD_FIELDS,
+    ConfigError,
+    main,
+    parse_config_text,
+    parse_record_line,
+)
 from ctcsim.db_model import FixedPointError
 from ctcsim.heisenberg_model import NotCliffordError, UnsupportedOverlapError
 from ctcsim.qlinalg import CtcsimError, EngineError, QlinalgError
@@ -114,6 +121,34 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "cnot", "alpha2", "0", "1", "1")
         assert code == 2
         assert "steps" in err
+
+    @pytest.mark.parametrize("steps", [MAX_SWEEP_STEPS + 1, 10**12])
+    def test_too_many_steps_refused_before_the_grid(self, capsys, monkeypatch, steps):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built")
+        monkeypatch.setattr(np, "linspace", no_grid)
+        assert run_cli(capsys, "sweep", "cnot", "alpha2", "0", "1", str(steps)) == (
+            2, "", f"error: sweep needs 2 to {MAX_SWEEP_STEPS} steps, got {steps}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["alpha2", "0.5", "2", "4"], "alpha2 must be in [0, 1], got 1.5"),
+        (["theta", "1e308", "1.5e308", "3"],
+         "state parameters must be finite, got PureStateParams(alpha2=0.75, theta=1e+308)"),
+    ])
+    def test_first_bad_grid_value_is_named(self, capsys, argv, message):
+        # the whole grid is checked before any point is evaluated, with the
+        # error of the first bad point
+        assert run_cli(capsys, "sweep", "cnot", *argv) == (2, "", f"error: {message}\n")
+
+    def test_largest_sweep_reaches_the_grid(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+        monkeypatch.setattr(np, "linspace", reached)
+        with pytest.raises(Reached):
+            main(["sweep", "cnot", "alpha2", "0", "1", str(MAX_SWEEP_STEPS)])
 
     def test_rows_ordered_by_parameter(self, capsys):
         _, out, _ = run_cli(capsys, "sweep", "cz", "alpha2", "0", "1", "7",

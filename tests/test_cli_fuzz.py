@@ -106,9 +106,10 @@ FLAGS = st.dictionaries(st.sampled_from(["alpha2", "theta", "tau", "d"]), NUMBER
 # Some valid choices are listed twice so that more cases get past argparse.
 FORMATS = st.sampled_from(["table", "csv", "records", "csv", "xml"])
 MODELS = st.sampled_from(["db", "heisenberg", "both", "both", "neither"])
-# Steps are capped at 12 for run time only: a larger grid reaches no other
-# code, and a sweep of billions of points is a size policy, not input checking.
-STEPS = st.one_of(st.integers(2, 12).map(str), st.sampled_from(["1", "0", "-1", "x", "2.5", ""]))
+# Accepted steps are capped at 12 for run time only: a larger grid reaches no
+# other code.  One more than cli.MAX_SWEEP_STEPS must be refused.
+STEPS = st.one_of(st.integers(2, 12).map(str),
+                  st.sampled_from(["1", "0", "-1", "x", "2.5", "", "100001"]))
 SEEDS = st.one_of(st.integers(-2**70, 2**70).map(str), st.sampled_from(["-1", "0", "x", ""]))
 TRIALS = st.one_of(st.integers(-3, 4).map(str), st.sampled_from(["-1", "2.5", "x", ""]))
 # An ordered pair inside [0, 1], which every sweep accepts, a pair of huge

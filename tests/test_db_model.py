@@ -6,6 +6,7 @@ from ctcsim.db_model import (
     _bloch_affine,
     ctc_map,
     db_output,
+    loop_transfer,
     run_chain,
     solve_chain,
     solve_fixed_point,
@@ -100,7 +101,7 @@ class TestBlochAffine:
             u, rho_in = random_unitary(rng, 4), random_density(rng)
             want_c = coords(ctc_map_oracle(u, rho_in, I2 / 2))
             want_m = np.column_stack([coords(ctc_map_oracle(u, rho_in, s / 2)) for s in paulis])
-            m, c = _bloch_affine(u, rho_in)
+            m, c = _bloch_affine(loop_transfer(u), rho_in)
             assert np.max(np.abs(c - want_c)) < 1e-14
             assert np.max(np.abs(m - want_m)) < 1e-14
 

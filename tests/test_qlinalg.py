@@ -187,6 +187,14 @@ class TestDensityValidation:
         with pytest.raises(QlinalgError, match="eigenvalue"):
             assert_density(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_stack_reports_its_first_failing_matrix(self):
+        good = I2 / 2
+        stack = np.array([good, good, np.diag([1.5, -0.5]), np.diag([1.25, -0.25])],
+                         dtype=complex)
+        assert_density(stack[:2])
+        with pytest.raises(QlinalgError, match="negative eigenvalue -5.000e-01"):
+            assert_density(stack)
+
     def test_conjugation_preserves_density(self, rng):
         # unitary conjugation must keep hermiticity, trace and positivity
         for _ in range(200):

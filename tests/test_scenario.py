@@ -70,8 +70,8 @@ class TestConventions:
         assert np.array_equal(BlockSpec("cz_swap").u, SWAP @ CZ)
 
     def test_unknown_gate(self):
-        # the name reaches qlinalg.standard_gate, whose error is not converted
-        with pytest.raises(QlinalgError, match="unknown gate name 'xx'"):
+        # the error names the value given, suffix included
+        with pytest.raises(QlinalgError, match="unknown gate name 'xx_swap'"):
             BlockSpec("xx_swap")
 
     def test_one_qubit_gate_rejected_as_block(self):
