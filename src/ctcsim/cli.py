@@ -36,8 +36,8 @@ from .heisenberg_model import HeisenbergBatch
 from .qlinalg import CtcsimError, EngineError, Preparations, PureStateParams
 from .scenario import BlockSpec, CircuitSpec, GeometryConfig, TimeDistribution
 
-# The largest grid a sweep evaluates: every point's states live in memory
-# at once (about 180 MB at this size).
+# The largest grid a sweep evaluates: every point's states and records live
+# in memory at once, and a sweep of this size peaks near 190 MB.
 MAX_SWEEP_STEPS = 100_000
 
 
