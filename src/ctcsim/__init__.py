@@ -43,7 +43,6 @@ from .heisenberg_model import (
     backpropagate_circuit_detailed,
     evaluate_expectation,
     heisenberg_bloch,
-    letter_expectation,
     overlap,
     tableau_from_unitary,
 )

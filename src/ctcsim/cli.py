@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import math
 import operator
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -229,13 +229,13 @@ def load_spec(target: str, args: argparse.Namespace) -> tuple[str, CircuitSpec]:
 # -- record production -------------------------------------------------------
 
 
-def records_for(name: str, alpha2: Sequence[float], theta: Sequence[float],
+def records_for(name: str, preps: Preparations,
                 db: DBBatch | None = None, heis: HeisenbergBatch | None = None,
                 compare_flags: str = "", trace_distance: float | None = None) -> list[RunRecord]:
-    """The records of N points, each point's db record before its heisenberg one.
+    """The records of N preparations, each point's db record before its heisenberg one.
 
-    alpha2 and theta give each point's preparation, and db and heis the N
-    results of each engine, or None for an engine that did not run.
+    db and heis give the N results of each engine, or None for an engine
+    that did not run.
     """
     missing = itertools.repeat(None)
     db_rows = missing if db is None else zip(
@@ -243,7 +243,8 @@ def records_for(name: str, alpha2: Sequence[float], theta: Sequence[float],
     heis_rows = missing if heis is None else zip(
         *(zip(heis.values[axis].tolist(), heis.statuses[axis]) for axis in ("x", "y", "z")))
     recs: list[RunRecord] = []
-    for a2, th, db_row, heis_row in zip(alpha2, theta, db_rows, heis_rows):
+    for a2, th, db_row, heis_row in zip(preps.alpha2.tolist(), preps.theta.tolist(),
+                                        db_rows, heis_rows):
         if db_row is not None:
             (x, y, z), residual, degenerate = db_row
             recs.append(RunRecord(
@@ -293,18 +294,26 @@ def emit(records: list[RunRecord], fmt: str, out) -> None:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_run(args) -> int:
-    name, spec = load_spec(args.target, args)
-    db = DBBatch.of(scenario.run_db(spec)) if args.model in ("db", "both") else None
-    heis = (HeisenbergBatch.of(scenario.run_heisenberg(spec))
+def _evaluate(name: str, spec: CircuitSpec, preps: Preparations, args) -> int:
+    """Run the engines that --model names on every preparation and emit the records."""
+    db = scenario.evaluate_db(spec, preps) if args.model in ("db", "both") else None
+    heis = (scenario.evaluate_heisenberg(spec, preps)
             if args.model in ("heisenberg", "both") else None)
-    emit(records_for(name, [spec.prep.alpha2], [spec.prep.theta], db, heis),
-         args.format, sys.stdout)
+    emit(records_for(name, preps, db, heis), args.format, sys.stdout)
     return 0
 
 
+def cmd_run(args) -> int:
+    """The one-point sweep: the spec's own preparation as a batch of one."""
+    name, spec = load_spec(args.target, args)
+    return _evaluate(name, spec, spec.prep.batch, args)
+
+
 def cmd_sweep(args) -> int:
-    """Compile the circuit once and evaluate it on the whole grid at once."""
+    """Evaluate the circuit on the whole grid at once; its words and loop
+    slices are compiled once, with the spec."""
+    if getattr(args, args.param) is not None:
+        raise ConfigError(f"--{args.param} is the swept parameter; give its range only")
     if not args.start < args.stop or not math.isfinite(args.stop - args.start):
         raise ConfigError(
             f"sweep range must be finite with from < to, got {args.start} .. {args.stop}")
@@ -315,19 +324,13 @@ def cmd_sweep(args) -> int:
         grid = np.linspace(args.start, args.stop, args.steps)
     preps = Preparations(**{"alpha2": spec.prep.alpha2, "theta": spec.prep.theta,
                             args.param: grid})
-    circuit = scenario.compile(spec)
-    db = scenario.evaluate_db(circuit, preps) if args.model in ("db", "both") else None
-    heis = (scenario.evaluate_heisenberg(circuit, preps)
-            if args.model in ("heisenberg", "both") else None)
-    emit(records_for(name, preps.alpha2.tolist(), preps.theta.tolist(), db, heis),
-         args.format, sys.stdout)
-    return 0
+    return _evaluate(name, spec, preps, args)
 
 
 def cmd_compare(args) -> int:
     name, spec = load_spec(args.target, args)
     report = scenario.compare(spec)
-    emit(records_for(name, [spec.prep.alpha2], [spec.prep.theta], DBBatch.of(report.db),
+    emit(records_for(name, spec.prep.batch, DBBatch.of(report.db),
                      HeisenbergBatch.of(report.heisenberg), ";".join(report.flags),
                      report.trace_distance),
          args.format, sys.stdout)
@@ -411,6 +414,7 @@ def _add_common(p: argparse.ArgumentParser, with_model: bool = True) -> None:
         p.add_argument("--model", choices=("db", "heisenberg", "both"), default="both")
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctcsim",

@@ -18,8 +18,10 @@ picking a representative.
 
 The direct solve runs on stacks of states: solve_chain_batch threads N
 preparations through a chain in one pass, with every check applied to
-every state, and solve_chain and solve_fixed_point(method="eigen") are its
-one-state case.  The iteration stays scalar, as the independent oracle.
+every state.  scenario.evaluate_db, the route every CLI command takes,
+feeds it the (u, loop slice) pair each block keeps.  solve_chain and
+solve_fixed_point(method="eigen") are its one-state case for direct
+callers.  The iteration stays scalar, as the independent oracle.
 """
 
 from __future__ import annotations

@@ -27,9 +27,10 @@ with non-negligible overlap is supported for two-label words.
 
 The whole circuit lives in the back-propagated words and the prepared state
 enters only at the final expectation, so evaluation has two steps:
-compile_words back-propagates each axis once per circuit, and
-evaluate_words takes the closed-form letter expectations of N preparations
-at once.  heisenberg_bloch is the one-state case.
+compile_words back-propagates each axis once per circuit (scenario keeps
+the result as CircuitSpec.words), and evaluate_words takes the closed-form
+letter expectations of N preparations at once.  heisenberg_bloch, the entry
+point on a bare HeisenbergCircuit, runs both steps for one state.
 """
 
 from __future__ import annotations
@@ -288,11 +289,6 @@ def backpropagate_circuit_detailed(
                 f"block recurrence for {word} has no period-1 resolution")
         word = apply_local(loc, res.upper_in)
     return word, results
-
-
-def letter_expectation(letter: PauliLetter, p: PureStateParams) -> float:
-    """Expectation of one letter in the prepared state (closed form)."""
-    return p.batch.pauli_expectations[0, PAULI_INDEX[letter]].item()
 
 
 def overlap(t: TimeDistribution) -> float:

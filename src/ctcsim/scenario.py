@@ -8,11 +8,11 @@ U_bar = SWAP U.  A block resolves U once and keeps, each compiled on first
 use, the slice of U's Pauli transfer matrix that the loop map reads and
 the Clifford table of U_bar.
 
-Evaluation has two steps.  compile(spec) holds what does not depend on the
-preparation: the blocks and, per axis, the back-propagated word.
-evaluate_db and evaluate_heisenberg then run that circuit on N
-preparations at once; run_db, run_heisenberg and compare are the N = 1
-case.
+What does not depend on the preparation is kept with the spec: the blocks'
+compiled parts and, per axis, the back-propagated word (CircuitSpec.words).
+evaluate_db and evaluate_heisenberg run a spec's circuit on N preparations
+at once, and are the only route from a spec to numbers; run_db,
+run_heisenberg and compare are the one-point case, on spec.prep.
 
 Gate names accept a "_swap" suffix meaning "followed by a swap", so the
 canonical interactions (a controlled gate chased by a swap) are expressible
@@ -113,6 +113,15 @@ class CircuitSpec:
             if name.lower() not in _LOCALS:
                 raise ScenarioError(f"unknown local gate {name!r}")
 
+    @functools.cached_property
+    def words(self) -> dict[str, TimedPauliWord | str]:
+        """Per axis, the back-propagated word or the status that stops it.
+
+        Compiled on first use; prep is not read.  A spec whose blocks are not
+        Clifford still runs through the density-matrix engine.
+        """
+        return heisenberg_model.compile_words(heisenberg_circuit(self), self.overlap)
+
 
 def local_matrix(name: str) -> np.ndarray:
     return standard_gate(_LOCALS[name.lower()])
@@ -154,43 +163,23 @@ def named_scenario(name: str, prep: PureStateParams | None = None,
                        overlap if overlap is not None else TimeDistribution.orthogonal())
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledCircuit:
-    """The preparation-independent part of a spec, each half compiled on
-    first use.  The density-matrix half is each block's u and loop, kept
-    with the block; the Heisenberg half is the words, kept here.  A spec
-    whose blocks are not Clifford still runs through the density-matrix
-    engine."""
-
-    spec: CircuitSpec
-
-    @functools.cached_property
-    def words(self) -> dict[str, TimedPauliWord | str]:
-        """Per axis, the back-propagated word or the status that stops it."""
-        return heisenberg_model.compile_words(heisenberg_circuit(self.spec), self.spec.overlap)
-
-
-def compile(spec: CircuitSpec) -> CompiledCircuit:
-    """The circuit of spec, to evaluate on any number of preparations; spec.prep is not read."""
-    return CompiledCircuit(spec)
-
-
-def evaluate_db(circuit: CompiledCircuit, preps: Preparations) -> DBBatch:
-    spec = circuit.spec
+def evaluate_db(spec: CircuitSpec, preps: Preparations) -> DBBatch:
+    """The circuit of spec on each preparation; spec.prep is not read."""
     return db_model.solve_chain_batch([(b.u, b.loop) for b in spec.blocks],
                                       [local_matrix(n) for n in spec.local_gates], preps)
 
 
-def evaluate_heisenberg(circuit: CompiledCircuit, preps: Preparations) -> HeisenbergBatch:
-    return heisenberg_model.evaluate_words(circuit.words, preps, circuit.spec.overlap)
+def evaluate_heisenberg(spec: CircuitSpec, preps: Preparations) -> HeisenbergBatch:
+    """The words of spec on each preparation; spec.prep is not read."""
+    return heisenberg_model.evaluate_words(spec.words, preps, spec.overlap)
 
 
 def run_db(spec: CircuitSpec) -> DBRun:
-    return evaluate_db(compile(spec), spec.prep.batch)[0]
+    return evaluate_db(spec, spec.prep.batch)[0]
 
 
 def run_heisenberg(spec: CircuitSpec) -> HeisenbergResult:
-    return heisenberg_model.heisenberg_bloch(heisenberg_circuit(spec), spec.prep, spec.overlap)
+    return evaluate_heisenberg(spec, spec.prep.batch)[0]
 
 
 @dataclass(frozen=True)

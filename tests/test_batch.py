@@ -28,11 +28,10 @@ class TestCompileOnce:
     # Config blocks are fresh per parse, so nothing is cached between runs:
     # the named scenarios' module-level blocks would compile once per process.
     CNOT = "prep.alpha2 = 0.75\nblock = cnot_swap\n"
+    CIRCUITS = pytest.mark.parametrize("circuit, blocks", [("cnot", 1), ("chained", 2)])
 
-    @pytest.mark.parametrize("steps", [11, 1001])
-    @pytest.mark.parametrize("circuit, blocks", [("cnot", 1), ("chained", 2)])
-    def test_sweep_compiles_each_block_once(self, tmp_path, monkeypatch, capsys,
-                                            circuit, blocks, steps):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = {"backpropagate_block": 0, "pauli_transfer": 0}
 
         def counted(module, name):
@@ -45,14 +44,31 @@ class TestCompileOnce:
 
         counted(heisenberg_model, "backpropagate_block")
         counted(db_model, "pauli_transfer")
-        if circuit == "cnot":
-            config = tmp_path / "cnot.cfg"
-            config.write_text(self.CNOT)
-        else:
-            config = CONFIGS / "chained.cfg"
-        assert cli.main(["sweep", "--config", str(config), "alpha2", "0", "1", str(steps),
-                         "--model", "both", "--format", "csv"]) == 0
+        return calls
+
+    def config(self, tmp_path, circuit):
+        if circuit == "chained":
+            return str(CONFIGS / "chained.cfg")
+        config = tmp_path / "cnot.cfg"
+        config.write_text(self.CNOT)
+        return str(config)
+
+    @pytest.mark.parametrize("steps", [11, 1001])
+    @CIRCUITS
+    def test_sweep_compiles_each_block_once(self, tmp_path, calls, capsys,
+                                            circuit, blocks, steps):
+        assert cli.main(["sweep", "--config", self.config(tmp_path, circuit), "alpha2", "0", "1",
+                         str(steps), "--model", "both", "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * steps
+        assert calls == {"backpropagate_block": blocks * AXES, "pauli_transfer": blocks}
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @CIRCUITS
+    def test_one_point_command_compiles_each_block_once(self, tmp_path, calls, capsys,
+                                                        circuit, blocks, command):
+        assert cli.main([command, "--config", self.config(tmp_path, circuit),
+                         "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2
         assert calls == {"backpropagate_block": blocks * AXES, "pauli_transfer": blocks}
 
 
@@ -96,17 +112,16 @@ def test_batch_is_n_single_evaluations(circuit, grid):
     blocks, local_gates = circuit
     alpha2, theta = grid
     spec = CircuitSpec(scenario.DEFAULT_PREP, blocks, local_gates)
-    compiled = scenario.compile(spec)
     preps = Preparations(np.array(alpha2), np.array(theta))
-    db = scenario.evaluate_db(compiled, preps)
-    heis = scenario.evaluate_heisenberg(compiled, preps)
+    db = scenario.evaluate_db(spec, preps)
+    heis = scenario.evaluate_heisenberg(spec, preps)
 
     singles = []
     for a2, th in zip(alpha2, theta):
         one = replace(spec, prep=PureStateParams(alpha2=a2, theta=th))
-        singles += cli.records_for("p", [a2], [th], DBBatch.of(scenario.run_db(one)),
+        singles += cli.records_for("p", one.prep.batch, DBBatch.of(scenario.run_db(one)),
                                    HeisenbergBatch.of(scenario.run_heisenberg(one)))
-    assert repr(cli.records_for("p", alpha2, theta, db, heis)) == repr(singles)
+    assert repr(cli.records_for("p", preps, db, heis)) == repr(singles)
 
     for n, (a2, th) in enumerate(zip(alpha2, theta)):
         if db.degenerate[n]:

@@ -10,6 +10,7 @@ from ctcsim.cli import (
     MAX_SWEEP_STEPS,
     RECORD_FIELDS,
     ConfigError,
+    build_parser,
     main,
     parse_config_text,
     parse_record_line,
@@ -35,6 +36,12 @@ def csv_records(out: str):
 
 
 class TestRun:
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        assert build_parser() is build_parser()
+        run_cli(capsys, "run", "cz", "--alpha2", "0.3", "--format", "records")
+        _, out, _ = run_cli(capsys, "run", "cz", "--format", "records")
+        assert all(" alpha2=0.75 " in line for line in out.splitlines()), out
+
     def test_cnot_both_models(self, capsys):
         code, out, _ = run_cli(capsys, "run", "cnot", "--alpha2", "0.75",
                                "--theta", "0", "--model", "both", "--format", "csv")
@@ -368,6 +375,9 @@ class TestInputBoundary:
         # a block line takes a gate name only
         ["run", "--config", ("prep.alpha2 = 0.75\nblock = cz bare\n", 2)],
         ["run", "--config", ("prep.alpha2 = 0.75\nblock = cnot_swap with_swap\n", 2)],
+        # a flag for the swept parameter itself
+        ["sweep", "cnot", "alpha2", "0", "1", "2", "--alpha2", "0.3"],
+        ["sweep", "cnot", "theta", "0", "1", "2", "--theta", "0.3"],
     ])
     def test_single_error_line(self, tmp_path, capsys, argv):
         config = next((arg for arg in argv if isinstance(arg, tuple)), None)
@@ -435,7 +445,7 @@ class TestErrorRoot:
         assert issubclass(cls, EngineError) and issubclass(cls, builtin)
 
     def test_engine_error_is_one_line_and_exit_1(self, capsys, monkeypatch):
-        def fail(spec):
+        def fail(spec, preps):
             raise FixedPointError("no fixed point", residual=1.0)
-        monkeypatch.setattr(scenario, "run_db", fail)
+        monkeypatch.setattr(scenario, "evaluate_db", fail)
         assert run_cli(capsys, "run", "cz") == (1, "", "engine error: no fixed point\n")

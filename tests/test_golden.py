@@ -52,6 +52,13 @@ CASES["sweep_cz_alpha2_gaussian"] = ["sweep", "cz", "alpha2", "0", "1", "11", "-
                                      "--tau", "1.0", "--format", "csv"]
 CASES["sweep_config_chained_theta"] = ["sweep", "--config", str(CONFIGS / "chained.cfg"),
                                        "theta", "0", PI, "11", "--format", "csv"]
+# run is the one-point sweep: one engine at a time, and the two other formats.
+CASES["run_cz_db"] = ["run", "cz", "--model", "db", "--format", "csv"]
+CASES["run_chained_cnot_hadamard_heisenberg"] = [
+    "run", "chained_cnot_hadamard", "--model", "heisenberg", "--alpha2", "0.3", "--theta", "2",
+    "--format", "csv"]
+for _fmt in ("table", "records"):
+    CASES[f"run_cnot_{_fmt}"] = ["run", "cnot", "--format", _fmt]
 for _name, _cfg in (("run_config_chained", CONFIGS / "chained.cfg"),
                     ("run_config_gaussian_cz", CONFIGS / "gaussian_cz.cfg"),
                     ("compare_config_chained", CONFIGS / "chained.cfg"),

@@ -14,7 +14,6 @@ from ctcsim.heisenberg_model import (
     backpropagate_circuit_detailed,
     evaluate_expectation,
     heisenberg_bloch,
-    letter_expectation,
     overlap,
     tableau_from_unitary,
     verify_block_result,
@@ -156,18 +155,20 @@ class TestBackpropagateCircuit:
 
 class TestLetterExpectation:
     def test_prepared_zero_state(self):
-        assert letter_expectation(L.Z, PureStateParams.from_alpha2(1.0)) == 1.0
+        assert evaluate_expectation(W.single(0, L.Z), PureStateParams.from_alpha2(1.0),
+                                    ORTHO) == (1.0, "ok")
 
     def test_x_value_frozen_oracle(self):
         # dense oracle <0| Us^dag X Us |0> at alpha^2 = 0.75, theta = 0
         # equals sqrt(3)/2 = 0.8660254037844386
         p = PureStateParams.from_alpha2(0.75, 0.0)
-        assert abs(letter_expectation(L.X, p) - 0.8660254037844386) < 1e-12
+        value, _ = evaluate_expectation(W.single(0, L.X), p, ORTHO)
+        assert abs(value - 0.8660254037844386) < 1e-12
 
     def test_y_vanishes_at_zero_phase(self, rng):
         for _ in range(20):
             p = PureStateParams.from_alpha2(rng.uniform(0, 1), 0.0)
-            assert letter_expectation(L.Y, p) == 0.0
+            assert evaluate_expectation(W.single(0, L.Y), p, ORTHO) == (0.0, "ok")
 
     def test_against_dense_conjugation(self, rng):
         ket0 = np.array([1, 0], dtype=complex)
@@ -176,7 +177,8 @@ class TestLetterExpectation:
             u = state_prep_unitary(p)
             for letter in (L.X, L.Y, L.Z, L.I):
                 dense = np.real(ket0 @ u.conj().T @ PAULI_BY_NAME[letter.value] @ u @ ket0)
-                assert abs(letter_expectation(letter, p) - dense) < 1e-12
+                value, _ = evaluate_expectation(W.single(0, letter), p, ORTHO)
+                assert abs(value - dense) < 1e-12
 
 
 class TestEvaluateExpectation:
@@ -239,7 +241,8 @@ class TestEvaluateExpectation:
         w = W.build(0, {0: L.X, 1: L.Z})
         value, _ = evaluate_expectation(w, p, t)
         om = overlap(t)
-        want = (1 - om) * letter_expectation(L.X, p) * letter_expectation(L.Z, p)
+        want = (1 - om) * evaluate_expectation(W.single(0, L.X), p, ORTHO)[0] \
+            * evaluate_expectation(W.single(0, L.Z), p, ORTHO)[0]
         assert abs(value - want) < 1e-12
 
     def test_imaginary_word_rejected(self):
