@@ -1,7 +1,8 @@
 """Compile once, evaluate the whole grid.
 
-A sweep compiles its circuit once, whatever the grid size: one loop slice
-per block, and one back-propagation per block and axis.  An N-point
+A sweep compiles its circuit once, whatever the grid size, and run and
+compare, its one-point cases, do the same: one loop slice per block, and one
+back-propagation per block and axis.  An N-point
 evaluation gives the records of N one-point evaluations, bit for bit, and
 its density-matrix components agree with the plain-iteration oracle.
 """
