@@ -19,7 +19,6 @@ from .db_model import (
     DBRun,
     DBSolution,
     ctc_map,
-    db_output,
     run_chain,
     solve_chain,
     solve_fixed_point,

@@ -132,11 +132,6 @@ def ctc_map(u: Mat4, rho_in: DensityMatrix, rho: DensityMatrix) -> DensityMatrix
     return partial_trace_first(_joint(u, rho_in, rho))
 
 
-def db_output(u: Mat4, rho_in: DensityMatrix, rho: DensityMatrix) -> DensityMatrix:
-    """State of the free qubit after the interaction: Tr_2[U (rho_in x rho) U^dag]."""
-    return partial_trace_second(_joint(u, rho_in, rho))
-
-
 def _spectral_norm_herm(m: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(m)), axis=-1)
 

@@ -25,18 +25,21 @@ negligible temporal overlap, so a cross-label product factorizes into
 per-label expectations in the prepared state.  A Gaussian temporal profile
 with non-negligible overlap is supported for two-label words.
 
-The whole circuit lives in the back-propagated words and the prepared state
-enters only at the final expectation, so evaluation has two steps:
-compile_words back-propagates each axis once per circuit (scenario keeps
-the result as CircuitSpec.words), and evaluate_words takes the closed-form
-letter expectations of N preparations at once.  heisenberg_bloch, the entry
-point on a bare HeisenbergCircuit, runs both steps for one state.
+The whole circuit lives in the back-propagated words; the prepared state and
+the temporal profile enter only at the final expectation.  So evaluation has
+two steps: compile_words back-propagates each axis, once per distinct circuit
+per process, and evaluate_words takes the closed-form letter expectations of
+N preparations at once.  heisenberg_bloch, the entry point on a bare
+HeisenbergCircuit, runs both steps for one state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -304,12 +307,6 @@ def overlap(t: TimeDistribution) -> float:
     return math.exp(-0.25 * x * x)
 
 
-def _check_overlap(w: TimedPauliWord, t: TimeDistribution) -> None:
-    if t.kind == "gaussian" and (w.tail is not None or len(w.head) > 2):
-        raise UnsupportedOverlapError(
-            "gaussian overlap evaluation supports at most two non-identity labels")
-
-
 def word_expectations(w: TimedPauliWord, preps: Preparations,
                       t: TimeDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Expectation of a hermitian word in each prepared state, and where it is defined.
@@ -324,7 +321,9 @@ def word_expectations(w: TimedPauliWord, preps: Preparations,
     """
     if not w.is_hermitian:
         raise ValueError(f"word must be hermitian, has phase i^{w.ipow}")
-    _check_overlap(w, t)
+    if t.kind == "gaussian" and (w.tail is not None or len(w.head) > 2):
+        raise UnsupportedOverlapError(
+            "gaussian overlap evaluation supports at most two non-identity labels")
     sign = float(w.sign)
     letters = preps.pauli_expectations
 
@@ -360,42 +359,45 @@ def evaluate_expectation(w: TimedPauliWord, p: PureStateParams,
     return (values[0].item(), "ok") if defined[0] else (None, "singular")
 
 
-def compile_words(circuit: HeisenbergCircuit,
-                  t: TimeDistribution) -> dict[str, TimedPauliWord | str]:
+@functools.cache
+def compile_words(circuit: HeisenbergCircuit) -> Mapping[str, TimedPauliWord | str]:
     """Each axis's observable back-propagated to the preparation point.
 
-    The words depend on the circuit and the overlap kind alone.  An axis
-    that hits a divergent phase, a singular recurrence or an unsupported
-    overlap is given by that status instead of a word.
+    The words depend on the circuit alone, so each distinct circuit is
+    compiled once per process and the read-only result is shared.  An axis
+    that hits a divergent phase or a singular recurrence is given by that
+    status instead of a word.
     """
     words: dict[str, TimedPauliWord | str] = {}
     for axis, letter in _AXES:
         try:
             word, _ = backpropagate_circuit_detailed(circuit, letter)
-            _check_overlap(word, t)
         except DivergentPhaseError:
             word = "divergent"
         except SingularRecurrenceError:
             word = "singular"
-        except UnsupportedOverlapError:
-            word = "unsupported"
         words[axis] = word
-    return words
+    return MappingProxyType(words)
 
 
-def evaluate_words(words: dict[str, TimedPauliWord | str], preps: Preparations,
+def evaluate_words(words: Mapping[str, TimedPauliWord | str], preps: Preparations,
                    t: TimeDistribution) -> HeisenbergBatch:
     """Evaluate compiled words on N preparations; a tail without a limit
-    marks its point singular."""
+    marks its point singular, and a word the overlap t cannot evaluate
+    marks every point unsupported."""
     values: dict[str, np.ndarray] = {}
     statuses: dict[str, list[str]] = {}
     for axis, word in words.items():
-        if isinstance(word, str):
-            values[axis] = np.full(len(preps), np.nan)
-            statuses[axis] = [word] * len(preps)
-        else:
-            values[axis], defined = word_expectations(word, preps, t)
-            statuses[axis] = ["ok" if d else "singular" for d in defined.tolist()]
+        if not isinstance(word, str):
+            try:
+                values[axis], defined = word_expectations(word, preps, t)
+            except UnsupportedOverlapError:
+                word = "unsupported"
+            else:
+                statuses[axis] = ["ok" if d else "singular" for d in defined.tolist()]
+                continue
+        values[axis] = np.full(len(preps), np.nan)
+        statuses[axis] = [word] * len(preps)
     return HeisenbergBatch(values, statuses)
 
 
@@ -408,4 +410,4 @@ def heisenberg_bloch(circuit: HeisenbergCircuit, p: PureStateParams,
     """
     if t is None:
         t = TimeDistribution.orthogonal()
-    return evaluate_words(compile_words(circuit, t), p.batch, t)[0]
+    return evaluate_words(compile_words(circuit), p.batch, t)[0]

@@ -8,11 +8,12 @@ U_bar = SWAP U.  A block resolves U once and keeps, each compiled on first
 use, the slice of U's Pauli transfer matrix that the loop map reads and
 the Clifford table of U_bar.
 
-What does not depend on the preparation is kept with the spec: the blocks'
-compiled parts and, per axis, the back-propagated word (CircuitSpec.words).
-evaluate_db and evaluate_heisenberg run a spec's circuit on N preparations
-at once, and are the only route from a spec to numbers; run_db,
-run_heisenberg and compare are the one-point case, on spec.prep.
+What does not depend on the preparation is compiled on first use: the blocks
+keep their compiled parts, and heisenberg_model.compile_words keeps, per
+distinct circuit, each axis's back-propagated word.  evaluate_db and
+evaluate_heisenberg run a spec's circuit on N preparations at once, and are
+the only route from a spec to numbers; run_db, run_heisenberg and compare
+are the one-point case, on spec.prep.
 
 Gate names accept a "_swap" suffix meaning "followed by a swap", so the
 canonical interactions (a controlled gate chased by a swap) are expressible
@@ -44,7 +45,7 @@ from .qlinalg import (
     QlinalgError,
     standard_gate,
 )
-from .timed_pauli import LOCAL_TABLES, Clifford, TimedPauliWord
+from .timed_pauli import LOCAL_TABLES, Clifford
 
 # The symbolic engine is exact, so the direct fixed-point solve dominates
 # the disagreement budget.
@@ -62,12 +63,13 @@ class ScenarioError(CtcsimError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSpec:
     """One wormhole block: a gate name ("<g>_swap" composes a swap after g) or a 4x4 matrix.
 
-    u, the interaction U, is resolved once.  loop, U's loop slice of its
-    Pauli transfer matrix (checked unitary), and clifford, the table of
+    u, the interaction U, is resolved once as a complex matrix, and blocks
+    with bitwise-equal u are equal.  loop, U's loop slice of its Pauli
+    transfer matrix (checked unitary), and clifford, the table of
     U_bar = SWAP @ U, are each compiled on first use and kept with the block.
     """
 
@@ -82,11 +84,17 @@ class BlockSpec:
                 mat = standard_gate(key[:-5] if follow_swap else key)
             except QlinalgError:  # name the value given, not the stripped name
                 raise QlinalgError(f"unknown gate name {self.gate!r}") from None
-        else:  # an anonymous matrix is its own gate
-            mat, follow_swap = np.array(self.gate), False  # a copy: u must not change
+        else:  # an anonymous matrix is its own gate; a copy, so u cannot change
+            mat, follow_swap = np.array(self.gate, dtype=complex), False
         if mat.shape != (4, 4):
             raise ScenarioError(f"block gate {self.gate!r} is not a two-qubit gate")
         object.__setattr__(self, "u", qlinalg.SWAP @ mat if follow_swap else mat)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BlockSpec) and self.u.tobytes() == other.u.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.u.tobytes())
 
     @functools.cached_property
     def loop(self) -> np.ndarray:
@@ -112,15 +120,6 @@ class CircuitSpec:
         for name in self.local_gates:
             if name.lower() not in _LOCALS:
                 raise ScenarioError(f"unknown local gate {name!r}")
-
-    @functools.cached_property
-    def words(self) -> dict[str, TimedPauliWord | str]:
-        """Per axis, the back-propagated word or the status that stops it.
-
-        Compiled on first use; prep is not read.  A spec whose blocks are not
-        Clifford still runs through the density-matrix engine.
-        """
-        return heisenberg_model.compile_words(heisenberg_circuit(self), self.overlap)
 
 
 def local_matrix(name: str) -> np.ndarray:
@@ -170,8 +169,9 @@ def evaluate_db(spec: CircuitSpec, preps: Preparations) -> DBBatch:
 
 
 def evaluate_heisenberg(spec: CircuitSpec, preps: Preparations) -> HeisenbergBatch:
-    """The words of spec on each preparation; spec.prep is not read."""
-    return heisenberg_model.evaluate_words(spec.words, preps, spec.overlap)
+    """The words of spec's circuit on each preparation; spec.prep is not read."""
+    return heisenberg_model.evaluate_words(
+        heisenberg_model.compile_words(heisenberg_circuit(spec)), preps, spec.overlap)
 
 
 def run_db(spec: CircuitSpec) -> DBRun:

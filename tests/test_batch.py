@@ -2,7 +2,9 @@
 
 A sweep compiles its circuit once, whatever the grid size, and run and
 compare, its one-point cases, do the same: one loop slice per block, and one
-back-propagation per block and axis.  An N-point
+back-propagation per block and axis.  The words of a circuit are compiled
+once per process, whatever the preparation or overlap, so repeated compares
+back-propagate only on a circuit's first use.  An N-point
 evaluation gives the records of N one-point evaluations, bit for bit, and
 its density-matrix components agree with the plain-iteration oracle.
 """
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 
 from ctcsim import cli, db_model, heisenberg_model, scenario
 from ctcsim.db_model import DBBatch, FixedPointError, solve_fixed_point
-from ctcsim.heisenberg_model import HeisenbergBatch
+from ctcsim.heisenberg_model import HeisenbergBatch, TimeDistribution
 from ctcsim.qlinalg import SWAP, Preparations, PureStateParams, bloch_from_density
 from ctcsim.scenario import BlockSpec, CircuitSpec
+from helpers import random_params
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 AXES = 3
@@ -45,6 +48,7 @@ class TestCompileOnce:
 
         counted(heisenberg_model, "backpropagate_block")
         counted(db_model, "pauli_transfer")
+        heisenberg_model.compile_words.cache_clear()  # words from earlier tests
         return calls
 
     def config(self, tmp_path, circuit):
@@ -71,6 +75,44 @@ class TestCompileOnce:
                          "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2
         assert calls == {"backpropagate_block": blocks * AXES, "pauli_transfer": blocks}
+
+    def test_repeated_compares_back_propagate_once_per_circuit(self, calls, rng):
+        # 150 compares, the three named scenarios in turn, each at its own
+        # preparation: only the first compare of a circuit back-propagates
+        names = scenario.scenario_names()
+        per_circuit = dict.fromkeys(names, 0)
+        for n in range(150):
+            before = calls["backpropagate_block"]
+            scenario.compare(scenario.named_scenario(names[n % 3], random_params(rng)))
+            per_circuit[names[n % 3]] += calls["backpropagate_block"] - before
+        assert per_circuit == {"cz": AXES, "cnot": AXES, "chained_cnot_hadamard": 2 * AXES}
+
+    def test_cached_words_serve_every_overlap(self):
+        # one circuit under orthogonal, gaussian, then orthogonal overlap:
+        # each evaluation equals one from freshly compiled words
+        preps = Preparations(np.linspace(0, 1, 5), 0.7)
+        overlaps = [TimeDistribution.orthogonal(), TimeDistribution.gaussian(0.5, 1.0),
+                    TimeDistribution.orthogonal()]
+        heisenberg_model.compile_words.cache_clear()
+        got = [scenario.evaluate_heisenberg(scenario.named_scenario("cz", overlap=t), preps)
+               for t in overlaps]
+        info = heisenberg_model.compile_words.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert got[1].statuses == {"x": ["unsupported"] * 5, "y": ["unsupported"] * 5,
+                                   "z": ["ok"] * 5}
+        for t, batch in zip(overlaps, got):
+            heisenberg_model.compile_words.cache_clear()
+            fresh = scenario.evaluate_heisenberg(scenario.named_scenario("cz", overlap=t), preps)
+            assert batch.statuses == fresh.statuses
+            for axis, values in batch.values.items():
+                np.testing.assert_array_equal(values, fresh.values[axis])
+
+    def test_compiled_words_are_read_only(self):
+        circuit = scenario.heisenberg_circuit(scenario.named_scenario("cnot"))
+        words = heisenberg_model.compile_words(circuit)
+        with pytest.raises(TypeError):
+            words["x"] = "singular"
+        assert heisenberg_model.compile_words(circuit) is words
 
 
 LOCALS = ("i2", "h", "s", "x", "y", "z")

@@ -40,10 +40,19 @@ def test_cli_sweep_job(tmp_path):
 
 def test_traced_compare_job(tmp_path):
     # one line per call: name, alpha2, theta, db x y z, heisenberg x y z,
-    # trace distance, flags; read here off the golden `compare cz` records
-    out, result = run_job({"kind": "compare", "calls": [["cz", 0.75, 0.0]], "trace": True},
-                          tmp_path)
-    _, db, heis = (line.split(",") for line in
-                   (GOLDEN / "compare_cz.txt").read_text().splitlines())
-    assert out == " ".join(["cz", *db[2:4], *db[4:7], *heis[4:7], db[10], db[9]]) + "\n"
+    # trace distance, flags; read here off the golden `compare` records of
+    # each named scenario at the default and at the theta preparation
+    cases = [(name, prep, golden) for name in ("cz", "cnot", "chained_cnot_hadamard")
+             for prep, golden in (((0.75, 0.0), name), ((0.3, 0.7), name + "_theta"))]
+    out, result = run_job({"kind": "compare", "calls": [[name, *prep] for name, prep, _ in cases],
+                           "trace": True}, tmp_path)
+    lines = out.splitlines()
+    assert len(lines) == len(cases)
+    for line, (_, _, golden) in zip(lines, cases):
+        _, db, heis = (row.split(",") for row in
+                       (GOLDEN / f"compare_{golden}.txt").read_text().splitlines())
+        assert line == " ".join([db[0], *db[2:4], *db[4:7], *heis[4:7], db[10], db[9]])
     assert result["trace"]["absent"] == []
+    # each circuit back-propagates once per block and axis, on its first call
+    recurrences = [span for span in result["trace"]["spans"] if span[1] == "heis.recurrence"]
+    assert len(recurrences) == 12

@@ -5,7 +5,6 @@ from ctcsim.db_model import (
     FixedPointError,
     _bloch_affine,
     ctc_map,
-    db_output,
     loop_transfer,
     run_chain,
     solve_chain,
@@ -196,12 +195,6 @@ class TestDbOutput:
                     -(a2b2**2) * two_ab * np.sin(2 * p.theta),
                     a2b2)
             assert np.max(np.abs(np.array(r.as_tuple()) - want)) < 1e-10
-
-    def test_db_output_function_matches_solution(self):
-        p = PureStateParams.from_alpha2(0.6, 0.2)
-        sol = solve_fixed_point(U_CNOT_SWAP, p.density())
-        assert np.max(np.abs(db_output(U_CNOT_SWAP, p.density(), sol.fixed_point)
-                             - sol.output)) < 1e-14
 
 
 class TestRunChain:

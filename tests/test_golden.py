@@ -40,6 +40,11 @@ for _name in ("cnot", "cz", "chained_cnot_hadamard"):
     CASES[f"compare_{_name}_theta"] = ["compare", _name, "--alpha2", "0.3", "--theta", "0.7",
                                        "--format", "csv"]
 CASES["run_cz_gaussian"] = ["run", "cz", "--d", "0.5", "--tau", "1.0", "--format", "csv"]
+# Gaussian overlap on words it cannot evaluate: the unsupported status.
+CASES["compare_cnot_gaussian"] = ["compare", "cnot", "--d", "1", "--tau", "0.5",
+                                  "--format", "csv"]
+CASES["compare_cz_gaussian"] = ["compare", "cz", "--d", "0.5", "--tau", "1.0",
+                                "--format", "csv"]
 # Sweeps whose every point must match the scalar evaluation bit for bit: a
 # 101-point grid where a batched pseudo-inverse would flip last bits, one
 # engine at a time, gaussian overlap, and a config circuit of two blocks.

@@ -69,6 +69,19 @@ class TestConventions:
         assert np.array_equal(BlockSpec("cnot_swap").u, SWAP @ CNOT)
         assert np.array_equal(BlockSpec("cz_swap").u, SWAP @ CZ)
 
+    def test_block_equality_is_the_interaction(self):
+        # a block is its interaction u, whether given as a matrix or by name
+        blocks = [BlockSpec(SWAP @ CNOT), BlockSpec("cnot_swap"), BlockSpec("CNOT_swap")]
+        assert all(b == blocks[0] and hash(b) == hash(blocks[0]) for b in blocks)
+        assert BlockSpec("cnot_swap") != BlockSpec("cz_swap")
+        assert BlockSpec(SWAP @ CNOT) != SWAP @ CNOT
+
+    def test_anonymous_block_spec_compares_and_hashes(self):
+        prep = PureStateParams.from_alpha2(0.3, 0.2)
+        specs = [spec_with([BlockSpec(SWAP @ CZ)], ["i2", "h"], prep) for _ in range(2)]
+        assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+        assert specs[0] != spec_with([BlockSpec(SWAP @ CNOT)], ["i2", "h"], prep)
+
     def test_unknown_gate(self):
         # the error names the value given, suffix included
         with pytest.raises(QlinalgError, match="unknown gate name 'xx_swap'"):
