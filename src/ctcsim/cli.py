@@ -13,8 +13,13 @@ parseable anywhere.  run, sweep and compare read a circuit:
 and geometry reads geometry.hi, geometry.ho, geometry.transit and
 geometry.c.  Each block line names one interaction gate.  Repeated "block"
 lines keep their order; no other key may repeat.  A refused value is
-reported with its line.  Values that cannot be evaluated are emitted as the
-literal token "singular" (never NaN).
+reported with its line.
+
+Every command but geometry and conjecture-check prints records: rows of the
+RECORD_FIELDS strings, as csv, key=value records or an aligned table.  A
+number is printed by repr, so float() reads it back exactly.  A value that
+cannot be evaluated is its status token, "singular", "divergent" or
+"unsupported" (never NaN), and a field an engine does not fill is empty.
 """
 
 from __future__ import annotations
@@ -22,11 +27,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import math
-import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 
@@ -37,61 +41,13 @@ from .qlinalg import CtcsimError, EngineError, Preparations, PureStateParams
 from .scenario import BlockSpec, CircuitSpec, GeometryConfig, TimeDistribution
 
 # The largest grid a sweep evaluates: every point's states and records live
-# in memory at once, and a sweep of this size peaks near 190 MB.
+# in memory at once.  A `sweep cnot --model both` of this size peaks near
+# 196 MB in each output format (Python 3.11, numpy 2.4).
 MAX_SWEEP_STEPS = 100_000
 
 
 class ConfigError(CtcsimError, ValueError):
     pass
-
-
-@dataclass
-class RunRecord:
-    scenario: str
-    model: str
-    alpha2: float
-    theta: float
-    x: float | str | None
-    y: float | str | None
-    z: float | str | None
-    residual: float | None = None
-    iterations: int | None = None
-    flags: str = ""
-    trace_distance: float | None = None
-
-    def values(self) -> list[str]:
-        return ["" if v is None else repr(v) if isinstance(v, float) else str(v)
-                for v in _record_values(self)]
-
-
-RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
-_record_values = operator.attrgetter(*RECORD_FIELDS)
-
-
-def parse_record_line(line: str) -> RunRecord:
-    """Inverse of the csv row serialization (used by tests and downstream tools)."""
-    parts = line.rstrip("\n").split(",")
-    if len(parts) != len(RECORD_FIELDS):
-        raise ConfigError(f"record line has {len(parts)} fields, expected {len(RECORD_FIELDS)}")
-    raw = dict(zip(RECORD_FIELDS, parts))
-
-    def num(key: str) -> float | str | None:
-        v = raw[key]
-        if v == "":
-            return None
-        if v == "singular" or v == "divergent" or v == "unsupported":
-            return v
-        return float(v)
-
-    return RunRecord(
-        scenario=raw["scenario"], model=raw["model"],
-        alpha2=float(raw["alpha2"]), theta=float(raw["theta"]),
-        x=num("x"), y=num("y"), z=num("z"),
-        residual=None if raw["residual"] == "" else float(raw["residual"]),
-        iterations=None if raw["iterations"] == "" else int(raw["iterations"]),
-        flags=raw["flags"],
-        trace_distance=None if raw["trace_distance"] == "" else float(raw["trace_distance"]),
-    )
 
 
 # -- config files ------------------------------------------------------------
@@ -229,37 +185,46 @@ def load_spec(target: str, args: argparse.Namespace) -> tuple[str, CircuitSpec]:
 # -- record production -------------------------------------------------------
 
 
+RECORD_FIELDS = ("scenario", "model", "alpha2", "theta", "x", "y", "z",
+                 "residual", "iterations", "flags", "trace_distance")
+
+
 def records_for(name: str, preps: Preparations,
                 db: DBBatch | None = None, heis: HeisenbergBatch | None = None,
-                compare_flags: str = "", trace_distance: float | None = None) -> list[RunRecord]:
-    """The records of N preparations, each point's db record before its heisenberg one.
+                compare_flags: str = "", trace_distance: float | None = None,
+                ) -> list[tuple[str, ...]]:
+    """The records of N preparations as rows of RECORD_FIELDS strings, each
+    point's db row before its heisenberg row.
 
     db and heis give the N results of each engine, or None for an engine
-    that did not run.
+    that did not run.  Each numeric column is formatted once, by repr; a
+    Heisenberg value whose status is not ok is that status, and an absent
+    value is "".
     """
-    missing = itertools.repeat(None)
-    db_rows = missing if db is None else zip(
-        db.bloch.tolist(), db.residual.tolist(), db.degenerate.tolist())
-    heis_rows = missing if heis is None else zip(
-        *(zip(heis.values[axis].tolist(), heis.statuses[axis]) for axis in ("x", "y", "z")))
-    recs: list[RunRecord] = []
-    for a2, th, db_row, heis_row in zip(preps.alpha2.tolist(), preps.theta.tolist(),
-                                        db_rows, heis_rows):
-        if db_row is not None:
-            (x, y, z), residual, degenerate = db_row
-            recs.append(RunRecord(
-                name, "db", a2, th, x, y, z,
-                residual=residual, iterations=0,  # the direct solve does not iterate
-                flags=_join_flags("degenerate" if degenerate else "", compare_flags),
-                trace_distance=trace_distance))
-        if heis_row is not None:
-            bad = sorted({status for _, status in heis_row if status != "ok"})
-            recs.append(RunRecord(
-                name, "heisenberg", a2, th,
-                *(value if status == "ok" else status for value, status in heis_row),
-                flags=_join_flags(";".join(bad), compare_flags),
-                trace_distance=trace_distance))
-    return recs
+    td = "" if trace_distance is None else repr(trace_distance)
+    alpha2, theta = _text(preps.alpha2), _text(preps.theta)
+    engines = []
+    if db is not None:
+        flags = tuple(_join_flags(degenerate, compare_flags) for degenerate in ("", "degenerate"))
+        engines.append(zip(
+            repeat(name), repeat("db"), alpha2, theta, *map(_text, db.bloch.T),
+            _text(db.residual), repeat("0"),  # the direct solve does not iterate
+            [flags[degenerate] for degenerate in db.degenerate.tolist()], repeat(td)))
+    if heis is not None:
+        statuses = [heis.statuses[axis] for axis in ("x", "y", "z")]
+        values = [[value if status == "ok" else status
+                   for value, status in zip(_text(heis.values[axis]), column)]
+                  for axis, column in zip(("x", "y", "z"), statuses)]
+        # one flags string per distinct (x, y, z) status triple
+        flags_of = functools.cache(lambda *point: _join_flags(
+            ";".join(sorted(set(point) - {"ok"})), compare_flags))
+        engines.append(zip(repeat(name), repeat("heisenberg"), alpha2, theta, *values,
+                           repeat(""), repeat(""), map(flags_of, *statuses), repeat(td)))
+    return [row for point in zip(*engines) for row in point]
+
+
+def _text(column: np.ndarray) -> list[str]:
+    return list(map(repr, column.tolist()))
 
 
 def _join_flags(*parts: str) -> str:
@@ -274,19 +239,18 @@ def _join_flags(*parts: str) -> str:
 # -- output formats ----------------------------------------------------------
 
 
-def emit(records: list[RunRecord], fmt: str, out) -> None:
+def emit(rows: list[tuple[str, ...]], fmt: str, out) -> None:
+    """Write rows of RECORD_FIELDS strings as csv, key=value records or an
+    aligned table, whose column widths are those of the longest cells."""
     if fmt == "csv":
-        out.write(",".join(RECORD_FIELDS) + "\n")
-        for r in records:
-            out.write(",".join(r.values()) + "\n")
+        out.writelines(",".join(row) + "\n" for row in [RECORD_FIELDS, *rows])
     elif fmt == "records":
-        for r in records:
-            out.write(" ".join(f"{k}={v}" for k, v in zip(RECORD_FIELDS, r.values())) + "\n")
+        line = " ".join(f"{key}={{}}" for key in RECORD_FIELDS) + "\n"
+        out.writelines(line.format(*row) for row in rows)
     elif fmt == "table":
-        rows = [RECORD_FIELDS] + [tuple(r.values()) for r in records]
+        rows = [RECORD_FIELDS, *rows]
         widths = [max(len(row[i]) for row in rows) for i in range(len(RECORD_FIELDS))]
-        for row in rows:
-            out.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
+        out.writelines("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in rows)
     else:
         raise ConfigError(f"unknown format {fmt!r}")
 

@@ -31,11 +31,22 @@ def run_job(job: dict, tmp_path) -> tuple[str, dict]:
     return proc.stdout, result
 
 
+SWEEP_ARGV = ["sweep", "cnot", "alpha2", "0", "1", "101", "--model", "both", "--theta", "1.9",
+              "--format", "csv"]
+
+
 def test_cli_sweep_job(tmp_path):
-    argv = ["sweep", "cnot", "alpha2", "0", "1", "101", "--model", "both", "--theta", "1.9",
-            "--format", "csv"]
-    out, _ = run_job({"kind": "cli", "argv": argv, "trace": False}, tmp_path)
+    out, _ = run_job({"kind": "cli", "argv": SWEEP_ARGV, "trace": False}, tmp_path)
     assert out == (GOLDEN / "sweep_cnot_alpha2_101_both.txt").read_text()
+
+
+def test_traced_cli_sweep_job(tmp_path):
+    # the tracer counts the records it sees passed to emit, one db and one
+    # heisenberg record per point
+    out, result = run_job({"kind": "cli", "argv": SWEEP_ARGV, "trace": True}, tmp_path)
+    assert out == (GOLDEN / "sweep_cnot_alpha2_101_both.txt").read_text()
+    assert result["trace"]["absent"] == []
+    assert result["trace"]["counts"]["cli.records"] == 202
 
 
 def test_traced_compare_job(tmp_path):

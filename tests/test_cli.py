@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from ctcsim.cli import (
     build_parser,
     main,
     parse_config_text,
-    parse_record_line,
 )
 from ctcsim.db_model import FixedPointError
 from ctcsim.heisenberg_model import NotCliffordError, UnsupportedOverlapError
@@ -29,10 +29,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def csv_records(out: str):
+def csv_records(out: str) -> list[dict[str, str]]:
+    """The csv rows of out, each a dict of its field strings by RECORD_FIELDS name."""
     lines = out.strip().splitlines()
     assert lines[0] == ",".join(RECORD_FIELDS)
-    return [parse_record_line(line) for line in lines[1:]]
+    return [dict(zip(RECORD_FIELDS, line.split(","), strict=True)) for line in lines[1:]]
 
 
 class TestRun:
@@ -47,30 +48,30 @@ class TestRun:
                                "--theta", "0", "--model", "both", "--format", "csv")
         assert code == 0
         records = csv_records(out)
-        assert [r.model for r in records] == ["db", "heisenberg"]
+        assert [r["model"] for r in records] == ["db", "heisenberg"]
         for r in records:
-            assert r.z == pytest.approx(0.25, abs=1e-9)
-            assert r.x == pytest.approx(0.0, abs=1e-9)
-            assert r.y == pytest.approx(0.0, abs=1e-9)
+            assert float(r["z"]) == pytest.approx(0.25, abs=1e-9)
+            assert float(r["x"]) == pytest.approx(0.0, abs=1e-9)
+            assert float(r["y"]) == pytest.approx(0.0, abs=1e-9)
 
     def test_cz_untouched_zero_state(self, capsys):
         code, out, _ = run_cli(capsys, "run", "cz", "--alpha2", "1.0",
                                "--model", "both", "--format", "csv")
         assert code == 0
         for r in csv_records(out):
-            assert r.z == pytest.approx(1.0, abs=1e-9)
+            assert float(r["z"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_chained_shows_the_split(self, capsys):
         code, out, _ = run_cli(capsys, "run", "chained_cnot_hadamard", "--alpha2", "0.75",
                                "--model", "both", "--format", "csv")
         assert code == 0
         db, heis = csv_records(out)
-        assert db.model == "db"
-        assert (db.x, db.y, db.z) == (
+        assert db["model"] == "db"
+        assert (float(db["x"]), float(db["y"]), float(db["z"])) == (
             pytest.approx(0, abs=1e-9), pytest.approx(0, abs=1e-9), pytest.approx(0, abs=1e-9))
-        assert heis.x == pytest.approx(math.sqrt(3) / 2, abs=1e-9)
-        assert heis.y == pytest.approx(0.0, abs=1e-9)
-        assert heis.z == pytest.approx(0.5, abs=1e-9)
+        assert float(heis["x"]) == pytest.approx(math.sqrt(3) / 2, abs=1e-9)
+        assert float(heis["y"]) == pytest.approx(0.0, abs=1e-9)
+        assert float(heis["z"]) == pytest.approx(0.5, abs=1e-9)
 
     def test_requires_target_or_config(self, capsys):
         with pytest.raises(SystemExit):
@@ -101,12 +102,12 @@ class TestSweep:
         assert len(records) == 101
         grid = np.linspace(0, 1, 101)
         for r, a2 in zip(records, grid):
-            assert r.alpha2 == pytest.approx(a2, abs=1e-12)
-            assert r.z == pytest.approx((2 * a2 - 1) ** 2, abs=1e-9)
-        balanced = [r for r in records if abs(r.alpha2 - 0.5) < 1e-12]
+            assert float(r["alpha2"]) == pytest.approx(a2, abs=1e-12)
+            assert float(r["z"]) == pytest.approx((2 * a2 - 1) ** 2, abs=1e-9)
+        balanced = [r for r in records if abs(float(r["alpha2"]) - 0.5) < 1e-12]
         assert len(balanced) == 1
-        assert balanced[0].x == "singular"
-        assert "singular" in balanced[0].flags
+        assert balanced[0]["x"] == "singular"
+        assert "singular" in balanced[0]["flags"]
 
     def test_cz_theta_sweep_balanced(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "cz", "theta", "0", str(math.pi), "5",
@@ -115,9 +116,9 @@ class TestSweep:
         records = csv_records(out)
         assert len(records) == 10  # 5 grid points x 2 models
         for r in records:
-            assert r.x == pytest.approx(0.0, abs=1e-9)
-            assert r.y == pytest.approx(0.0, abs=1e-9)
-            assert r.z == pytest.approx(0.0, abs=1e-9)
+            assert float(r["x"]) == pytest.approx(0.0, abs=1e-9)
+            assert float(r["y"]) == pytest.approx(0.0, abs=1e-9)
+            assert float(r["z"]) == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "cnot", "alpha2", "0.5", "0.5", "3")
@@ -160,7 +161,7 @@ class TestSweep:
     def test_rows_ordered_by_parameter(self, capsys):
         _, out, _ = run_cli(capsys, "sweep", "cz", "alpha2", "0", "1", "7",
                             "--model", "db", "--format", "csv")
-        values = [r.alpha2 for r in csv_records(out)]
+        values = [float(r["alpha2"]) for r in csv_records(out)]
         assert values == sorted(values)
 
 
@@ -170,8 +171,8 @@ class TestCompareCommand:
                                "--alpha2", "0.75", "--format", "csv")
         assert code == 0
         for r in csv_records(out):
-            assert "diverge" in r.flags
-            assert r.trace_distance == pytest.approx(0.5, abs=1e-9)
+            assert "diverge" in r["flags"]
+            assert float(r["trace_distance"]) == pytest.approx(0.5, abs=1e-9)
 
     def test_each_engine_runs_once(self, capsys, monkeypatch):
         calls = []
@@ -191,7 +192,7 @@ class TestCompareCommand:
                                "--theta", "0.4", "--format", "csv")
         assert code == 0
         for r in csv_records(out):
-            assert "agree" in r.flags
+            assert "agree" in r["flags"]
 
 
 class TestConfigFiles:
@@ -243,13 +244,33 @@ overlap.kind = orthogonal_limit
 
 class TestRecordsRoundTrip:
     def test_csv_round_trip(self, capsys):
-        _, out, _ = run_cli(capsys, "run", "cnot", "--alpha2", "0.3", "--theta", "0.2",
-                            "--model", "both", "--format", "csv")
-        records = csv_records(out)
-        # serialize again and compare field by field
-        lines = out.strip().splitlines()[1:]
-        for line, rec in zip(lines, records):
-            assert ",".join(rec.values()) == line
+        # every number is printed by repr, so float() reads back the same
+        # float, whose repr is the same field
+        numeric = set(RECORD_FIELDS) - {"scenario", "model", "iterations", "flags"}
+        tokens = ("", "singular", "divergent", "unsupported")
+        for argv in (["run", "cnot", "--alpha2", "0.3", "--theta", "0.2", "--model", "both"],
+                     ["sweep", "cnot", "alpha2", "0", "1", "11", "--theta", "0.2"],
+                     ["compare", "chained_cnot_hadamard", "--alpha2", "0.3"]):
+            _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+            fields = [r[key] for r in csv_records(out) for key in numeric if r[key] not in tokens]
+            assert fields
+            assert [repr(float(f)) for f in fields] == fields
+
+    def test_formats_carry_the_same_fields(self, capsys):
+        sweep = ["sweep", "cnot", "alpha2", "0", "1", "11", "--theta", "0.2"]
+        _, out, _ = run_cli(capsys, *sweep, "--format", "csv")
+        rows = [tuple(r.values()) for r in csv_records(out)]
+        _, out, _ = run_cli(capsys, *sweep, "--format", "records")
+        records = [tuple(cell.split("=", 1) for cell in line.split(" "))
+                   for line in out.splitlines()]
+        assert [tuple(key for key, _ in r) for r in records] == [RECORD_FIELDS] * len(rows)
+        assert [tuple(value for _, value in r) for r in records] == rows
+        _, out, _ = run_cli(capsys, *sweep, "--format", "table")
+        header, *lines = out.splitlines()
+        assert tuple(header.split()) == RECORD_FIELDS
+        starts = [word.start() for word in re.finditer(r"\S+", header)] + [None]
+        assert [tuple(line[a:b].strip() for a, b in zip(starts, starts[1:]))
+                for line in [header, *lines]] == [RECORD_FIELDS, *rows]
 
     def test_records_format_is_line_per_record(self, capsys):
         _, out, _ = run_cli(capsys, "run", "cnot", "--alpha2", "0.3",

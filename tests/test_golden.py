@@ -64,6 +64,16 @@ CASES["run_chained_cnot_hadamard_heisenberg"] = [
     "--format", "csv"]
 for _fmt in ("table", "records"):
     CASES[f"run_cnot_{_fmt}"] = ["run", "cnot", "--format", _fmt]
+# Many rows in table and records: status tokens next to numbers, empty
+# trailing table cells, the degenerate and singular flags, -0.0, and joined
+# flags whose order must hold (degenerate;singular beside singular;degenerate).
+CASES["sweep_cz_alpha2_gaussian_table"] = ["sweep", "cz", "alpha2", "0", "1", "5", "--d", "0.5",
+                                           "--tau", "1.0", "--format", "table"]
+CASES["sweep_cnot_alpha2_records"] = ["sweep", "cnot", "alpha2", "0", "1", "5",
+                                      "--format", "records"]
+CASES["compare_chained_cnot_hadamard_table"] = ["compare", "chained_cnot_hadamard",
+                                                "--format", "table"]
+CASES["compare_cnot_records"] = ["compare", "cnot", "--alpha2", "0.5", "--format", "records"]
 for _name, _cfg in (("run_config_chained", CONFIGS / "chained.cfg"),
                     ("run_config_gaussian_cz", CONFIGS / "gaussian_cz.cfg"),
                     ("compare_config_chained", CONFIGS / "chained.cfg"),
