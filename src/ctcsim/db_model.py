@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .qlinalg import (
     ATOL_SOLVER,
@@ -149,19 +150,40 @@ def _bloch_affine(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.
     return affine[..., 1:], affine[..., 0]
 
 
+def _lstsq_failed(err: str, flag: int) -> None:
+    raise FixedPointError("SVD did not converge in the fixed-point solve", residual=float("nan"))
+
+
+def _stacked_lstsq(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.lstsq(a[n], c[n], rcond=DEGENERACY_TOL) for every n, in one call.
+
+    Returns the solutions (N, 3), the ranks (N,) and the singular values
+    (N, 3).  This is one stacked LAPACK gelsd call through numpy's lstsq
+    kernel, the generalized ufunc that np.linalg.lstsq wraps for a single
+    system, run under the same error state; so every state's solution, rank
+    and singular values are bit for bit those of the public call.  It binds
+    the private name numpy.linalg._umath_linalg.lstsq, which
+    tests/test_db_model.py pins against np.linalg.lstsq.  A LAPACK failure
+    raises FixedPointError.
+    """
+    with np.errstate(call=_lstsq_failed, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        x, _, rank, svals = _umath_linalg.lstsq(a, c[..., None], DEGENERACY_TOL,
+                                                signature="ddd->ddid")
+    return x[..., 0], rank, svals
+
+
 def _solve_eigen(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Direct solve of (I - M) r = c for each state of a stack.
 
-    lstsq returns the minimum-norm solution on rank deficiency, which is the
-    maximum-entropy fixed point for a qubit (entropy decreases with |r|).  It
-    runs once per state: a batched pseudo-inverse rounds differently.
+    One stacked gelsd call, through a private numpy name (_stacked_lstsq),
+    solves the whole stack with the bits of a per-state np.linalg.lstsq.
+    It returns the minimum-norm solution on rank deficiency, which is the
+    maximum-entropy fixed point for a qubit (entropy decreases with |r|).
     """
     m, c = _bloch_affine(loop, rho_in)
     a = np.eye(3) - m
-    solutions = [np.linalg.lstsq(am, cm, rcond=DEGENERACY_TOL) for am, cm in zip(a, c)]
-    r = np.array([s[0] for s in solutions]).reshape(c.shape)
-    rank = np.array([s[2] for s in solutions])
-    svals = np.array([s[3] for s in solutions]).reshape(c.shape)
+    r, rank, svals = _stacked_lstsq(a, c)
     degenerate = (rank < 3) | (svals.min(axis=-1)
                                < DEGENERACY_TOL * np.maximum(svals.max(axis=-1), 1.0))
     miss = (a @ r[..., None])[..., 0] - c

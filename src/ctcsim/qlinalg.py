@@ -257,7 +257,7 @@ def assert_unitary(u: np.ndarray, atol: float = ATOL_STRUCT) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise QlinalgError(f"not a square matrix: shape {u.shape}")
     dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if dev > atol:
+    if not dev <= atol:  # NaN fails too
         raise QlinalgError(f"matrix is not unitary (deviation {dev:.3e})")
 
 
@@ -278,11 +278,11 @@ def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> None:
     if rho.shape[-2:] != (2, 2):
         raise QlinalgError(f"density matrix must be 2x2, got {rho.shape}")
     herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    _check_each(herm_dev > atol, herm_dev, "density matrix not hermitian (deviation {:.3e})")
+    _check_each(~(herm_dev <= atol), herm_dev, "density matrix not hermitian (deviation {:.3e})")
     tr_dev = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
-    _check_each(tr_dev > atol, tr_dev, "density matrix trace deviates from 1 by {:.3e}")
+    _check_each(~(tr_dev <= atol), tr_dev, "density matrix trace deviates from 1 by {:.3e}")
     low = np.linalg.eigvalsh(rho)[..., 0]
-    _check_each(low < -atol, low, "density matrix has negative eigenvalue {:.3e}")
+    _check_each(~(low >= -atol), low, "density matrix has negative eigenvalue {:.3e}")
 
 
 def bloch_coordinates(rho: np.ndarray) -> np.ndarray:
@@ -292,7 +292,7 @@ def bloch_coordinates(rho: np.ndarray) -> np.ndarray:
     assert_density(rho)
     r = np.trace(PAULIS[1:] @ rho[..., None, :, :], axis1=-2, axis2=-1).real
     norm = np.sqrt(np.sum(r * r, axis=-1))
-    _check_each(norm > 1.0 + 1e-9, norm, "Bloch vector norm {!r} exceeds 1")
+    _check_each(~(norm <= 1.0 + 1e-9), norm, "Bloch vector norm {!r} exceeds 1")
     return r
 
 

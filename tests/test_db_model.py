@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from ctcsim import cli, db_model, scenario
 from ctcsim.db_model import (
+    DEGENERACY_TOL,
     FixedPointError,
     _bloch_affine,
+    _solve_eigen,
+    _stacked_lstsq,
     ctc_map,
     loop_transfer,
     run_chain,
@@ -19,6 +23,7 @@ from ctcsim.qlinalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    Preparations,
     PureStateParams,
     QlinalgError,
     SWAP,
@@ -103,6 +108,83 @@ class TestBlochAffine:
             m, c = _bloch_affine(loop_transfer(u), rho_in)
             assert np.max(np.abs(c - want_c)) < 1e-14
             assert np.max(np.abs(m - want_m)) < 1e-14
+
+
+def per_point_lstsq(a, c):
+    """The public np.linalg.lstsq, one system at a time: the reference the
+    stacked solve must equal bit for bit."""
+    solutions = [np.linalg.lstsq(am, cm, rcond=DEGENERACY_TOL) for am, cm in zip(a, c)]
+    return (np.array([s[0] for s in solutions]).reshape(c.shape),
+            np.array([s[2] for s in solutions], dtype=np.int32),
+            np.array([s[3] for s in solutions]).reshape(c.shape))
+
+
+def assert_same_bits(a, c):
+    """_stacked_lstsq(a, c) equals per_point_lstsq(a, c) in every bit, signed
+    zeros included; returns the ranks."""
+    got, want = _stacked_lstsq(a, c), per_point_lstsq(a, c)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    return got[1]
+
+
+class TestStackedSolve:
+    """_stacked_lstsq binds numpy's private lstsq kernel; these tests pin it to
+    the public np.linalg.lstsq, so a numpy that renames or changes the kernel
+    fails here."""
+
+    @pytest.mark.parametrize("name", scenario.scenario_names())
+    def test_named_scenario_stacks(self, name, monkeypatch):
+        stacks = []
+
+        def recording(a, c):
+            stacks.append((a, c))
+            return _stacked_lstsq(a, c)
+
+        monkeypatch.setattr(db_model, "_stacked_lstsq", recording)
+        spec = scenario.named_scenario(name)
+        scenario.evaluate_db(spec, Preparations(np.linspace(0.0, 1.0, 101),
+                                                np.linspace(0.0, 6.0, 101)))
+        assert len(stacks) == len(spec.blocks)
+        for a, c in stacks:
+            assert_same_bits(a, c)
+
+    def test_random_clifford_blocks(self):
+        rng = np.random.default_rng(7)
+        rho = Preparations(rng.uniform(0, 1, 200), rng.uniform(0, 2 * np.pi, 200)).density()
+        deficient = 0
+        for _ in range(40):
+            m, c = _bloch_affine(loop_transfer(SWAP @ cli._random_clifford(rng)), rho)
+            deficient += (assert_same_bits(np.eye(3) - m, c) < 3).sum()
+        assert deficient > 0
+
+    def test_non_clifford_block(self, rng):
+        rho = np.array([random_density(rng) for _ in range(200)])
+        m, c = _bloch_affine(loop_transfer(random_unitary(rng, 4)), rho)
+        assert (assert_same_bits(np.eye(3) - m, c) == 3).all()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single_stacks(self, n):
+        rho = Preparations(np.full(n, 0.3), 0.4).density()
+        for u in (U_CNOT_SWAP, I4):
+            m, c = _bloch_affine(loop_transfer(u), rho)
+            assert_same_bits(np.eye(3) - m, c)
+
+    def test_lapack_failure_is_an_engine_error(self):
+        rho = Preparations(np.linspace(0, 1, 3), 0.0).density()
+        with pytest.raises(FixedPointError, match="did not converge"):
+            _solve_eigen(np.full((3, 4, 4), np.nan), rho)
+
+    def test_lapack_failure_exits_1_through_the_cli(self, monkeypatch, capfd):
+        def poisoned(loop, rho_in):
+            m, c = _bloch_affine(loop, rho_in)
+            return np.full_like(m, np.nan), c
+
+        monkeypatch.setattr(db_model, "_bloch_affine", poisoned)
+        assert cli.main(["run", "cnot"]) == 1
+        err = capfd.readouterr().err  # stdout holds LAPACK's own complaint
+        assert err == "engine error: SVD did not converge in the fixed-point solve\n"
 
 
 class TestSolveFixedPoint:

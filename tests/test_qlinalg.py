@@ -15,6 +15,8 @@ from ctcsim.qlinalg import (
     QlinalgError,
     SWAP,
     assert_density,
+    assert_unitary,
+    bloch_coordinates,
     bloch_from_density,
     density_from_bloch,
     partial_trace_first,
@@ -194,6 +196,18 @@ class TestDensityValidation:
         assert_density(stack[:2])
         with pytest.raises(QlinalgError, match="negative eigenvalue -5.000e-01"):
             assert_density(stack)
+
+    def test_nan_matrix_rejected(self, capfd):
+        # each test is written so that NaN fails it; none reaches LAPACK
+        with pytest.raises(QlinalgError, match="hermitian"):
+            assert_density(np.full((2, 2), np.nan))
+        with pytest.raises(QlinalgError, match="hermitian"):
+            assert_density(np.array([I2 / 2, np.full((2, 2), np.nan)]))
+        with pytest.raises(QlinalgError, match="hermitian"):
+            bloch_coordinates(np.full((2, 2), np.nan))
+        with pytest.raises(QlinalgError, match="not unitary"):
+            assert_unitary(np.full((4, 4), np.nan))
+        assert capfd.readouterr() == ("", "")
 
     def test_conjugation_preserves_density(self, rng):
         # unitary conjugation must keep hermiticity, trace and positivity

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctcsim import cli, scenario
-from ctcsim.db_model import DBRun
+from ctcsim.db_model import DBRun, solve_fixed_point
 from ctcsim.qlinalg import CNOT, CZ, PAULI_BY_NAME, PureStateParams, QlinalgError, SWAP
 from ctcsim.scenario import (
     BlockSpec,
@@ -222,6 +222,16 @@ class TestCompare:
             p = random_params(rng)
             report = compare(named_scenario("chained_cnot_hadamard", p))
             assert abs(report.trace_distance - 0.5 * p.bloch().norm()) < 1e-9
+
+
+def test_nan_inputs_end_in_qlinalg_error_before_lapack(capfd):
+    spec = spec_with([BlockSpec(np.full((4, 4), np.nan))], ["i2", "i2"],
+                     PureStateParams.from_alpha2(0.3))
+    for call in (lambda: run_db(spec), lambda: compare(spec),
+                 lambda: solve_fixed_point(SWAP @ CNOT, np.full((2, 2), np.nan))):
+        with pytest.raises(QlinalgError):
+            call()
+    assert capfd.readouterr() == ("", "")
 
 
 class TestGeometry:
