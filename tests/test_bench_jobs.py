@@ -10,6 +10,7 @@ corpus.
 """
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -38,6 +39,14 @@ SWEEP_ARGV = ["sweep", "cnot", "alpha2", "0", "1", "101", "--model", "both", "--
 def test_cli_sweep_job(tmp_path):
     out, _ = run_job({"kind": "cli", "argv": SWEEP_ARGV, "trace": False}, tmp_path)
     assert out == (GOLDEN / "sweep_cnot_alpha2_101_both.txt").read_text()
+
+
+def test_cli_chained_theta_sweep_job(tmp_path):
+    # two blocks with an H between them: every local-gate and joint step of the chain
+    argv = ["sweep", "chained_cnot_hadamard", "theta", "0", repr(math.pi), "101",
+            "--alpha2", "0.3", "--model", "both", "--format", "csv"]
+    out, _ = run_job({"kind": "cli", "argv": argv, "trace": False}, tmp_path)
+    assert out == (GOLDEN / "sweep_chained_cnot_hadamard_theta_101_both.txt").read_text()
 
 
 def test_traced_cli_sweep_job(tmp_path):

@@ -50,6 +50,11 @@ CASES["compare_cz_gaussian"] = ["compare", "cz", "--d", "0.5", "--tau", "1.0",
 # engine at a time, gaussian overlap, and a config circuit of two blocks.
 CASES["sweep_cnot_alpha2_101_both"] = ["sweep", "cnot", "alpha2", "0", "1", "101", "--model",
                                        "both", "--theta", "1.9", "--format", "csv"]
+# A 101-point theta grid of the two-block circuit: the H local between blocks
+# and every per-state step of the chain, on one stack.
+CASES["sweep_chained_cnot_hadamard_theta_101_both"] = [
+    "sweep", "chained_cnot_hadamard", "theta", "0", PI, "101", "--alpha2", "0.3",
+    "--model", "both", "--format", "csv"]
 for _model in ("db", "heisenberg"):
     CASES[f"sweep_cz_theta_{_model}"] = ["sweep", "cz", "theta", "0", PI, "11", "--alpha2", "0.3",
                                          "--model", _model, "--format", "csv"]
