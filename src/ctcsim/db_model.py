@@ -18,8 +18,13 @@ picking a representative.
 
 The direct solve runs on stacks of states: solve_chain_batch threads N
 preparations through a chain in one pass, with every check applied to
-every state.  scenario.evaluate_db, the route every CLI command takes,
-feeds it the (u, loop slice) pair each block keeps.  solve_chain and
+every state.  Each step is a fixed number of numpy calls per stack: the
+conjugations by the local gates and by U are two flat products each
+(qlinalg.conjugate), the fixed points one stacked least-squares call and
+the density checks closed forms.  Only the residual, whose bits are
+printed, still takes one LAPACK eigensolve per state.
+scenario.evaluate_db, the route every CLI command takes, feeds it the
+(u, loop slice) pair each block keeps.  solve_chain and
 solve_fixed_point(method="eigen") are its one-state case for direct
 callers.  The iteration stays scalar, as the independent oracle.
 """
@@ -46,6 +51,7 @@ from .qlinalg import (
     assert_density,
     assert_unitary,
     bloch_coordinates,
+    conjugate,
     density_from_bloch,
     partial_trace_first,
     partial_trace_second,
@@ -57,6 +63,7 @@ MAX_ITERS_DEFAULT = 100_000
 # Smallest singular value of (I - M) below which the fixed subspace is
 # treated as degenerate.
 DEGENERACY_TOL = 1e-8
+_I3 = np.eye(3)
 
 
 class FixedPointError(EngineError, RuntimeError):
@@ -125,7 +132,7 @@ def loop_transfer(u: Mat4) -> np.ndarray:
 
 def _joint(u: Mat4, rho_in: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """U (rho_in x rho) U^dag, for single states or stacks of them."""
-    return u @ tensor(rho_in, rho) @ u.conj().T
+    return conjugate(u, tensor(rho_in, rho))
 
 
 def ctc_map(u: Mat4, rho_in: DensityMatrix, rho: DensityMatrix) -> DensityMatrix:
@@ -182,7 +189,7 @@ def _solve_eigen(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.n
     maximum-entropy fixed point for a qubit (entropy decreases with |r|).
     """
     m, c = _bloch_affine(loop, rho_in)
-    a = np.eye(3) - m
+    a = _I3 - m
     r, rank, svals = _stacked_lstsq(a, c)
     degenerate = (rank < 3) | (svals.min(axis=-1)
                                < DEGENERACY_TOL * np.maximum(svals.max(axis=-1), 1.0))
@@ -287,14 +294,13 @@ def solve_chain_batch(blocks: Sequence[tuple[Mat4, np.ndarray]], local_gates: Se
     residual = np.zeros(len(preps))
     degenerate = np.zeros(len(preps), dtype=bool)
     for gate_before, (u, loop) in zip(local_gates, blocks):
-        rho = gate_before @ rho @ gate_before.conj().T
+        rho = conjugate(gate_before, rho)
         assert_density(rho)
         fixed, block_degenerate = _solve_eigen(loop, rho)
         block_residual, rho = _close_loop(u, rho, fixed, ATOL_SOLVER)
         residual = np.maximum(residual, block_residual)
         degenerate |= block_degenerate
-    last = local_gates[-1]
-    rho = last @ rho @ last.conj().T
+    rho = conjugate(local_gates[-1], rho)
     return DBBatch(rho, bloch_coordinates(rho), residual, degenerate)
 
 

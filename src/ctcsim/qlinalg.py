@@ -3,9 +3,13 @@
 Everything here is plain double-precision numpy on 2x2 and 4x4 arrays:
 states, gates, tensor products, partial traces and distance measures.
 The state helpers also take stacks of them, one per prepared state, and
-check each member.  This module is the numeric oracle the symbolic engine
-is checked against, so it stays deliberately dumb -- no sparsity, no
-n-qubit generality.  As the bottom of the import graph it also holds the
+check each member.  A stacked helper makes a fixed number of numpy calls
+per stack, not a BLAS or LAPACK call per member: conjugate forms two flat
+products, and the density checks and Bloch coordinates read the entries in
+closed form.  tests/test_qlinalg.py pins each closed form against the dense
+definition it replaces, bit for bit where its bits reach the output.  This
+module is the numeric oracle the symbolic engine is checked against, so it
+stays deliberately dumb -- no sparsity, no n-qubit generality.  As the bottom of the import graph it also holds the
 prepared states and the root of ctcsim's exceptions.
 """
 
@@ -229,6 +233,23 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape)
 
 
+def conjugate(g: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """g m g^dag for a d x d matrix m, or for each member of a stack (..., d, d).
+
+    Two flat products whatever the leading shape: g times the N members side
+    by side, (d, N*d), then the N products stacked, (N*d, d), times g^dag.
+    Each entry is the length-d dot product g @ m @ g.conj().T forms member
+    by member, so the bits are the same; tests/test_qlinalg.py pins that.
+    """
+    g, m = np.asarray(g), np.asarray(m)
+    d = m.shape[-1]
+    members = m.reshape(-1, d, d)
+    n = len(members)
+    side = g @ members.transpose(1, 0, 2).reshape(d, n * d)
+    stacked = side.reshape(d, n, d).transpose(1, 0, 2).reshape(n * d, d)
+    return (stacked @ g.conj().T).reshape(m.shape)
+
+
 def pauli_transfer(u: Mat4) -> np.ndarray:
     """Real Pauli transfer matrix R[k, l, i, j] = Tr[(s_k x s_l) U (s_i x s_j) U^dag] / 4.
 
@@ -256,7 +277,8 @@ def assert_unitary(u: np.ndarray, atol: float = ATOL_STRUCT) -> None:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise QlinalgError(f"not a square matrix: shape {u.shape}")
-    dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and overflow fail below
+        dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if not dev <= atol:  # NaN fails too
         raise QlinalgError(f"matrix is not unitary (deviation {dev:.3e})")
 
@@ -267,9 +289,17 @@ def _check_each(bad: np.ndarray, values: np.ndarray, message: str) -> None:
         raise QlinalgError(message.format(values[bad].flat[0].item()))
 
 
+def _lowest_eigenvalue(rho: np.ndarray) -> np.ndarray:
+    """The smaller eigenvalue of each hermitian 2x2 in a stack, in closed form
+    from the diagonal and the lower off-diagonal entry, the triangle eigvalsh reads."""
+    a, d = rho[..., 0, 0].real, rho[..., 1, 1].real
+    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(rho[..., 1, 0]))
+
+
 def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> None:
     """Check hermiticity, unit trace and positivity of a 2x2 matrix, or of
-    each in a stack (..., 2, 2); the first failing matrix is reported.
+    each in a stack (..., 2, 2); the first matrix that fails the first
+    failing check is reported.
 
     Asymmetry beyond tolerance is an error rather than being symmetrized away:
     a lopsided matrix here means an engine bug upstream.
@@ -277,11 +307,14 @@ def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> None:
     rho = np.asarray(rho)
     if rho.shape[-2:] != (2, 2):
         raise QlinalgError(f"density matrix must be 2x2, got {rho.shape}")
-    herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf, NaN and overflow fail below
+        herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        tr_dev = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
+        low = _lowest_eigenvalue(rho)
+    if ((herm_dev <= atol) & (tr_dev <= atol) & (low >= -atol)).all():
+        return
     _check_each(~(herm_dev <= atol), herm_dev, "density matrix not hermitian (deviation {:.3e})")
-    tr_dev = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
     _check_each(~(tr_dev <= atol), tr_dev, "density matrix trace deviates from 1 by {:.3e}")
-    low = np.linalg.eigvalsh(rho)[..., 0]
     _check_each(~(low >= -atol), low, "density matrix has negative eigenvalue {:.3e}")
 
 
@@ -290,7 +323,11 @@ def bloch_coordinates(rho: np.ndarray) -> np.ndarray:
     for a stack, each checked as a density matrix with a Bloch norm of at most 1."""
     rho = np.asarray(rho)
     assert_density(rho)
-    r = np.trace(PAULIS[1:] @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+    r = np.empty((*rho.shape[:-2], 3))
+    r[..., 0] = rho[..., 1, 0].real + rho[..., 0, 1].real
+    r[..., 1] = rho[..., 1, 0].imag - rho[..., 0, 1].imag
+    r[..., 2] = rho[..., 0, 0].real - rho[..., 1, 1].real
+    r += 0.0  # -0.0 -> 0.0, as the trace of the Pauli product sums it
     norm = np.sqrt(np.sum(r * r, axis=-1))
     _check_each(~(norm <= 1.0 + 1e-9), norm, "Bloch vector norm {!r} exceeds 1")
     return r

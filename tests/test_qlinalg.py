@@ -4,20 +4,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ctcsim import cli
 from ctcsim.qlinalg import (
     BlochVector,
     CNOT,
     CZ,
+    HADAMARD,
     I2,
     I4,
     PAULI_BY_NAME,
+    PAULIS,
+    PHASE_S,
+    Preparations,
     PureStateParams,
     QlinalgError,
     SWAP,
+    _lowest_eigenvalue,
     assert_density,
     assert_unitary,
     bloch_coordinates,
     bloch_from_density,
+    conjugate,
     density_from_bloch,
     partial_trace_first,
     partial_trace_second,
@@ -209,6 +216,25 @@ class TestDensityValidation:
             assert_unitary(np.full((4, 4), np.nan))
         assert capfd.readouterr() == ("", "")
 
+    def test_infinite_matrix_rejected_without_a_warning(self, capfd):
+        # inf - inf in a deviation is NaN; numpy must not warn about it first
+        inf = np.full((2, 2), np.inf)
+        with pytest.raises(QlinalgError, match="hermitian"):
+            assert_density(inf)
+        with pytest.raises(QlinalgError, match="hermitian"):
+            bloch_coordinates(inf)
+        with pytest.raises(QlinalgError, match="not unitary"):
+            assert_unitary(inf)
+        assert capfd.readouterr() == ("", "")
+
+    def test_overflowing_matrix_rejected_without_a_warning(self, capfd):
+        # u u^dag overflows to inf; that is a deviation too, not a warning
+        with pytest.raises(QlinalgError, match="not unitary"):
+            assert_unitary(np.full((4, 4), 1e200))
+        with pytest.raises(QlinalgError, match="trace"):
+            assert_density(np.diag([1e308, 1e308]).astype(complex))
+        assert capfd.readouterr() == ("", "")
+
     def test_conjugation_preserves_density(self, rng):
         # unitary conjugation must keep hermiticity, trace and positivity
         for _ in range(200):
@@ -221,6 +247,89 @@ class TestDensityValidation:
             u = random_unitary(rng, 4)
             big = u @ tensor(random_density(rng), random_density(rng)) @ u.conj().T
             assert abs(np.trace(partial_trace_first(big)) - 1.0) < 1e-12
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+LOCAL_GATES = {"I2": I2, "H": HADAMARD, "X": PAULI_BY_NAME["X"], "Y": PAULI_BY_NAME["Y"],
+               "Z": PAULI_BY_NAME["Z"], "S": PHASE_S}
+STACK_SIZES = [0, 1, 2, 101, 5000]
+
+
+def prepared_grid(n: int) -> np.ndarray:
+    """n prepared pure states whose alpha2 and theta grids include both ends."""
+    return Preparations(np.linspace(0.0, 1.0, n), np.linspace(0.0, 2.0 * np.pi, n)).density()
+
+
+def block_gates() -> list[np.ndarray]:
+    """cnot_swap, cz_swap, 40 seeded conjecture-check blocks and one non-Clifford."""
+    rng = np.random.default_rng(7)
+    cliffords = [SWAP @ cli._random_clifford(rng) for _ in range(40)]
+    return [SWAP @ CNOT, SWAP @ CZ, *cliffords, random_unitary(rng, 4)]
+
+
+class TestStackedKernels:
+    """Each stacked kernel against the dense form it replaces, bit for bit
+    (signed zeros included); a BLAS that breaks the identity fails here."""
+
+    @staticmethod
+    def dense_conjugate(g: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The stacked product conjugate replaces; up to 101 members it is
+        also checked member by member (a Python loop is slow at 5,000)."""
+        out = g @ m @ g.conj().T
+        for n in range(min(len(m), 101)):
+            assert same_bits(out[n], g @ m[n] @ g.conj().T)
+        return out
+
+    @pytest.mark.parametrize("n", STACK_SIZES)
+    def test_conjugate_local_gates(self, n):
+        rng = np.random.default_rng(n)
+        stacks = (prepared_grid(n), rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+        for name, gate in LOCAL_GATES.items():
+            for m in stacks:
+                assert same_bits(conjugate(gate, m), self.dense_conjugate(gate, m)), name
+
+    @pytest.mark.parametrize("n", STACK_SIZES)
+    def test_conjugate_block_gates(self, n):
+        rng = np.random.default_rng(n)
+        mixed = np.array([random_density(rng) for _ in range(n)]).reshape(n, 2, 2)
+        stacks = (tensor(prepared_grid(n), mixed),
+                  rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
+        for k, u in enumerate(block_gates()):
+            for m in stacks:
+                assert same_bits(conjugate(u, m), self.dense_conjugate(u, m)), k
+
+    def test_conjugate_single_matrix_and_leading_shape(self, rng):
+        m = rng.normal(size=(3, 5, 4, 4)) + 1j * rng.normal(size=(3, 5, 4, 4))
+        u = random_unitary(rng, 4)
+        assert same_bits(conjugate(u, m[1, 2]), u @ m[1, 2] @ u.conj().T)
+        assert same_bits(conjugate(u, m), self.dense_conjugate(u, m.reshape(15, 4, 4))
+                         .reshape(m.shape))
+
+    @pytest.mark.parametrize("n", STACK_SIZES)
+    def test_bloch_coordinates_match_pauli_traces(self, n):
+        # the grids reach alpha2 = 0 and 1, where entries are exact zeros of
+        # either sign; each local gate moves them to other entries
+        grid = prepared_grid(n)
+        for name, gate in LOCAL_GATES.items():
+            rho = conjugate(gate, grid)
+            dense = np.trace(PAULIS[1:] @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+            assert same_bits(bloch_coordinates(rho), dense), name
+
+    def test_bloch_coordinates_of_a_grid_of_grids(self):
+        rho = Preparations(np.repeat([0.0, 0.25, 1.0], 7),
+                           np.tile(np.linspace(-np.pi, np.pi, 7), 3)).density().reshape(3, 7, 2, 2)
+        dense = np.trace(PAULIS[1:] @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+        assert same_bits(bloch_coordinates(rho), dense)
+
+    def test_lowest_eigenvalue_matches_eigvalsh(self, rng):
+        mixed = np.array([random_density(rng) for _ in range(2000)])
+        for rho in (mixed, prepared_grid(5000), conjugate(HADAMARD, prepared_grid(101)),
+                    mixed - np.eye(2) / 4, I2 / 2, np.diag([1.5, -0.5]).astype(complex)):
+            gap = np.abs(_lowest_eigenvalue(rho) - np.linalg.eigvalsh(rho)[..., 0])
+            assert gap.max() <= 1e-15
 
 
 class TestPauliTransfer:

@@ -234,6 +234,16 @@ def test_nan_inputs_end_in_qlinalg_error_before_lapack(capfd):
     assert capfd.readouterr() == ("", "")
 
 
+def test_infinite_block_ends_in_qlinalg_error_without_a_warning(capfd):
+    # U U^dag of an infinite block is NaN; numpy must not warn before the refusal
+    spec = spec_with([BlockSpec(np.full((4, 4), np.inf))], ["i2", "i2"],
+                     PureStateParams.from_alpha2(0.3))
+    for call in (lambda: run_db(spec), lambda: compare(spec)):
+        with pytest.raises(QlinalgError, match="not unitary"):
+            call()
+    assert capfd.readouterr() == ("", "")
+
+
 class TestGeometry:
     def test_comfortable_margin(self):
         g = GeometryConfig(hi_position=(0.0, 0.0), ho_position=(3e8, 0.0),
