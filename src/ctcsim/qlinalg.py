@@ -9,8 +9,9 @@ products, and the density checks and Bloch coordinates read the entries in
 closed form.  tests/test_qlinalg.py pins each closed form against the dense
 definition it replaces, bit for bit where its bits reach the output.  This
 module is the numeric oracle the symbolic engine is checked against, so it
-stays deliberately dumb -- no sparsity, no n-qubit generality.  As the bottom of the import graph it also holds the
-prepared states and the root of ctcsim's exceptions.
+stays deliberately dumb -- no sparsity, no n-qubit generality.  As the
+bottom of the import graph it also holds the prepared states and the root
+of ctcsim's exceptions.
 """
 
 from __future__ import annotations
@@ -256,8 +257,7 @@ def pauli_transfer(u: Mat4) -> np.ndarray:
     Column ij holds the Pauli coordinates of U (s_i x s_j) U^dag, row kl those
     of U^dag (s_k x s_l) U; for a Clifford, R is a signed permutation.
     """
-    u = np.asarray(u)
-    images = u @ PAULI_PAIRS @ u.conj().T
+    images = conjugate(u, PAULI_PAIRS)
     return np.einsum("klab,ijba->klij", PAULI_PAIRS, images).real / 4.0
 
 
@@ -327,7 +327,7 @@ def bloch_coordinates(rho: np.ndarray) -> np.ndarray:
     r[..., 0] = rho[..., 1, 0].real + rho[..., 0, 1].real
     r[..., 1] = rho[..., 1, 0].imag - rho[..., 0, 1].imag
     r[..., 2] = rho[..., 0, 0].real - rho[..., 1, 1].real
-    r += 0.0  # -0.0 -> 0.0, as the trace of the Pauli product sums it
+    r += 0.0  # -0.0 -> 0.0: the trace of the Pauli product adds exact zeros too
     norm = np.sqrt(np.sum(r * r, axis=-1))
     _check_each(~(norm <= 1.0 + 1e-9), norm, "Bloch vector norm {!r} exceeds 1")
     return r
