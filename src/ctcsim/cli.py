@@ -41,8 +41,8 @@ from .qlinalg import CtcsimError, EngineError, Preparations, PureStateParams
 from .scenario import BlockSpec, CircuitSpec, GeometryConfig, TimeDistribution
 
 # The largest grid a sweep evaluates: every point's states and records live
-# in memory at once.  A `sweep cnot --model both` of this size peaks near
-# 176 MB in csv, table and records alike (Python 3.11, numpy 2.4).
+# in memory at once.  A `sweep cnot --model both` of this size peaks at
+# 171 MB in csv, table and records alike (Python 3.11, numpy 2.4).
 MAX_SWEEP_STEPS = 100_000
 
 
