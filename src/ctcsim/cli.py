@@ -27,10 +27,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import math
 import sys
 from dataclasses import replace
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -41,8 +42,9 @@ from .qlinalg import CtcsimError, EngineError, Preparations, PureStateParams
 from .scenario import BlockSpec, CircuitSpec, GeometryConfig, TimeDistribution
 
 # The largest grid a sweep evaluates: every point's states and records live
-# in memory at once.  A `sweep cnot --model both` of this size peaks at
-# 171 MB in csv, table and records alike (Python 3.11, numpy 2.4).
+# in memory at once.  A `sweep cnot --model both` of this size, written to a
+# pipe, peaks at 169 MB in csv, table and records alike (Python 3.11, numpy
+# 2.4); the peak is reached before the first line is written.
 MAX_SWEEP_STEPS = 100_000
 
 
@@ -224,6 +226,10 @@ def records_for(name: str, preps: Preparations,
 
 
 def _text(column: np.ndarray) -> list[str]:
+    """repr of each value.  A broadcast column, the parameter a sweep holds
+    fixed, has one value, so it is formatted once and repeated."""
+    if column.strides == (0,) and len(column):
+        return [repr(column[0].item())] * len(column)
     return list(map(repr, column.tolist()))
 
 
@@ -239,20 +245,31 @@ def _join_flags(*parts: str) -> str:
 # -- output formats ----------------------------------------------------------
 
 
+# emit joins this many lines into each write: an unbuffered stdout (python -u,
+# PYTHONUNBUFFERED) makes a system call of every write.
+EMIT_LINES = 4096
+
+
 def emit(rows: list[tuple[str, ...]], fmt: str, out) -> None:
     """Write rows of RECORD_FIELDS strings as csv, key=value records or an
-    aligned table, whose column widths are those of the longest cells."""
+    aligned table, whose column widths are those of the longest cells.
+
+    The lines are built lazily and written EMIT_LINES at a time, one write
+    call each.
+    """
     if fmt == "csv":
-        out.writelines(",".join(row) + "\n" for row in [RECORD_FIELDS, *rows])
+        lines = (",".join(row) + "\n" for row in [RECORD_FIELDS, *rows])
     elif fmt == "records":
         line = " ".join(f"{key}={{}}" for key in RECORD_FIELDS) + "\n"
-        out.writelines(line.format(*row) for row in rows)
+        lines = (line.format(*row) for row in rows)
     elif fmt == "table":
         rows = [RECORD_FIELDS, *rows]
         widths = [max(len(row[i]) for row in rows) for i in range(len(RECORD_FIELDS))]
-        out.writelines("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in rows)
+        lines = ("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in rows)
     else:
         raise ConfigError(f"unknown format {fmt!r}")
+    while chunk := "".join(islice(lines, EMIT_LINES)):
+        out.write(chunk)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -418,6 +435,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Every object that exists when the command starts is frozen out of the
+    cyclic collector until it ends, however it ends, so the command's
+    collections scan only what it allocates.  A caller that has frozen its
+    own heap keeps its freeze, and the collector is left alone.
+    """
+    if gc.get_freeze_count():
+        return _run(argv)
+    gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "target", None) == "" and not getattr(args, "config", None):

@@ -1,3 +1,5 @@
+import gc
+import io
 import math
 import re
 import warnings
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctcsim import scenario
+from ctcsim import cli, scenario
 from ctcsim.cli import (
     MAX_SWEEP_STEPS,
     RECORD_FIELDS,
@@ -17,7 +19,7 @@ from ctcsim.cli import (
 )
 from ctcsim.db_model import FixedPointError
 from ctcsim.heisenberg_model import NotCliffordError, UnsupportedOverlapError
-from ctcsim.qlinalg import CtcsimError, EngineError, QlinalgError
+from ctcsim.qlinalg import CtcsimError, EngineError, Preparations, QlinalgError
 from ctcsim.scenario import BlockSpec, ScenarioError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -163,6 +165,19 @@ class TestSweep:
                             "--model", "db", "--format", "csv")
         values = [float(r["alpha2"]) for r in csv_records(out)]
         assert values == sorted(values)
+
+    @pytest.mark.parametrize("swept, fixed", [("theta", "alpha2"), ("alpha2", "theta")])
+    def test_fixed_parameter_is_formatted_once(self, capsys, monkeypatch, swept, fixed):
+        # the parameter a sweep holds fixed is a broadcast column, whose one
+        # repr is repeated; -0.0 keeps its sign either way
+        preps = Preparations(**{fixed: -0.0, swept: np.linspace(0, 1, 5)})
+        assert getattr(preps, fixed).strides == (0,)
+        assert len(set(map(id, cli._text(getattr(preps, fixed))))) == 1
+        argv = ["sweep", "cnot", swept, "0", "1", "101", f"--{fixed}", "-0.0", "--format", "csv"]
+        _, out, _ = run_cli(capsys, *argv)
+        assert {r[fixed] for r in csv_records(out)} == {"-0.0"}
+        monkeypatch.setattr(cli, "_text", lambda column: list(map(repr, column.tolist())))
+        assert run_cli(capsys, *argv) == (0, out, "")
 
 
 class TestCompareCommand:
@@ -470,3 +485,100 @@ class TestErrorRoot:
             raise FixedPointError("no fixed point", residual=1.0)
         monkeypatch.setattr(scenario, "evaluate_db", fail)
         assert run_cli(capsys, "run", "cz") == (1, "", "engine error: no fixed point\n")
+
+
+def fail_db(spec, preps):
+    raise FixedPointError("no fixed point", residual=1.0)
+
+
+class TestCollector:
+    """main runs each command with the heap that existed before it frozen out
+    of the cyclic collector, and leaves the collector as it found it."""
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["sweep", "cz", "alpha2", "0", "1", "5"], 0, ""),
+        (["run", "nonsense"], 2, "error: "),
+        (["run", "cz", "--model", "db"], 1, "engine error: "),
+    ])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_is_restored(self, capsys, monkeypatch, argv, code, err, enabled):
+        monkeypatch.setattr(scenario, "evaluate_db", fail_db if code == 1 else
+                            scenario.evaluate_db)
+        if not enabled:
+            gc.disable()
+        try:
+            result = run_cli(capsys, *argv)
+            assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+        finally:
+            gc.enable()
+        assert result[0] == code and result[2].startswith(err)
+
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "cz", "alpha2"], ["--help"]])
+    def test_collector_is_restored_after_argparse_exits(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        capsys.readouterr()
+        assert (gc.get_freeze_count(), gc.isenabled()) == (0, True)
+
+    def test_command_runs_with_the_prior_heap_frozen(self, capsys, monkeypatch):
+        marker = []  # a tracked object made before the command
+        seen = []
+
+        def load_spec(target, args):
+            seen.append((gc.get_freeze_count(), any(o is marker for o in gc.get_objects())))
+            return original(target, args)
+        original = cli.load_spec
+        monkeypatch.setattr(cli, "load_spec", load_spec)
+        assert run_cli(capsys, "run", "cz")[0] == 0
+        [(frozen, marker_collectable)] = seen
+        assert frozen > 0 and not marker_collectable
+        assert any(o is marker for o in gc.get_objects())
+
+    def test_callers_freeze_is_kept(self, capsys):
+        # frozen objects freed meanwhile leave the count, so the marker is the witness
+        marker = []
+        gc.freeze()
+        try:
+            assert run_cli(capsys, "run", "cz")[0] == 0
+            assert gc.get_freeze_count() > 0
+            assert not any(o is marker for o in gc.get_objects())
+        finally:
+            gc.unfreeze()
+
+
+class CountingStream(io.StringIO):
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+class TestEmitChunks:
+    """emit writes EMIT_LINES lines per write call, the same bytes as one
+    write per line."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        preps = Preparations(alpha2=np.linspace(0, 1, 2), theta=0.3)
+        spec = scenario.named_scenario("cnot")
+        return cli.records_for("cnot", preps, scenario.evaluate_db(spec, preps),
+                               scenario.evaluate_heisenberg(spec, preps))
+
+    def emitted(self, monkeypatch, rows, fmt, lines_per_write):
+        monkeypatch.setattr(cli, "EMIT_LINES", lines_per_write)
+        out = CountingStream()
+        cli.emit(rows, fmt, out)
+        return out.getvalue(), out.writes
+
+    @pytest.mark.parametrize("fmt, header", [("csv", 1), ("records", 0), ("table", 1)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])  # 0, 1 and EMIT_LINES - 1 .. + 1 rows
+    def test_one_write_per_slice(self, monkeypatch, rows, fmt, header, n):
+        per_slice = 3
+        lines = n + header
+        text, writes = self.emitted(monkeypatch, rows[:n], fmt, per_slice)
+        assert writes == -(-lines // per_slice)
+        assert self.emitted(monkeypatch, rows[:n], fmt, 1) == (text, lines)
+        assert text.count("\n") == lines
