@@ -279,8 +279,8 @@ def tableau_from_unitary(u: np.ndarray) -> Clifford:
 
     The image of a Pauli string P is its row of the Pauli transfer matrix (a
     one-qubit U is read as U x I).  The row's largest entry names the
-    candidate signed string, which must then match U^dag P U densely within
-    1e-9, or the gate is not Clifford.
+    candidate signed string, which must then match U^dag P U densely, each
+    entry within 1e-9 in absolute value, or the gate is not Clifford.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape not in ((2, 2), (4, 4)):
@@ -295,7 +295,7 @@ def tableau_from_unitary(u: np.ndarray) -> Clifford:
     best = np.abs(ptm).argmax(axis=1)
     signs = np.sign(ptm[np.arange(len(rows)), best])
     dense = u.conj().T @ paulis[rows] @ u
-    exact = np.isclose(dense, signs[:, None, None] * paulis[best], atol=1e-9).all(axis=(1, 2))
+    exact = (np.abs(dense - signs[:, None, None] * paulis[best]) <= 1e-9).all(axis=(1, 2))
     letters = tuple(_L)
     if not exact.all():
         row = rows[np.argmin(exact)]

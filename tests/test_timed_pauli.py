@@ -255,6 +255,18 @@ class TestApplyLocal:
             with pytest.raises(NotCliffordError):
                 tableau_from_unitary(gate @ kick)
 
+    @pytest.mark.parametrize("eps", [1e-7, 5e-6, 2e-5])
+    def test_near_clifford_refused(self, eps):
+        # every image entry must match within 1e-9 absolutely: a relative
+        # tolerance of 1e-5 on the unit entries once let eps up to 5e-6 pass
+        gate = SWAP @ CNOT @ np.diag([1, 1, 1, np.exp(1j * eps)])
+        with pytest.raises(NotCliffordError):
+            tableau_from_unitary(gate)
+
+    def test_clifford_within_tolerance_accepted(self):
+        gate = SWAP @ CNOT @ np.diag([1, 1, 1, np.exp(1e-10j)])
+        assert tableau_from_unitary(gate) == tableau_from_unitary(SWAP @ CNOT)
+
 
 # -- rendering ---------------------------------------------------------------
 
