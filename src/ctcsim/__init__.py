@@ -9,10 +9,8 @@ agree on single-wormhole circuits and split on chained ones.
 from .qlinalg import (
     BlochVector,
     PureStateParams,
-    bloch_from_density,
     density_from_bloch,
     standard_gate,
-    state_prep_unitary,
     trace_distance,
 )
 from .db_model import (

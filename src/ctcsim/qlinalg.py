@@ -206,17 +206,6 @@ class BlochVector:
         return (self.rx, self.ry, self.rz)
 
 
-def state_prep_unitary(p: PureStateParams) -> Mat2:
-    """Unitary sending |0> to the prepared state: a Z-phase after a real Y-rotation.
-
-    The rotation block is [[alpha, -beta], [beta, alpha]], i.e. alpha*I - i*beta*Y,
-    so the |0> column is exactly (alpha e^{i theta}, beta e^{-i theta}).
-    """
-    rot = np.array([[p.alpha, -p.beta], [p.beta, p.alpha]], dtype=complex)
-    zphase = np.diag([np.exp(1j * p.theta), np.exp(-1j * p.theta)])
-    return zphase @ rot
-
-
 def standard_gate(name: str) -> np.ndarray:
     """Look up a standard gate matrix by name (I2, I4, X, Y, Z, H, S, CNOT, CZ, SWAP)."""
     key = name.upper()
@@ -331,10 +320,6 @@ def bloch_coordinates(rho: np.ndarray) -> np.ndarray:
     norm = np.sqrt(np.sum(r * r, axis=-1))
     _check_each(~(norm <= 1.0 + 1e-9), norm, "Bloch vector norm {!r} exceeds 1")
     return r
-
-
-def bloch_from_density(rho: DensityMatrix) -> BlochVector:
-    return BlochVector(*bloch_coordinates(rho).tolist())
 
 
 def density_from_bloch(r: BlochVector | np.ndarray) -> np.ndarray:

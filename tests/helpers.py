@@ -7,7 +7,7 @@ QR-sampled unitaries.  Keep it dumb.
 
 import numpy as np
 
-from ctcsim.qlinalg import PAULI_BY_NAME, PureStateParams
+from ctcsim.qlinalg import PAULI_BY_NAME, BlochVector, PureStateParams, bloch_coordinates
 from ctcsim.timed_pauli import TimedPauliWord
 
 
@@ -26,6 +26,22 @@ def random_density(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
 def random_params(rng: np.random.Generator) -> PureStateParams:
     alpha2 = rng.uniform(0.0, 1.0)
     return PureStateParams.from_alpha2(alpha2, rng.uniform(0.0, 2.0 * np.pi))
+
+
+def state_prep_unitary(p: PureStateParams) -> np.ndarray:
+    """Unitary sending |0> to the prepared state: a Z-phase after a real Y-rotation.
+
+    The rotation block is [[alpha, -beta], [beta, alpha]], i.e. alpha*I - i*beta*Y,
+    so the |0> column is exactly (alpha e^{i theta}, beta e^{-i theta}).
+    """
+    rot = np.array([[p.alpha, -p.beta], [p.beta, p.alpha]], dtype=complex)
+    zphase = np.diag([np.exp(1j * p.theta), np.exp(-1j * p.theta)])
+    return zphase @ rot
+
+
+def bloch_from_density(rho: np.ndarray) -> BlochVector:
+    """The checked Bloch vector of one density matrix."""
+    return BlochVector(*bloch_coordinates(rho).tolist())
 
 
 def pt_first_loops(m: np.ndarray) -> np.ndarray:

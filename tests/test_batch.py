@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from ctcsim import cli, db_model, heisenberg_model, scenario
 from ctcsim.db_model import DBBatch, FixedPointError, solve_fixed_point
 from ctcsim.heisenberg_model import HeisenbergBatch, TimeDistribution
-from ctcsim.qlinalg import SWAP, Preparations, PureStateParams, bloch_from_density
+from ctcsim.qlinalg import SWAP, Preparations, PureStateParams
 from ctcsim.scenario import BlockSpec, CircuitSpec
-from helpers import random_params
+from helpers import bloch_from_density, random_params
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 AXES = 3

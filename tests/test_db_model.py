@@ -27,10 +27,9 @@ from ctcsim.qlinalg import (
     PureStateParams,
     QlinalgError,
     SWAP,
-    bloch_from_density,
     trace_distance,
 )
-from helpers import ctc_map_oracle, random_density, random_params, random_unitary
+from helpers import bloch_from_density, ctc_map_oracle, random_density, random_params, random_unitary
 
 U_CNOT_SWAP = SWAP @ CNOT  # controlled-not chased by a swap
 U_CZ_SWAP = SWAP @ CZ

@@ -19,7 +19,7 @@ from ctcsim.heisenberg_model import (
     tableau_from_unitary,
     verify_block_result,
 )
-from ctcsim.qlinalg import CNOT, CZ, SWAP, I4, PureStateParams, state_prep_unitary, PAULI_BY_NAME
+from ctcsim.qlinalg import CNOT, CZ, SWAP, I4, PureStateParams, PAULI_BY_NAME
 from ctcsim import scenario
 from ctcsim.cli import _random_clifford
 from ctcsim.timed_pauli import (
@@ -35,7 +35,7 @@ from ctcsim.timed_pauli import (
     word_from_str,
     word_mul,
 )
-from helpers import gaussian_overlap_quadrature, random_params
+from helpers import gaussian_overlap_quadrature, random_params, state_prep_unitary
 
 L = PauliLetter
 W = TimedPauliWord

@@ -23,18 +23,23 @@ from ctcsim.qlinalg import (
     assert_density,
     assert_unitary,
     bloch_coordinates,
-    bloch_from_density,
     conjugate,
     density_from_bloch,
     partial_trace_first,
     partial_trace_second,
     pauli_transfer,
     standard_gate,
-    state_prep_unitary,
     tensor,
     trace_distance,
 )
-from helpers import pt_first_loops, pt_second_loops, random_density, random_unitary
+from helpers import (
+    bloch_from_density,
+    pt_first_loops,
+    pt_second_loops,
+    random_density,
+    random_unitary,
+    state_prep_unitary,
+)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
