@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -284,3 +285,51 @@ class TestGeometry:
         values[field] = value
         with pytest.raises(ScenarioError, match="finite"):
             GeometryConfig(**values)
+
+
+# -- compare corpus: every report field of scenario.compare, byte for byte ----
+
+COMPARE_CORPUS = pathlib.Path(__file__).with_name("golden") / "compare_corpus.txt"
+EDGE_ALPHA2 = (0.0, 1.0, 0.5, 1e-300)
+EDGE_THETA = (0.0, -0.0, math.pi, -math.pi / 2)
+
+
+def corpus_preparations() -> list[tuple[str, float, float]]:
+    """60 (scenario, alpha2, theta): 4 seeded and the 16 edge pairs per scenario."""
+    rng = np.random.default_rng(1991)
+    calls = []
+    for name in scenario_names():
+        calls += [(name, rng.uniform(0.0, 1.0), rng.uniform(-math.pi, math.pi))
+                  for _ in range(4)]
+        calls += [(name, a2, th) for a2, th in itertools.product(EDGE_ALPHA2, EDGE_THETA)]
+    return calls
+
+
+def corpus_line(name: str, alpha2: float, theta: float) -> str:
+    """Every field of one report: the db output's bytes, Bloch vector, residual
+    and degeneracy; each Heisenberg value and status; trace distance, delta, flags."""
+    r = compare(named_scenario(name, PureStateParams.from_alpha2(alpha2, theta)))
+    heis = [f"{a}={r.heisenberg.components[a]!r}:{r.heisenberg.statuses[a]}" for a in "xyz"]
+    return " ".join([
+        name, repr(alpha2), repr(theta), r.db.output.tobytes().hex(),
+        *map(repr, r.db.bloch.as_tuple()), repr(r.db.residual), repr(r.db.degenerate),
+        *heis, repr(r.trace_distance), repr(r.max_component_delta),
+        ";".join(r.flags) or "-"]) + "\n"
+
+
+def corpus_text() -> str:
+    return "".join(corpus_line(*call) for call in corpus_preparations())
+
+
+def test_compare_corpus_is_byte_identical():
+    expected = COMPARE_CORPUS.read_text().splitlines(keepends=True)
+    got = [corpus_line(*call) for call in corpus_preparations()]
+    assert len(got) == len(expected) == 60
+    for g, e in zip(got, expected):
+        assert g == e
+
+
+if __name__ == "__main__":
+    # Regenerate (only when an output change is intended) with
+    #     PYTHONPATH=src:tests python tests/test_scenario.py
+    COMPARE_CORPUS.write_text(corpus_text())
