@@ -22,7 +22,12 @@ every state.  Each step is a fixed number of numpy calls per stack: the
 conjugations by the local gates and by U are two flat products each
 (qlinalg.conjugate), the fixed points one stacked least-squares call and
 the density checks closed forms.  Only the residual, whose bits are
-printed, still takes one LAPACK eigensolve per state.
+printed, still takes one LAPACK eigensolve per state, inside one numpy
+call.  Both LAPACK kernels are numpy's generalized ufuncs, called without
+their Python wrappers: _stacked_lstsq binds numpy.linalg._umath_linalg.lstsq
+and qlinalg.hermitian_eigenvalues its eigvalsh_lo.  A chain costs 33 numpy
+calls per stack and 74 more per block (not counting views), whatever the
+stack's size; at one state that count, not the arithmetic, is the time.
 scenario.evaluate_db, the route every CLI command takes, feeds it the
 (u, loop slice) pair each block keeps.  solve_chain and
 solve_fixed_point(method="eigen") are its one-state case for direct
@@ -45,17 +50,20 @@ from .qlinalg import (
     I2,
     Mat2,
     Mat4,
-    PAULIS,
+    PAULI_READOUT,
     Preparations,
     PureStateParams,
+    any_above,
     assert_density,
     assert_unitary,
     bloch_coordinates,
     conjugate,
     density_from_bloch,
+    hermitian_eigenvalues,
     partial_trace_first,
     partial_trace_second,
     pauli_transfer,
+    real_parts,
     tensor,
 )
 
@@ -141,7 +149,7 @@ def ctc_map(u: Mat4, rho_in: DensityMatrix, rho: DensityMatrix) -> DensityMatrix
 
 
 def _spectral_norm_herm(m: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+    return np.maximum.reduce(np.abs(hermitian_eigenvalues(m)), axis=-1)
 
 
 def _bloch_affine(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,8 +160,9 @@ def _bloch_affine(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.
     and c[l] = sum_i loop[l, i, 0] a_i.  rho_in may be one state or a stack,
     and the sum runs over i in order for every row alike.
     """
-    a = np.einsum("iab,...ba->...i", PAULIS, rho_in).real
-    affine = sum(a[..., i, None, None] * loop[:, i] for i in range(4))
+    a = real_parts(rho_in) @ PAULI_READOUT  # Tr[s_i rho_in], i = 0..3
+    # affine[..., l, j] = ((0.0 + a_0 loop[l, 0, j]) + a_1 loop[l, 1, j]) + ...
+    affine = np.add.reduce(a[..., None, :, None] * loop, axis=-2, initial=0.0)
     return affine[..., 1:], affine[..., 0]
 
 
@@ -161,6 +170,7 @@ def _lstsq_failed(err: str, flag: int) -> None:
     raise FixedPointError("SVD did not converge in the fixed-point solve", residual=float("nan"))
 
 
+@np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _stacked_lstsq(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """np.linalg.lstsq(a[n], c[n], rcond=DEGENERACY_TOL) for every n, in one call.
 
@@ -173,10 +183,8 @@ def _stacked_lstsq(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     tests/test_db_model.py pins against np.linalg.lstsq.  A LAPACK failure
     raises FixedPointError.
     """
-    with np.errstate(call=_lstsq_failed, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        x, _, rank, svals = _umath_linalg.lstsq(a, c[..., None], DEGENERACY_TOL,
-                                                signature="ddd->ddid")
+    x, _, rank, svals = _umath_linalg.lstsq(a, c[..., None], DEGENERACY_TOL,
+                                            signature="ddd->ddid")
     return x[..., 0], rank, svals
 
 
@@ -191,20 +199,20 @@ def _solve_eigen(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.n
     m, c = _bloch_affine(loop, rho_in)
     a = _I3 - m
     r, rank, svals = _stacked_lstsq(a, c)
-    degenerate = (rank < 3) | (svals.min(axis=-1)
-                               < DEGENERACY_TOL * np.maximum(svals.max(axis=-1), 1.0))
+    # gelsd gives the singular values in descending order
+    degenerate = (rank < 3) | (svals[..., 2] < DEGENERACY_TOL * np.maximum(svals[..., 0], 1.0))
     miss = (a @ r[..., None])[..., 0] - c
-    gap = np.sqrt(np.sum(miss * miss, axis=-1))
-    if (gap > 1e-8).any():
+    gap = np.sqrt(np.add.reduce(miss * miss, axis=-1))
+    if any_above(gap, 1e-8):
         raise FixedPointError("consistency equation admits no solution (numerical)",
                               residual=gap[np.argmax(gap > 1e-8)].item())
     norm = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])  # as np.linalg.norm of one row
-    if (norm > 1.0 + 1e-9).any():
-        worst = norm[np.argmax(norm > 1.0 + 1e-9)].item()
-        raise FixedPointError(f"fixed-point solution left the Bloch ball (|r| = {worst!r})",
-                              residual=worst - 1.0)
-    spill = norm > 1.0  # float spill just past the sphere
-    if spill.any():
+    if any_above(norm, 1.0):
+        if any_above(norm, 1.0 + 1e-9):
+            worst = norm[np.argmax(norm > 1.0 + 1e-9)].item()
+            raise FixedPointError(f"fixed-point solution left the Bloch ball (|r| = {worst!r})",
+                                  residual=worst - 1.0)
+        spill = norm > 1.0  # float spill just past the sphere
         r[spill] = r[spill] / norm[spill, None]
     return density_from_bloch(r), degenerate
 
@@ -215,7 +223,7 @@ def _close_loop(u: Mat4, rho_in: np.ndarray, rho: np.ndarray,
     residuals and the outputs, which the same trip gives."""
     joint = _joint(u, rho_in, rho)
     residual = _spectral_norm_herm(partial_trace_first(joint) - rho)
-    if (residual > tol).any():
+    if any_above(residual, tol):
         worst = residual[np.argmax(residual > tol)].item()
         raise FixedPointError(f"returned state misses the fixed point by {worst:.3e}",
                               residual=worst)

@@ -308,8 +308,9 @@ def overlap(t: TimeDistribution) -> float:
 
 
 def word_expectations(w: TimedPauliWord, preps: Preparations,
-                      t: TimeDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Expectation of a hermitian word in each prepared state, and where it is defined.
+                      t: TimeDistribution) -> tuple[np.ndarray, np.ndarray | None]:
+    """Expectation of a hermitian word in each prepared state, and where it is
+    defined: a boolean mask, or None if it is defined in every state.
 
     Orthogonal limit: the product of per-label expectations.  An infinite
     tail contributes the limit of the geometric product: 0 for |factor| < 1,
@@ -333,7 +334,6 @@ def word_expectations(w: TimedPauliWord, preps: Preparations,
     if w.tail is not None:
         defined = np.abs(value(w.tail[1])) < 1.0 - SINGULAR_ATOL
         return np.where(defined, 0.0, np.nan), defined
-    everywhere = np.ones(len(preps), dtype=bool)
     if t.kind == "gaussian" and len(w.head) == 2:
         (_, a), (_, b) = w.head
         om = overlap(t)
@@ -344,11 +344,13 @@ def word_expectations(w: TimedPauliWord, preps: Preparations,
         dp, prod_letter = letter_mul_ipow(a, b)
         together = value(prod_letter) if dp == 0 else \
             -value(prod_letter) if dp == 2 else 0.0
-        return sign * ((1.0 - om) * separate + om * together), everywhere
-    product = np.full(len(preps), sign)
+        return sign * ((1.0 - om) * separate + om * together), None
+    product = sign
     for _, letter in w.head:
         product = product * value(letter)
-    return product, everywhere
+    if not w.head:  # the identity word
+        product = np.full(len(preps), sign)
+    return product, None
 
 
 def evaluate_expectation(w: TimedPauliWord, p: PureStateParams,
@@ -356,7 +358,7 @@ def evaluate_expectation(w: TimedPauliWord, p: PureStateParams,
     """word_expectations on the one state p: (value, "ok"), or (None, "singular")
     where an infinite tail has no limit."""
     values, defined = word_expectations(w, p.batch, t)
-    return (values[0].item(), "ok") if defined[0] else (None, "singular")
+    return (values[0].item(), "ok") if defined is None or defined[0] else (None, "singular")
 
 
 @functools.cache
@@ -394,7 +396,8 @@ def evaluate_words(words: Mapping[str, TimedPauliWord | str], preps: Preparation
             except UnsupportedOverlapError:
                 word = "unsupported"
             else:
-                statuses[axis] = ["ok" if d else "singular" for d in defined.tolist()]
+                statuses[axis] = (["ok"] * len(preps) if defined is None
+                                  else ["ok" if d else "singular" for d in defined.tolist()])
                 continue
         values[axis] = np.full(len(preps), np.nan)
         statuses[axis] = [word] * len(preps)

@@ -4,10 +4,19 @@ Everything here is plain double-precision numpy on 2x2 and 4x4 arrays:
 states, gates, tensor products, partial traces and distance measures.
 The state helpers also take stacks of them, one per prepared state, and
 check each member.  A stacked helper makes a fixed number of numpy calls
-per stack, not a BLAS or LAPACK call per member: conjugate forms two flat
-products, and the density checks and Bloch coordinates read the entries in
-closed form.  tests/test_qlinalg.py pins each closed form against the dense
-definition it replaces, bit for bit where its bits reach the output.  This
+per stack, not a BLAS or LAPACK call per member, and on a stack of one that
+count is its cost: each call spends a few microseconds in numpy's wrappers.
+Per stack, not counting views: tensor 1, conjugate 3 (two flat products and
+a conj), a partial trace 2, density_from_bloch 3, assert_density 17,
+bloch_coordinates 23, hermitian_eigenvalues 1 and trace_distance 5.  The
+density checks read the entries in closed form, and a linear reading of a
+2x2 (its Pauli traces, the matrix of a Bloch vector) is one product with a
+matrix of 0s and +-1s over the entries' real parts (see real_parts).
+hermitian_eigenvalues calls numpy's eigvalsh kernel, the private
+numpy.linalg._umath_linalg.eigvalsh_lo, as db_model._stacked_lstsq calls
+its lstsq kernel.  tests/test_qlinalg.py pins each closed form against the
+dense definition or the form it replaces, bit for bit where its bits reach
+the output, and each private kernel against its public wrapper.  This
 module is the numeric oracle the symbolic engine is checked against, so it
 stays deliberately dumb -- no sparsity, no n-qubit generality.  As the
 bottom of the import graph it also holds the prepared states and the root
@@ -22,6 +31,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Structural checks (hermiticity, trace, unitarity) use ATOL_STRUCT;
 # fixed-point solvers converge to ATOL_SOLVER.
@@ -88,6 +98,34 @@ PAULI_BY_NAME: dict[str, np.ndarray] = {
 # sigma_0..3 = I, X, Y, Z; PAULI_PAIRS[k, l] = kron(sigma_k, sigma_l).
 PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
 PAULI_PAIRS = np.einsum("kab,lcd->klacbd", PAULIS, PAULIS).reshape(4, 4, 4, 4)
+_PLUS_MINUS_I = np.array([1j, -1j])
+
+# A 2x2 complex matrix read as its 8 real parts R00 I00 R01 I01 R10 I10 R11 I11
+# (real and imaginary part of each entry, row by row; see real_parts).  Each
+# column below takes at most two of them with weights +-1, so a product with
+# it is exact up to one rounding of a two-term sum: the bits of that sum in
+# closed form, whatever order the matrix product adds the zero terms in, up
+# to the sign of a zero result.
+#
+# PAULI_READOUT: Tr[s_k m] for s_k = I, X, Y, Z (real part).
+PAULI_READOUT = np.zeros((8, 4))
+PAULI_READOUT[[0, 6], 0] = 1.0                  # R00 + R11
+PAULI_READOUT[[2, 4], 1] = 1.0                  # R01 + R10
+PAULI_READOUT[[3, 5], 2] = -1.0, 1.0            # I10 - I01
+PAULI_READOUT[[0, 6], 3] = 1.0, -1.0            # R00 - R11
+_BLOCH_READOUT = np.ascontiguousarray(PAULI_READOUT[:, 1:])
+# (I + r . sigma)'s real parts: r times _BLOCH_PARTS, plus _IDENTITY_PARTS.
+_BLOCH_PARTS = np.zeros((3, 8))
+_BLOCH_PARTS[0, [2, 4]] = 1.0                   # x: R01 and R10
+_BLOCH_PARTS[1, [3, 5]] = -1.0, 1.0             # y: -I01 and I10
+_BLOCH_PARTS[2, [0, 6]] = 1.0, -1.0             # z: R00 and -R11
+_IDENTITY_PARTS = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+
+
+def real_parts(m: np.ndarray) -> np.ndarray:
+    """The (..., 8) real parts of each 2x2 complex matrix in m, as listed above."""
+    m = np.asarray(m, dtype=complex)
+    return m.reshape(*m.shape[:-2], 4).view(np.float64)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -119,8 +157,13 @@ class PureStateParams:
 
     @functools.cached_property
     def batch(self) -> "Preparations":
-        """This one state as a batch of one, derived once like alpha and beta."""
-        return Preparations(np.array([self.alpha2]), np.array([self.theta]))
+        """This one state as a batch of one, derived once like alpha and beta.
+
+        The state is checked and its amplitudes derived already, with the
+        arithmetic Preparations uses, so they are handed over as they are.
+        """
+        return Preparations._of_checked(np.array([self.alpha2]), np.array([self.theta]),
+                                        np.array([[self.alpha, self.beta]]))
 
     def density(self) -> DensityMatrix:
         return self.batch.density()[0]
@@ -134,18 +177,19 @@ class Preparations:
     """N prepared states, one per (alpha2, theta) pair; scalars broadcast.
 
     Each pair is checked as PureStateParams checks one, and the first bad
-    pair raises that class's error.  alpha and beta are derived once, with
-    the arithmetic of PureStateParams.
+    pair raises that class's error.  The amplitudes, (N, 2) columns alpha and
+    beta, are derived once, with the arithmetic of PureStateParams.
     """
 
     alpha2: np.ndarray
     theta: np.ndarray
+    amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
     alpha: np.ndarray = field(init=False, repr=False, compare=False)
     beta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        alpha2 = np.atleast_1d(np.asarray(self.alpha2, dtype=float))
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
+        alpha2 = np.array(self.alpha2, dtype=float, copy=None, ndmin=1)
+        theta = np.array(self.theta, dtype=float, copy=None, ndmin=1)
         if alpha2.shape != theta.shape:
             alpha2, theta = np.broadcast_arrays(alpha2, theta)
         # |theta| <= max / 2 is exactly "2 theta is finite", without overflowing
@@ -153,19 +197,36 @@ class Preparations:
         if not ok.all():
             n = int(np.argmin(ok))
             PureStateParams(alpha2=alpha2[n].item(), theta=theta[n].item())  # raises its error
+        amplitudes = np.empty((len(alpha2), 2))
+        amplitudes[:, 0] = alpha2
+        np.subtract(1.0, alpha2, out=amplitudes[:, 1])
+        self._set(alpha2, theta, np.sqrt(amplitudes, out=amplitudes))
+
+    @classmethod
+    def _of_checked(cls, alpha2: np.ndarray, theta: np.ndarray,
+                    amplitudes: np.ndarray) -> "Preparations":
+        """Preparations of pairs that are checked already, with their amplitudes."""
+        self = object.__new__(cls)
+        self._set(alpha2, theta, amplitudes)
+        return self
+
+    def _set(self, alpha2: np.ndarray, theta: np.ndarray, amplitudes: np.ndarray) -> None:
         object.__setattr__(self, "alpha2", alpha2)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "alpha", np.sqrt(alpha2))
-        object.__setattr__(self, "beta", np.sqrt(1.0 - alpha2))
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "alpha", amplitudes[:, 0])
+        object.__setattr__(self, "beta", amplitudes[:, 1])
 
     def __len__(self) -> int:
         return len(self.alpha2)
 
     def density(self) -> np.ndarray:
-        """(N, 2, 2) density matrices: the outer product of each ket with itself."""
-        ket = np.empty((len(self), 2), dtype=complex)
-        ket[:, 0] = self.alpha * np.exp(1j * self.theta)
-        ket[:, 1] = self.beta * np.exp(-1j * self.theta)
+        """(N, 2, 2) density matrices: the outer product of each ket with itself.
+
+        The ket is (alpha e^{i theta}, beta e^{-i theta}), both phases from
+        one exp of theta times (i, -i).
+        """
+        ket = self.amplitudes * np.exp(self.theta[:, None] * _PLUS_MINUS_I)
         return ket[:, :, None] * ket.conj()[:, None, :]
 
     @functools.cached_property
@@ -177,16 +238,13 @@ class Preparations:
         have always been computed that way.
         """
         two_ab = 2.0 * self.alpha * self.beta
+        angle = 2.0 * self.theta
         out = np.empty((len(self), 4))
         out[:, 0] = 1.0
-        out[:, 1] = two_ab * np.cos(2.0 * self.theta)
-        out[:, 2] = -two_ab * np.sin(2.0 * self.theta)
-        out[:, 3] = _float_squares(self.alpha) - _float_squares(self.beta)
+        out[:, 1] = two_ab * np.cos(angle)
+        out[:, 2] = -two_ab * np.sin(angle)
+        out[:, 3] = [a**2 - b**2 for a, b in self.amplitudes.tolist()]
         return out
-
-
-def _float_squares(x: np.ndarray) -> np.ndarray:
-    return np.array([v**2 for v in x.tolist()])
 
 
 @dataclass(frozen=True)
@@ -218,9 +276,9 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product over the last two axes, stacked over any leading ones;
     first factor is qubit 1.  Each entry is one product, as np.kron forms it."""
     a, b = np.asarray(a), np.asarray(b)
-    shape = (*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]),
-             a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape)
+    p = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, ra, rb, ca, cb = p.shape
+    return p.reshape(*lead, ra * rb, ca * cb)
 
 
 def conjugate(g: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -233,10 +291,8 @@ def conjugate(g: np.ndarray, m: np.ndarray) -> np.ndarray:
     """
     g, m = np.asarray(g), np.asarray(m)
     d = m.shape[-1]
-    members = m.reshape(-1, d, d)
-    n = len(members)
-    side = g @ members.transpose(1, 0, 2).reshape(d, n * d)
-    stacked = side.reshape(d, n, d).transpose(1, 0, 2).reshape(n * d, d)
+    side = g @ m.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
+    stacked = side.reshape(d, -1, d).transpose(1, 0, 2).reshape(-1, d)
     return (stacked @ g.conj().T).reshape(m.shape)
 
 
@@ -250,16 +306,26 @@ def pauli_transfer(u: Mat4) -> np.ndarray:
     return np.einsum("klab,ijba->klij", PAULI_PAIRS, images).real / 4.0
 
 
+def _trace_pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """first + second as a sum from +0.0: -0.0 + -0.0 gives +0.0, as the
+    zero-initialised einsum the partial traces used to be."""
+    out = first + second
+    out += 0.0
+    return out
+
+
 def partial_trace_first(m: np.ndarray) -> np.ndarray:
-    """Trace out qubit 1 of a two-qubit operator, or of each in a stack (..., 4, 4)."""
-    r = np.asarray(m).reshape(*np.shape(m)[:-2], 2, 2, 2, 2)
-    return np.einsum("...aiaj->...ij", r)
+    """Trace out qubit 1 of a two-qubit operator, or of each in a stack (..., 4, 4):
+    the sum of its two diagonal 2x2 blocks."""
+    m = np.asarray(m)
+    return _trace_pair(m[..., :2, :2], m[..., 2:, 2:])
 
 
 def partial_trace_second(m: np.ndarray) -> np.ndarray:
-    """Trace out qubit 2 of a two-qubit operator, or of each in a stack (..., 4, 4)."""
-    r = np.asarray(m).reshape(*np.shape(m)[:-2], 2, 2, 2, 2)
-    return np.einsum("...aibi->...ab", r)
+    """Trace out qubit 2 of a two-qubit operator, or of each in a stack (..., 4, 4):
+    the sum of its even-even and odd-odd entries."""
+    m = np.asarray(m)
+    return _trace_pair(m[..., ::2, ::2], m[..., 1::2, 1::2])
 
 
 def assert_unitary(u: np.ndarray, atol: float = ATOL_STRUCT) -> None:
@@ -272,17 +338,36 @@ def assert_unitary(u: np.ndarray, atol: float = ATOL_STRUCT) -> None:
         raise QlinalgError(f"matrix is not unitary (deviation {dev:.3e})")
 
 
+def all_at_most(x: np.ndarray, bound: float) -> bool:
+    """(x <= bound).all() in one reduction: NaN is not at most bound."""
+    return np.maximum.reduce(x, axis=None, initial=-math.inf) <= bound
+
+
+def any_above(x: np.ndarray, bound: float) -> bool:
+    """(x > bound).any() in one reduction: NaN is not above bound."""
+    return np.fmax.reduce(x, axis=None, initial=-math.inf) > bound
+
+
 def _check_each(bad: np.ndarray, values: np.ndarray, message: str) -> None:
     """Raise message, formatted with the value at the first bad entry, if any."""
     if bad.any():
         raise QlinalgError(message.format(values[bad].flat[0].item()))
 
 
-def _lowest_eigenvalue(rho: np.ndarray) -> np.ndarray:
+def _lowest_eigenvalue(rho: np.ndarray, trace: np.ndarray) -> np.ndarray:
     """The smaller eigenvalue of each hermitian 2x2 in a stack, in closed form
-    from the diagonal and the lower off-diagonal entry, the triangle eigvalsh reads."""
-    a, d = rho[..., 0, 0].real, rho[..., 1, 1].real
-    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(rho[..., 1, 0]))
+    from the diagonal and the lower off-diagonal entry, the triangle eigvalsh
+    reads; trace is each diagonal's sum, a + d."""
+    return trace / 2 - np.hypot((rho[..., 0, 0].real - rho[..., 1, 1].real) / 2,
+                                np.abs(rho[..., 1, 0]))
+
+
+@np.errstate(invalid="ignore", over="ignore")  # inf, NaN and overflow fail the checks
+def _density_deviations(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermiticity and trace deviations and the lowest eigenvalue of each 2x2."""
+    herm_dev = np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    trace = rho[..., 0, 0] + rho[..., 1, 1]
+    return herm_dev, np.abs(trace - 1.0), _lowest_eigenvalue(rho, trace.real)
 
 
 def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> None:
@@ -296,11 +381,8 @@ def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> None:
     rho = np.asarray(rho)
     if rho.shape[-2:] != (2, 2):
         raise QlinalgError(f"density matrix must be 2x2, got {rho.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):  # inf, NaN and overflow fail below
-        herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        tr_dev = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
-        low = _lowest_eigenvalue(rho)
-    if ((herm_dev <= atol) & (tr_dev <= atol) & (low >= -atol)).all():
+    herm_dev, tr_dev, low = _density_deviations(rho)
+    if all_at_most(np.maximum(np.maximum(herm_dev, tr_dev), -low), atol):  # NaN fails
         return
     _check_each(~(herm_dev <= atol), herm_dev, "density matrix not hermitian (deviation {:.3e})")
     _check_each(~(tr_dev <= atol), tr_dev, "density matrix trace deviates from 1 by {:.3e}")
@@ -312,26 +394,49 @@ def bloch_coordinates(rho: np.ndarray) -> np.ndarray:
     for a stack, each checked as a density matrix with a Bloch norm of at most 1."""
     rho = np.asarray(rho)
     assert_density(rho)
-    r = np.empty((*rho.shape[:-2], 3))
-    r[..., 0] = rho[..., 1, 0].real + rho[..., 0, 1].real
-    r[..., 1] = rho[..., 1, 0].imag - rho[..., 0, 1].imag
-    r[..., 2] = rho[..., 0, 0].real - rho[..., 1, 1].real
+    r = real_parts(rho) @ _BLOCH_READOUT
     r += 0.0  # -0.0 -> 0.0: the trace of the Pauli product adds exact zeros too
-    norm = np.sqrt(np.sum(r * r, axis=-1))
-    _check_each(~(norm <= 1.0 + 1e-9), norm, "Bloch vector norm {!r} exceeds 1")
+    norm = np.sqrt(np.add.reduce(r * r, axis=-1))
+    if not all_at_most(norm, 1.0 + 1e-9):
+        _check_each(~(norm <= 1.0 + 1e-9), norm, "Bloch vector norm {!r} exceeds 1")
     return r
 
 
 def density_from_bloch(r: BlochVector | np.ndarray) -> np.ndarray:
     """Reconstruct (I + r . sigma) / 2 from a BlochVector, whose type enforces
-    |r| <= 1, or from each row of a stack of coordinates (..., 3)."""
-    r = np.asarray(r.as_tuple() if isinstance(r, BlochVector) else r)[..., None, None]
-    return 0.5 * (I2 + r[..., 0, :, :] * PAULI_X + r[..., 1, :, :] * PAULI_Y
-                  + r[..., 2, :, :] * PAULI_Z)
+    |r| <= 1, or from each row of a stack of finite coordinates (..., 3).
+
+    I + r . sigma is read off in closed form, [[1 + z, x - iy], [x + iy, 1 - z]]
+    with every zero +0.0, the bits of the sum I + x X + y Y + z Z; then one
+    complex product with 0.5, as that sum was halved.
+    """
+    r = np.asarray(r.as_tuple() if isinstance(r, BlochVector) else r, dtype=float)
+    parts = r @ _BLOCH_PARTS
+    parts += _IDENTITY_PARTS
+    return 0.5 * parts.view(complex).reshape(*r.shape[:-1], 2, 2)
+
+
+def _eigensolve_failed(err: str, flag: int) -> None:
+    raise EngineError("eigenvalue solve did not converge")
+
+
+@np.errstate(call=_eigensolve_failed, invalid="call",
+             over="ignore", divide="ignore", under="ignore")
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a complex hermitian matrix, or of each in a
+    stack (..., d, d), read from the lower triangle.
+
+    This is np.linalg.eigvalsh without its Python wrapper: numpy's eigvalsh
+    kernel, the generalized ufunc numpy.linalg._umath_linalg.eigvalsh_lo,
+    called under the error state the wrapper sets, so the bits are the
+    wrapper's (tests/test_qlinalg.py pins that).  A LAPACK failure raises
+    EngineError instead of numpy's LinAlgError.
+    """
+    return _umath_linalg.eigvalsh_lo(m, signature="D->d")
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of rho - sigma (exact via eigenvalues of the hermitian difference)."""
-    evals = np.linalg.eigvalsh(np.asarray(rho) - np.asarray(sigma))
-    return float(0.5 * np.sum(np.abs(evals)))
+    evals = hermitian_eigenvalues(np.asarray(rho) - np.asarray(sigma))
+    return float(0.5 * np.add.reduce(np.abs(evals), axis=None))
 

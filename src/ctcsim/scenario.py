@@ -126,6 +126,15 @@ def local_matrix(name: str) -> np.ndarray:
     return standard_gate(_LOCALS[name.lower()])
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+# The matrices evaluate_db applies, built once and shared read-only.
+_LOCAL_MATRICES = {name: _read_only(local_matrix(name)) for name in _LOCALS}
+
+
 def local_clifford(name: str) -> Clifford:
     return LOCAL_TABLES[_LOCALS[name.lower()]]
 
@@ -165,7 +174,8 @@ def named_scenario(name: str, prep: PureStateParams | None = None,
 def evaluate_db(spec: CircuitSpec, preps: Preparations) -> DBBatch:
     """The circuit of spec on each preparation; spec.prep is not read."""
     return db_model.solve_chain_batch([(b.u, b.loop) for b in spec.blocks],
-                                      [local_matrix(n) for n in spec.local_gates], preps)
+                                      [_LOCAL_MATRICES[n.lower()] for n in spec.local_gates],
+                                      preps)
 
 
 def evaluate_heisenberg(spec: CircuitSpec, preps: Preparations) -> HeisenbergBatch:

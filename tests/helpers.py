@@ -7,7 +7,17 @@ QR-sampled unitaries.  Keep it dumb.
 
 import numpy as np
 
-from ctcsim.qlinalg import PAULI_BY_NAME, BlochVector, PureStateParams, bloch_coordinates
+from ctcsim.qlinalg import (
+    I2,
+    PAULI_BY_NAME,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PAULIS,
+    BlochVector,
+    PureStateParams,
+    bloch_coordinates,
+)
 from ctcsim.timed_pauli import TimedPauliWord
 
 
@@ -92,3 +102,97 @@ def gaussian_overlap_quadrature(d: float, tau: float, half_width: float = 14.0,
     num = np.trapezoid(g * g_shift, u)
     den = np.trapezoid(g * g, u)
     return float(num / den)
+
+
+def with_signed_zeros(rng: np.random.Generator, z: np.ndarray, share: float = 0.3) -> np.ndarray:
+    """A copy of complex z with about `share` of its real and of its imaginary
+    parts replaced by +0.0 or -0.0, at random."""
+    z = np.array(z, dtype=complex)
+    for part in (z.real, z.imag):
+        hit = rng.random(part.shape) < share
+        part[hit] = np.where(rng.random(part.shape) < 0.5, 0.0, -0.0)[hit]
+    return z
+
+
+# -- the forms the stacked kernels replaced, kept as bit-for-bit oracles -----
+
+
+def bloch_affine_sum(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """db_model._bloch_affine as an einsum trace and a Python sum over i."""
+    a = np.einsum("iab,...ba->...i", PAULIS, rho_in).real
+    affine = sum(a[..., i, None, None] * loop[:, i] for i in range(4))
+    return affine[..., 1:], affine[..., 0]
+
+
+def partial_trace_first_einsum(m: np.ndarray) -> np.ndarray:
+    r = np.asarray(m).reshape(*np.shape(m)[:-2], 2, 2, 2, 2)
+    return np.einsum("...aiaj->...ij", r)
+
+
+def partial_trace_second_einsum(m: np.ndarray) -> np.ndarray:
+    r = np.asarray(m).reshape(*np.shape(m)[:-2], 2, 2, 2, 2)
+    return np.einsum("...aibi->...ab", r)
+
+
+def tensor_broadcast(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """qlinalg.tensor with its shape from np.broadcast_shapes."""
+    a, b = np.asarray(a), np.asarray(b)
+    shape = (*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]),
+             a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape)
+
+
+def density_from_bloch_sum(r: np.ndarray) -> np.ndarray:
+    """qlinalg.density_from_bloch as the sum I + x X + y Y + z Z, halved."""
+    r = np.asarray(r)[..., None, None]
+    return 0.5 * (I2 + r[..., 0, :, :] * PAULI_X + r[..., 1, :, :] * PAULI_Y
+                  + r[..., 2, :, :] * PAULI_Z)
+
+
+def bloch_coordinates_entries(rho: np.ndarray) -> np.ndarray:
+    """The coordinates qlinalg.bloch_coordinates reads, entry by entry."""
+    r = np.empty((*rho.shape[:-2], 3))
+    r[..., 0] = rho[..., 1, 0].real + rho[..., 0, 1].real
+    r[..., 1] = rho[..., 1, 0].imag - rho[..., 0, 1].imag
+    r[..., 2] = rho[..., 0, 0].real - rho[..., 1, 1].real
+    r += 0.0
+    return r
+
+
+def preparation_fields(alpha2: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """alpha, beta, the density matrices and the Pauli expectations of
+    Preparations(alpha2, theta), each in the form it had before it was stacked."""
+    alpha2, theta = np.atleast_1d(np.asarray(alpha2, dtype=float)), np.asarray(theta, dtype=float)
+    alpha2, theta = np.broadcast_arrays(alpha2, theta)
+    alpha, beta = np.sqrt(alpha2), np.sqrt(1.0 - alpha2)
+    ket = np.empty((len(alpha2), 2), dtype=complex)
+    ket[:, 0] = alpha * np.exp(1j * theta)
+    ket[:, 1] = beta * np.exp(-1j * theta)
+    two_ab = 2.0 * alpha * beta
+    letters = np.empty((len(alpha2), 4))
+    letters[:, 0] = 1.0
+    letters[:, 1] = two_ab * np.cos(2.0 * theta)
+    letters[:, 2] = -two_ab * np.sin(2.0 * theta)
+    letters[:, 3] = (np.array([v**2 for v in alpha.tolist()])
+                     - np.array([v**2 for v in beta.tolist()]))
+    return alpha, beta, ket[:, :, None] * ket.conj()[:, None, :], letters
+
+
+def spectral_norm_eigvalsh(m: np.ndarray) -> np.ndarray:
+    """db_model._spectral_norm_herm through the public np.linalg.eigvalsh."""
+    return np.max(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+
+
+def trace_distance_eigvalsh(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """qlinalg.trace_distance through the public np.linalg.eigvalsh."""
+    evals = np.linalg.eigvalsh(np.asarray(rho) - np.asarray(sigma))
+    return float(0.5 * np.sum(np.abs(evals)))
+
+
+class PoisonedEigensolve:
+    """Stands in for numpy.linalg._umath_linalg: an eigvalsh kernel that fails
+    as a LAPACK failure does, raising the invalid flag (and answering NaN)."""
+
+    @staticmethod
+    def eigvalsh_lo(m, signature):
+        return np.sqrt(np.full(np.shape(m)[:-1], -1.0))

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ctcsim import cli, db_model, scenario
+from ctcsim import cli, db_model, qlinalg, scenario
 from ctcsim.db_model import (
     DEGENERACY_TOL,
     FixedPointError,
     _bloch_affine,
     _solve_eigen,
+    _spectral_norm_herm,
     _stacked_lstsq,
     ctc_map,
     loop_transfer,
@@ -17,6 +18,7 @@ from ctcsim.db_model import (
 from ctcsim.qlinalg import (
     CNOT,
     CZ,
+    EngineError,
     HADAMARD,
     I2,
     I4,
@@ -29,7 +31,17 @@ from ctcsim.qlinalg import (
     SWAP,
     trace_distance,
 )
-from helpers import bloch_from_density, ctc_map_oracle, random_density, random_params, random_unitary
+from helpers import (
+    PoisonedEigensolve,
+    bloch_affine_sum,
+    bloch_from_density,
+    ctc_map_oracle,
+    random_density,
+    random_params,
+    random_unitary,
+    spectral_norm_eigvalsh,
+    with_signed_zeros,
+)
 
 U_CNOT_SWAP = SWAP @ CNOT  # controlled-not chased by a swap
 U_CZ_SWAP = SWAP @ CZ
@@ -108,6 +120,25 @@ class TestBlochAffine:
             assert np.max(np.abs(c - want_c)) < 1e-14
             assert np.max(np.abs(m - want_m)) < 1e-14
 
+    @pytest.mark.parametrize("n", [0, 1, 101])
+    def test_matches_the_python_sum(self, n):
+        """One broadcast product reduced from +0.0 against the Python sum over
+        i it replaces, bit for bit, with signed zeros in both inputs."""
+        rng = np.random.default_rng(n)
+        rho = np.array([random_density(rng) for _ in range(n)]).reshape(n, 2, 2)
+        noise = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        stacks = (rho, with_signed_zeros(rng, rho), with_signed_zeros(rng, noise, 0.6),
+                  np.full((n, 2, 2), complex(-0.0, -0.0)))
+        cliffords = [SWAP @ cli._random_clifford(rng) for _ in range(10)]
+        loops = [loop_transfer(u) for u in (U_CNOT_SWAP, U_CZ_SWAP, I4, *cliffords,
+                                            random_unitary(rng, 4))]
+        loops.append(with_signed_zeros(rng, loops[-1]).real)
+        loops.append(-loops[0])  # -0.0 where the cnot loop has 0.0
+        for loop in loops:
+            for rho_in in (*stacks, *(s[0] for s in stacks if n)):
+                for got, want in zip(_bloch_affine(loop, rho_in), bloch_affine_sum(loop, rho_in)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 def per_point_lstsq(a, c):
     """The public np.linalg.lstsq, one system at a time: the reference the
@@ -170,6 +201,26 @@ class TestStackedSolve:
             m, c = _bloch_affine(loop_transfer(u), rho)
             assert_same_bits(np.eye(3) - m, c)
 
+    def test_singular_values_descend(self):
+        # the degeneracy test reads the extremes as svals[..., 0] and [..., 2]
+        rng = np.random.default_rng(11)
+        rho = Preparations(rng.uniform(0, 1, 200), rng.uniform(0, 2 * np.pi, 200)).density()
+        for u in (U_CNOT_SWAP, U_CZ_SWAP, I4, random_unitary(rng, 4),
+                  *(SWAP @ cli._random_clifford(rng) for _ in range(20))):
+            m, c = _bloch_affine(loop_transfer(u), rho)
+            a = np.eye(3) - m
+            rank, svals = _stacked_lstsq(a, c)[1:]
+            assert (np.diff(svals, axis=-1) <= 0).all()
+            old = (rank < 3) | (svals.min(axis=-1)
+                                < DEGENERACY_TOL * np.maximum(svals.max(axis=-1), 1.0))
+            assert np.array_equal(_solve_eigen(loop_transfer(u), rho)[1], old)
+
+    def test_spectral_norm_matches_eigvalsh(self, rng):
+        g = rng.normal(size=(101, 2, 2)) + 1j * rng.normal(size=(101, 2, 2))
+        for m in (g + g.conj().swapaxes(-1, -2), np.zeros((0, 2, 2), complex), I2 / 2):
+            got, want = _spectral_norm_herm(m), spectral_norm_eigvalsh(m)
+            assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == want.tobytes()
+
     def test_lapack_failure_is_an_engine_error(self):
         rho = Preparations(np.linspace(0, 1, 3), 0.0).density()
         with pytest.raises(FixedPointError, match="did not converge"):
@@ -184,6 +235,20 @@ class TestStackedSolve:
         assert cli.main(["run", "cnot"]) == 1
         err = capfd.readouterr().err  # stdout holds LAPACK's own complaint
         assert err == "engine error: SVD did not converge in the fixed-point solve\n"
+
+    def test_eigensolve_failure_is_an_engine_error(self, monkeypatch):
+        monkeypatch.setattr(qlinalg, "_umath_linalg", PoisonedEigensolve)
+        with pytest.raises(EngineError, match="eigenvalue solve did not converge"):
+            _spectral_norm_herm(np.stack([I2, I2]))
+        with pytest.raises(EngineError, match="eigenvalue solve did not converge"):
+            solve_fixed_point(U_CNOT_SWAP, I2 / 2, method="eigen")
+
+    @pytest.mark.parametrize("argv", [["run", "cnot"], ["compare", "cz"],
+                                      ["sweep", "cnot", "alpha2", "0", "1", "3"]])
+    def test_eigensolve_failure_exits_1_through_the_cli(self, argv, monkeypatch, capfd):
+        monkeypatch.setattr(qlinalg, "_umath_linalg", PoisonedEigensolve)
+        assert cli.main(argv) == 1
+        assert capfd.readouterr() == ("", "engine error: eigenvalue solve did not converge\n")
 
 
 class TestSolveFixedPoint:

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ctcsim import cli
+from ctcsim import cli, qlinalg
 from ctcsim.qlinalg import (
     BlochVector,
     CNOT,
     CZ,
+    EngineError,
     HADAMARD,
     I2,
     I4,
@@ -20,11 +21,14 @@ from ctcsim.qlinalg import (
     QlinalgError,
     SWAP,
     _lowest_eigenvalue,
+    all_at_most,
+    any_above,
     assert_density,
     assert_unitary,
     bloch_coordinates,
     conjugate,
     density_from_bloch,
+    hermitian_eigenvalues,
     partial_trace_first,
     partial_trace_second,
     pauli_transfer,
@@ -33,12 +37,21 @@ from ctcsim.qlinalg import (
     trace_distance,
 )
 from helpers import (
+    PoisonedEigensolve,
+    bloch_coordinates_entries,
     bloch_from_density,
+    density_from_bloch_sum,
+    partial_trace_first_einsum,
+    partial_trace_second_einsum,
+    preparation_fields,
     pt_first_loops,
     pt_second_loops,
     random_density,
     random_unitary,
     state_prep_unitary,
+    tensor_broadcast,
+    trace_distance_eigvalsh,
+    with_signed_zeros,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -261,6 +274,7 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 LOCAL_GATES = {"I2": I2, "H": HADAMARD, "X": PAULI_BY_NAME["X"], "Y": PAULI_BY_NAME["Y"],
                "Z": PAULI_BY_NAME["Z"], "S": PHASE_S}
 STACK_SIZES = [0, 1, 2, 101, 5000]
+REWRITE_SIZES = [0, 1, 101]
 
 
 def prepared_grid(n: int) -> np.ndarray:
@@ -329,12 +343,115 @@ class TestStackedKernels:
         dense = np.trace(PAULIS[1:] @ rho[..., None, :, :], axis1=-2, axis2=-1).real
         assert same_bits(bloch_coordinates(rho), dense)
 
+    @pytest.mark.parametrize("n", REWRITE_SIZES)
+    def test_partial_traces_match_einsum(self, n):
+        # einsum sums from +0.0, so -0.0 + -0.0 gives +0.0: the all -0.0 stack
+        rng = np.random.default_rng(n)
+        noise = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+        mixed = np.array([random_density(rng) for _ in range(n)]).reshape(n, 2, 2)
+        stacks = (with_signed_zeros(rng, noise), np.full((n, 4, 4), complex(-0.0, -0.0)),
+                  tensor(prepared_grid(n), mixed), noise.reshape(-1, 1, 4, 4))
+        for m in (*stacks, *(s[0] for s in stacks if n)):
+            assert same_bits(partial_trace_first(m), partial_trace_first_einsum(m))
+            assert same_bits(partial_trace_second(m), partial_trace_second_einsum(m))
+
+    @pytest.mark.parametrize("n", REWRITE_SIZES)
+    def test_tensor_matches_broadcast_shape(self, n):
+        rng = np.random.default_rng(n)
+        a = with_signed_zeros(rng, rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+        for x, y in ((a, a[::-1]), (a, I2), (I2, a), (a[:, None], a[None, :]), (I2, PHASE_S)):
+            assert same_bits(tensor(x, y), tensor_broadcast(x, y))
+
+    @pytest.mark.parametrize("n", REWRITE_SIZES)
+    def test_density_from_bloch_matches_the_pauli_sum(self, n):
+        rng = np.random.default_rng(n)
+        r = with_signed_zeros(rng, rng.uniform(-0.6, 0.6, (n, 3))).real
+        tiny = rng.choice([5e-324, -5e-324, 1e-320, -1e-320, 0.0, -0.0], (n, 3))
+        for coords in (r, tiny, np.where(rng.random((n, 3)) < 0.5, r, tiny)):
+            assert same_bits(density_from_bloch(coords), density_from_bloch_sum(coords))
+            for row in coords[:5]:
+                vector = BlochVector(*row.tolist())
+                assert same_bits(density_from_bloch(vector), density_from_bloch_sum(row))
+
+    @pytest.mark.parametrize("n", REWRITE_SIZES)
+    def test_bloch_coordinates_match_the_entries(self, n):
+        grid = prepared_grid(n)
+        for gate in LOCAL_GATES.values():
+            rho = conjugate(gate, grid)
+            assert same_bits(bloch_coordinates(rho), bloch_coordinates_entries(rho))
+
+    @pytest.mark.parametrize("n", REWRITE_SIZES)
+    def test_preparations_match_the_unstacked_forms(self, n):
+        rng = np.random.default_rng(n)
+        alpha2 = rng.choice([0.0, 1.0, 0.5, 1e-300, *rng.uniform(0.0, 1.0, 4)], n)
+        theta = rng.choice([0.0, -0.0, math.pi, -math.pi / 2, 1e300, *rng.uniform(-9, 9, 4)], n)
+        preps = Preparations(alpha2, theta)
+        want = preparation_fields(alpha2, theta)
+        got = (preps.alpha, preps.beta, preps.density(), preps.pauli_expectations)
+        for g, w in zip(got, want):
+            assert same_bits(np.ascontiguousarray(g), w)
+        for a2, th in zip(alpha2[:20].tolist(), theta[:20].tolist()):
+            one = PureStateParams.from_alpha2(a2, th).batch
+            want = preparation_fields(a2, th)
+            got = (one.alpha, one.beta, one.density(), one.pauli_expectations)
+            for g, w in zip(got, want):
+                assert same_bits(np.ascontiguousarray(g), w)
+            assert same_bits(one.alpha2, np.array([a2])) and same_bits(one.theta, np.array([th]))
+
     def test_lowest_eigenvalue_matches_eigvalsh(self, rng):
         mixed = np.array([random_density(rng) for _ in range(2000)])
         for rho in (mixed, prepared_grid(5000), conjugate(HADAMARD, prepared_grid(101)),
                     mixed - np.eye(2) / 4, I2 / 2, np.diag([1.5, -0.5]).astype(complex)):
-            gap = np.abs(_lowest_eigenvalue(rho) - np.linalg.eigvalsh(rho)[..., 0])
+            trace = rho[..., 0, 0].real + rho[..., 1, 1].real
+            gap = np.abs(_lowest_eigenvalue(rho, trace) - np.linalg.eigvalsh(rho)[..., 0])
             assert gap.max() <= 1e-15
+
+
+class TestReductions:
+    """all_at_most and any_above against the two-call forms they replace."""
+
+    CASES = [np.array([]), np.array([0.5]), np.array([2.0]), np.array([np.nan]),
+             np.array([0.5, np.nan]), np.array([2.0, np.nan]), np.array([-np.inf, 1.0]),
+             np.array([np.inf]), np.array([[0.1, 1.0], [1.0, 0.3]])]
+
+    @pytest.mark.parametrize("x", CASES)
+    def test_match_all_and_any(self, x):
+        for bound in (-1.0, 0.0, 1.0, 1.5):
+            assert bool(all_at_most(x, bound)) == bool((x <= bound).all())
+            assert bool(any_above(x, bound)) == bool((x > bound).any())
+
+
+class TestEigensolve:
+    """hermitian_eigenvalues binds numpy's private eigvalsh kernel; these tests
+    pin it to the public np.linalg.eigvalsh, so a numpy that renames or
+    changes the kernel fails here."""
+
+    @pytest.mark.parametrize("n", REWRITE_SIZES)
+    def test_matches_eigvalsh(self, n):
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        hermitian = g + g.conj().swapaxes(-1, -2)
+        four = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+        stacks = (hermitian, with_signed_zeros(rng, hermitian), g, four,
+                  prepared_grid(n) - I2 / 2)
+        for m in (*stacks, *(s[0] for s in stacks if n)):
+            got, want = hermitian_eigenvalues(m), np.linalg.eigvalsh(m)
+            assert got.dtype == want.dtype and same_bits(got, want)
+
+    def test_trace_distance_matches_eigvalsh(self, rng):
+        for _ in range(200):
+            rho, sigma = random_density(rng), random_density(rng)
+            assert trace_distance(rho, sigma) == trace_distance_eigvalsh(rho, sigma)
+        grid = prepared_grid(101)
+        for rho, sigma in zip(grid, conjugate(HADAMARD, grid)):
+            assert trace_distance(rho, sigma) == trace_distance_eigvalsh(rho, sigma)
+
+    def test_failure_is_an_engine_error(self, monkeypatch):
+        monkeypatch.setattr(qlinalg, "_umath_linalg", PoisonedEigensolve)
+        with pytest.raises(EngineError, match="eigenvalue solve did not converge"):
+            hermitian_eigenvalues(np.stack([I2, I2]))
+        with pytest.raises(EngineError, match="eigenvalue solve did not converge"):
+            trace_distance(I2 / 2, I2 / 2)
 
 
 class TestPauliTransfer:
