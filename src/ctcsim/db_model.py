@@ -128,14 +128,15 @@ class DBBatch:
 def loop_transfer(u: Mat4) -> np.ndarray:
     """The slice of U's Pauli transfer matrix that the loop map reads.
 
-    loop[l, i, j] = R[0l, ij] for l = x, y, z: the trapped qubit's l
-    coordinate after U acts on s_i x s_j.  U is checked to be a two-qubit
-    unitary first.
+    loop[i, l, j] = R[0l, ij] for l = x, y, z: the trapped qubit's l
+    coordinate after U acts on s_i x s_j, held with i first so that
+    _bloch_affine sums over it in whole contiguous (l, j) blocks.  U is
+    checked to be a two-qubit unitary first.
     """
     if np.shape(u) != (4, 4):
         raise ValueError("interaction must be a two-qubit gate")
     assert_unitary(u)
-    return pauli_transfer(u)[0, 1:]
+    return np.ascontiguousarray(pauli_transfer(u)[0, 1:].transpose(1, 0, 2))
 
 
 def _joint(u: Mat4, rho_in: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -156,13 +157,13 @@ def _bloch_affine(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.
     """The loop map as r -> M r + c on Bloch coordinates (it is trace preserving).
 
     With a = (1, r_in) the trapped qubit's coordinates leave as
-    sum_ij loop[l, i, j] a_i b_j for b = (1, r), so M[l, j] = sum_i loop[l, i, j] a_i
-    and c[l] = sum_i loop[l, i, 0] a_i.  rho_in may be one state or a stack,
+    sum_ij loop[i, l, j] a_i b_j for b = (1, r), so M[l, j] = sum_i loop[i, l, j] a_i
+    and c[l] = sum_i loop[i, l, 0] a_i.  rho_in may be one state or a stack,
     and the sum runs over i in order for every row alike.
     """
     a = real_parts(rho_in) @ PAULI_READOUT  # Tr[s_i rho_in], i = 0..3
-    # affine[..., l, j] = ((0.0 + a_0 loop[l, 0, j]) + a_1 loop[l, 1, j]) + ...
-    affine = np.add.reduce(a[..., None, :, None] * loop, axis=-2, initial=0.0)
+    # affine[..., l, j] = ((0.0 + a_0 loop[0, l, j]) + a_1 loop[1, l, j]) + ...
+    affine = np.add.reduce(a[..., :, None, None] * loop, axis=-3, initial=0.0)
     return affine[..., 1:], affine[..., 0]
 
 

@@ -259,6 +259,14 @@ class Clifford:
 
     table: tuple[tuple[int, tuple[PauliLetter, ...]], ...]
 
+    def __hash__(self) -> int:
+        # a circuit's hash (the key of compile_words) visits every table
+        return self._table_hash
+
+    @functools.cached_property
+    def _table_hash(self) -> int:
+        return hash(self.table)
+
     def conj(self, *letters: PauliLetter) -> tuple[int, tuple[PauliLetter, ...]]:
         """Image (ipow, letters) of the Pauli string given one letter per qubit."""
         i = 0

@@ -120,7 +120,7 @@ def with_signed_zeros(rng: np.random.Generator, z: np.ndarray, share: float = 0.
 def bloch_affine_sum(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """db_model._bloch_affine as an einsum trace and a Python sum over i."""
     a = np.einsum("iab,...ba->...i", PAULIS, rho_in).real
-    affine = sum(a[..., i, None, None] * loop[:, i] for i in range(4))
+    affine = sum(a[..., i, None, None] * loop[i] for i in range(4))
     return affine[..., 1:], affine[..., 0]
 
 

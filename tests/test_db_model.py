@@ -224,7 +224,7 @@ class TestStackedSolve:
     def test_lapack_failure_is_an_engine_error(self):
         rho = Preparations(np.linspace(0, 1, 3), 0.0).density()
         with pytest.raises(FixedPointError, match="did not converge"):
-            _solve_eigen(np.full((3, 4, 4), np.nan), rho)
+            _solve_eigen(np.full((4, 3, 4), np.nan), rho)
 
     def test_lapack_failure_exits_1_through_the_cli(self, monkeypatch, capfd):
         def poisoned(loop, rho_in):

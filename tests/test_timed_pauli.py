@@ -267,6 +267,12 @@ class TestApplyLocal:
         gate = SWAP @ CNOT @ np.diag([1, 1, 1, np.exp(1e-10j)])
         assert tableau_from_unitary(gate) == tableau_from_unitary(SWAP @ CNOT)
 
+    def test_equal_tables_hash_equal(self):
+        # the hash is the table's, taken once per table
+        a, b = tableau_from_unitary(SWAP @ CNOT), tableau_from_unitary(SWAP @ CNOT)
+        assert a is not b and a == b and hash(a) == hash(b) == hash(a.table)
+        assert len({a, b, CNOT_TABLEAU, SWAP_TABLEAU}) == 3
+
 
 # -- rendering ---------------------------------------------------------------
 
