@@ -100,32 +100,23 @@ PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
 PAULI_PAIRS = np.einsum("kab,lcd->klacbd", PAULIS, PAULIS).reshape(4, 4, 4, 4)
 _PLUS_MINUS_I = np.array([1j, -1j])
 
-# A 2x2 complex matrix read as its 8 real parts R00 I00 R01 I01 R10 I10 R11 I11
-# (real and imaginary part of each entry, row by row; see real_parts).  Each
-# column below takes at most two of them with weights +-1, so a product with
-# it is exact up to one rounding of a two-term sum: the bits of that sum in
-# closed form, whatever order the matrix product adds the zero terms in, up
-# to the sign of a zero result.
-#
-# PAULI_READOUT: Tr[s_k m] for s_k = I, X, Y, Z (real part).
-PAULI_READOUT = np.zeros((8, 4))
-PAULI_READOUT[[0, 6], 0] = 1.0                  # R00 + R11
-PAULI_READOUT[[2, 4], 1] = 1.0                  # R01 + R10
-PAULI_READOUT[[3, 5], 2] = -1.0, 1.0            # I10 - I01
-PAULI_READOUT[[0, 6], 3] = 1.0, -1.0            # R00 - R11
-_BLOCH_READOUT = np.ascontiguousarray(PAULI_READOUT[:, 1:])
-# (I + r . sigma)'s real parts: r times _BLOCH_PARTS, plus _IDENTITY_PARTS.
-_BLOCH_PARTS = np.zeros((3, 8))
-_BLOCH_PARTS[0, [2, 4]] = 1.0                   # x: R01 and R10
-_BLOCH_PARTS[1, [3, 5]] = -1.0, 1.0             # y: -I01 and I10
-_BLOCH_PARTS[2, [0, 6]] = 1.0, -1.0             # z: R00 and -R11
-_IDENTITY_PARTS = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-
 
 def real_parts(m: np.ndarray) -> np.ndarray:
-    """The (..., 8) real parts of each 2x2 complex matrix in m, as listed above."""
+    """Each 2x2 complex matrix in m as its 8 real parts, (..., 8): the real and
+    imaginary part of each entry, row by row (R00 I00 R01 I01 R10 I10 R11 I11)."""
     m = np.asarray(m, dtype=complex)
     return m.reshape(*m.shape[:-2], 4).view(np.float64)
+
+
+# PAULI_READOUT[p, k] is real part p of sigma_k, so real_parts(m) @ PAULI_READOUT
+# is the real part of Tr[sigma_k m], and r @ PAULI_READOUT[:, 1:].T the real parts
+# of r . sigma.  Each column has at most two nonzero entries, all +-1, so both
+# products are exact up to one rounding of a two-term sum: the bits of that sum in
+# closed form, whatever order the zero terms are added in, up to the sign of a
+# zero result.
+PAULI_READOUT = real_parts(PAULIS).T.copy()
+_BLOCH_READOUT = PAULI_READOUT[:, 1:].copy()
+_IDENTITY_PARTS = real_parts(I2).copy()
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -197,10 +188,7 @@ class Preparations:
         if not ok.all():
             n = int(np.argmin(ok))
             PureStateParams(alpha2=alpha2[n].item(), theta=theta[n].item())  # raises its error
-        amplitudes = np.empty((len(alpha2), 2))
-        amplitudes[:, 0] = alpha2
-        np.subtract(1.0, alpha2, out=amplitudes[:, 1])
-        self._set(alpha2, theta, np.sqrt(amplitudes, out=amplitudes))
+        self._set(alpha2, theta, np.sqrt(np.stack([alpha2, 1.0 - alpha2], axis=-1)))
 
     @classmethod
     def _of_checked(cls, alpha2: np.ndarray, theta: np.ndarray,
@@ -307,8 +295,8 @@ def pauli_transfer(u: Mat4) -> np.ndarray:
 
 
 def _trace_pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """first + second as a sum from +0.0: -0.0 + -0.0 gives +0.0, as the
-    zero-initialised einsum the partial traces used to be."""
+    """first + second, summed from +0.0 as a trace is: -0.0 + -0.0 gives +0.0,
+    the bits the partial traces have always had."""
     out = first + second
     out += 0.0
     return out
@@ -411,7 +399,7 @@ def density_from_bloch(r: BlochVector | np.ndarray) -> np.ndarray:
     complex product with 0.5, as that sum was halved.
     """
     r = np.asarray(r.as_tuple() if isinstance(r, BlochVector) else r, dtype=float)
-    parts = r @ _BLOCH_PARTS
+    parts = r @ _BLOCH_READOUT.T
     parts += _IDENTITY_PARTS
     return 0.5 * parts.view(complex).reshape(*r.shape[:-1], 2, 2)
 
