@@ -11,9 +11,8 @@ parseable anywhere.  run, sweep and compare read a circuit:
     overlap.kind = orthogonal_limit
 
 and geometry reads geometry.hi, geometry.ho, geometry.transit and
-geometry.c.  Each block line names one interaction gate.  Repeated "block"
-lines keep their order; no other key may repeat.  A refused value is
-reported with its line.
+geometry.c.  Each block line names one interaction gate; repeated block
+lines keep their order.
 
 Every command but geometry and conjecture-check prints records: rows of the
 RECORD_FIELDS strings, as csv, key=value records or an aligned table.  A
@@ -42,9 +41,7 @@ from .qlinalg import CtcsimError, EngineError, Preparations, PureStateParams
 from .scenario import BlockSpec, CircuitSpec, GeometryConfig, TimeDistribution
 
 # The largest grid a sweep evaluates: every point's states and records live
-# in memory at once.  A `sweep cnot --model both` of this size, written to a
-# pipe, peaks at 169 MB in csv, table and records alike (Python 3.11, numpy
-# 2.4); the peak is reached before the first line is written.
+# in memory at once (README gives the peak).
 MAX_SWEEP_STEPS = 100_000
 
 
@@ -60,8 +57,7 @@ def _vector(text: str) -> tuple[float, ...]:
 
 
 # The keys each subcommand reads, and the parser of each value: CIRCUIT_KEYS
-# for run, sweep and compare, GEOMETRY_KEYS for geometry.  Only "block"
-# repeats.
+# for run, sweep and compare, GEOMETRY_KEYS for geometry.
 CIRCUIT_KEYS = {
     "prep.alpha2": float, "prep.theta": float, "block": BlockSpec, "locals": str.split,
     "overlap.kind": str, "overlap.d": float, "overlap.tau": float,
@@ -199,9 +195,7 @@ def records_for(name: str, preps: Preparations,
     point's db row before its heisenberg row.
 
     db and heis give the N results of each engine, or None for an engine
-    that did not run.  Each numeric column is formatted once, by repr; a
-    Heisenberg value whose status is not ok is that status, and an absent
-    value is "".
+    that did not run.  Each numeric column is formatted once.
     """
     td = "" if trace_distance is None else repr(trace_distance)
     alpha2, theta = _text(preps.alpha2), _text(preps.theta)
@@ -309,11 +303,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """run's records of both engines, each carrying their verdict."""
     name, spec = load_spec(args.target, args)
-    report = scenario.compare(spec)
-    emit(records_for(name, spec.prep.batch, DBBatch.of(report.db),
-                     HeisenbergBatch.of(report.heisenberg), ";".join(report.flags),
-                     report.trace_distance),
+    preps = spec.prep.batch
+    db, heis = scenario.evaluate_db(spec, preps), scenario.evaluate_heisenberg(spec, preps)
+    report = scenario.verdict(db[0], heis[0])
+    emit(records_for(name, preps, db, heis, ";".join(report.flags), report.trace_distance),
          args.format, sys.stdout)
     return 0
 

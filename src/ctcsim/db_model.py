@@ -18,18 +18,12 @@ picking a representative.
 
 The direct solve runs on stacks of states: solve_chain_batch threads N
 preparations through a chain in one pass, with every check applied to
-every state.  Each step is a fixed number of numpy calls per stack: the
-conjugations by the local gates and by U are two flat products each
-(qlinalg.conjugate), the fixed points one stacked least-squares call and
-the density checks closed forms.  Only the residual, whose bits are
-printed, still takes one LAPACK eigensolve per state, inside one numpy
-call.  Both LAPACK kernels are numpy's generalized ufuncs, called without
-their Python wrappers: _stacked_lstsq binds numpy.linalg._umath_linalg.lstsq
-and qlinalg.hermitian_eigenvalues its eigvalsh_lo.  A chain costs 33 numpy
-calls per stack and 74 more per block (not counting views), whatever the
-stack's size; at one state that count, not the arithmetic, is the time.
+every state.  The conjugations by the local gates and by U are two flat
+products each (qlinalg.conjugate), the fixed points one stacked
+least-squares call and the density checks closed forms; only the printed
+residual takes one eigensolve per state, inside one numpy call.
 scenario.evaluate_db, the route every CLI command takes, feeds it the
-(u, loop slice) pair each block keeps.  solve_chain and
+(u, loop slice) pair each block keeps; solve_chain and
 solve_fixed_point(method="eigen") are its one-state case for direct
 callers.  The iteration stays scalar, as the independent oracle.
 """
@@ -40,10 +34,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .qlinalg import (
     ATOL_SOLVER,
+    BLOCH_ATOL,
     BlochVector,
     DensityMatrix,
     EngineError,
@@ -60,6 +54,7 @@ from .qlinalg import (
     conjugate,
     density_from_bloch,
     hermitian_eigenvalues,
+    least_squares,
     partial_trace_first,
     partial_trace_second,
     pauli_transfer,
@@ -114,12 +109,6 @@ class DBBatch:
     residual: np.ndarray
     degenerate: np.ndarray
 
-    @classmethod
-    def of(cls, run: DBRun) -> "DBBatch":
-        """One run as a batch of one."""
-        return cls(run.output[None], np.array([run.bloch.as_tuple()]),
-                   np.array([run.residual]), np.array([run.degenerate]))
-
     def __getitem__(self, n: int) -> DBRun:
         return DBRun(self.output[n], BlochVector(*self.bloch[n].tolist()),
                      self.residual[n].item(), self.degenerate[n].item())
@@ -173,29 +162,18 @@ def _lstsq_failed(err: str, flag: int) -> None:
 
 @np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _stacked_lstsq(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.linalg.lstsq(a[n], c[n], rcond=DEGENERACY_TOL) for every n, in one call.
-
-    Returns the solutions (N, 3), the ranks (N,) and the singular values
-    (N, 3).  This is one stacked LAPACK gelsd call through numpy's lstsq
-    kernel, the generalized ufunc that np.linalg.lstsq wraps for a single
-    system, run under the same error state; so every state's solution, rank
-    and singular values are bit for bit those of the public call.  It binds
-    the private name numpy.linalg._umath_linalg.lstsq, which
-    tests/test_db_model.py pins against np.linalg.lstsq.  A LAPACK failure
-    raises FixedPointError.
-    """
-    x, _, rank, svals = _umath_linalg.lstsq(a, c[..., None], DEGENERACY_TOL,
-                                            signature="ddd->ddid")
-    return x[..., 0], rank, svals
+    """np.linalg.lstsq(a[n], c[n], rcond=DEGENERACY_TOL) for every n, in one
+    call, under that wrapper's error state; a LAPACK failure raises
+    FixedPointError."""
+    return least_squares(a, c, DEGENERACY_TOL)
 
 
 def _solve_eigen(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Direct solve of (I - M) r = c for each state of a stack.
 
-    One stacked gelsd call, through a private numpy name (_stacked_lstsq),
-    solves the whole stack with the bits of a per-state np.linalg.lstsq.
-    It returns the minimum-norm solution on rank deficiency, which is the
-    maximum-entropy fixed point for a qubit (entropy decreases with |r|).
+    The least-squares solve returns the minimum-norm solution on rank
+    deficiency, which is the maximum-entropy fixed point for a qubit
+    (entropy decreases with |r|).
     """
     m, c = _bloch_affine(loop, rho_in)
     a = _I3 - m
@@ -209,8 +187,8 @@ def _solve_eigen(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.n
                               residual=gap[np.argmax(gap > 1e-8)].item())
     norm = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])  # as np.linalg.norm of one row
     if any_above(norm, 1.0):
-        if any_above(norm, 1.0 + 1e-9):
-            worst = norm[np.argmax(norm > 1.0 + 1e-9)].item()
+        if any_above(norm, 1.0 + BLOCH_ATOL):
+            worst = norm[np.argmax(norm > 1.0 + BLOCH_ATOL)].item()
             raise FixedPointError(f"fixed-point solution left the Bloch ball (|r| = {worst!r})",
                                   residual=worst - 1.0)
         spill = norm > 1.0  # float spill just past the sphere

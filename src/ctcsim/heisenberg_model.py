@@ -27,10 +27,10 @@ with non-negligible overlap is supported for two-label words.
 
 The whole circuit lives in the back-propagated words; the prepared state and
 the temporal profile enter only at the final expectation.  So evaluation has
-two steps: compile_words back-propagates each axis, once per distinct circuit
-per process, and evaluate_words takes the closed-form letter expectations of
-N preparations at once.  heisenberg_bloch, the entry point on a bare
-HeisenbergCircuit, runs both steps for one state.
+two steps: compile_words back-propagates each axis, and evaluate_words takes
+the closed-form letter expectations of N preparations at once.
+heisenberg_bloch, the entry point on a bare HeisenbergCircuit, runs both
+steps for one state.
 """
 
 from __future__ import annotations
@@ -164,13 +164,6 @@ class HeisenbergBatch:
     values: dict[str, np.ndarray]
     statuses: dict[str, list[str]]
 
-    @classmethod
-    def of(cls, result: HeisenbergResult) -> "HeisenbergBatch":
-        """One result as a batch of one."""
-        return cls({axis: np.array([np.nan if v is None else v])
-                    for axis, v in result.components.items()},
-                   {axis: [status] for axis, status in result.statuses.items()})
-
     def __getitem__(self, n: int) -> HeisenbergResult:
         statuses = {axis: s[n] for axis, s in self.statuses.items()}
         return HeisenbergResult(
@@ -226,12 +219,11 @@ def backpropagate_block(gate: Clifford, measured: TimedPauliWord) -> BlockResult
     if period_ipow != 0:
         raise DivergentPhaseError(
             f"repeating block of {letter.value} accumulates sign i^{period_ipow} per period")
-    if letter is _L.I:
-        word = TimedPauliWord.build(ipow0, {j: v for j, v in emitted.items() if j < k0})
-        return BlockResult(word, "closed", k, measured, tuple(lower_seq), k0, period)
-    word = TimedPauliWord.build(
-        ipow0, {j: v for j, v in emitted.items() if j < k0}, tail=(k0, letter))
-    return BlockResult(word, "periodic_tail", k, measured, tuple(lower_seq), k0, period)
+    closed = letter is _L.I  # the cycle emits identities, or one letter forever
+    word = TimedPauliWord.build(ipow0, {j: v for j, v in emitted.items() if j < k0},
+                                None if closed else (k0, letter))
+    return BlockResult(word, "closed" if closed else "periodic_tail", k, measured,
+                       tuple(lower_seq), k0, period)
 
 
 def verify_block_result(gate: Clifford, result: BlockResult) -> bool:

@@ -4,19 +4,13 @@ Everything here is plain double-precision numpy on 2x2 and 4x4 arrays:
 states, gates, tensor products, partial traces and distance measures.
 The state helpers also take stacks of them, one per prepared state, and
 check each member.  A stacked helper makes a fixed number of numpy calls
-per stack, not a BLAS or LAPACK call per member, and on a stack of one that
-count is its cost: each call spends a few microseconds in numpy's wrappers.
-Per stack, not counting views: tensor 1, conjugate 3 (two flat products and
-a conj), a partial trace 2, density_from_bloch 3, assert_density 17,
-bloch_coordinates 23, hermitian_eigenvalues 1 and trace_distance 5.  The
-density checks read the entries in closed form, and a linear reading of a
-2x2 (its Pauli traces, the matrix of a Bloch vector) is one product with a
-matrix of 0s and +-1s over the entries' real parts (see real_parts).
-hermitian_eigenvalues calls numpy's eigvalsh kernel, the private
-numpy.linalg._umath_linalg.eigvalsh_lo, as db_model._stacked_lstsq calls
-its lstsq kernel.  tests/test_qlinalg.py pins each closed form against the
-dense definition or the form it replaces, bit for bit where its bits reach
-the output, and each private kernel against its public wrapper.  This
+per stack, not a BLAS or LAPACK call per member, so on a stack of one the
+number of calls, not the arithmetic, is its cost.  The density checks read
+the entries in closed form, and a linear reading of a 2x2 (its Pauli
+traces, the matrix of a Bloch vector) is one product with a matrix of 0s
+and +-1s over the entries' real parts (see real_parts).
+tests/test_qlinalg.py pins each closed form against the dense definition or
+the form it replaces, bit for bit where its bits reach the output.  This
 module is the numeric oracle the symbolic engine is checked against, so it
 stays deliberately dumb -- no sparsity, no n-qubit generality.  As the
 bottom of the import graph it also holds the prepared states and the root
@@ -33,10 +27,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+# The generalized ufuncs that np.linalg.lstsq and np.linalg.eigvalsh wrap,
+# called without the wrappers, in least_squares and hermitian_eigenvalues;
+# the tests pin each against its public wrapper.  They are private names,
+# so a numpy without one fails here, at import, by name.
+for _kernel in ("lstsq", "eigvalsh_lo"):
+    if not hasattr(_umath_linalg, _kernel):
+        raise ImportError(f"ctcsim needs numpy.linalg._umath_linalg.{_kernel}, which numpy "
+                          f"{np.__version__} lacks; the tested numpy is 2.4.6")
+
 # Structural checks (hermiticity, trace, unitarity) use ATOL_STRUCT;
 # fixed-point solvers converge to ATOL_SOLVER.
 ATOL_STRUCT = 1e-12
 ATOL_SOLVER = 1e-10
+# A Bloch norm may spill past 1 by this much and still be a state.
+BLOCH_ATOL = 1e-9
 _HALF_MAX = sys.float_info.max / 2
 
 Mat2 = np.ndarray
@@ -221,9 +226,9 @@ class Preparations:
     def pauli_expectations(self) -> np.ndarray:
         """(N, 4) closed-form expectations of I, X, Y, Z in each state.
 
-        The Z column squares through Python's float power, which rounds
-        differently from x * x in about 0.1% of cases; the printed values
-        have always been computed that way.
+        The Z column squares through Python's float power, which sometimes
+        rounds differently from x * x; the printed values have always been
+        computed that way.
         """
         two_ab = 2.0 * self.alpha * self.beta
         angle = 2.0 * self.theta
@@ -242,7 +247,7 @@ class BlochVector:
     rz: float
 
     def __post_init__(self) -> None:
-        if self.norm() > 1.0 + 1e-9:
+        if self.norm() > 1.0 + BLOCH_ATOL:
             raise QlinalgError(f"Bloch vector norm {self.norm()!r} exceeds 1")
 
     def norm(self) -> float:
@@ -385,8 +390,8 @@ def bloch_coordinates(rho: np.ndarray) -> np.ndarray:
     r = real_parts(rho) @ _BLOCH_READOUT
     r += 0.0  # -0.0 -> 0.0: the trace of the Pauli product adds exact zeros too
     norm = np.sqrt(np.add.reduce(r * r, axis=-1))
-    if not all_at_most(norm, 1.0 + 1e-9):
-        _check_each(~(norm <= 1.0 + 1e-9), norm, "Bloch vector norm {!r} exceeds 1")
+    if not all_at_most(norm, 1.0 + BLOCH_ATOL):
+        _check_each(~(norm <= 1.0 + BLOCH_ATOL), norm, "Bloch vector norm {!r} exceeds 1")
     return r
 
 
@@ -404,6 +409,17 @@ def density_from_bloch(r: BlochVector | np.ndarray) -> np.ndarray:
     return 0.5 * parts.view(complex).reshape(*r.shape[:-1], 2, 2)
 
 
+def least_squares(a: np.ndarray, b: np.ndarray, rcond: float) -> tuple[np.ndarray, ...]:
+    """np.linalg.lstsq(a[n], b[n], rcond) for every n of a stack, in one gelsd
+    call: the solutions (..., d), ranks (...) and descending singular values.
+
+    The caller sets the error state the wrapper would, and so decides what a
+    LAPACK failure raises.
+    """
+    x, _, rank, svals = _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")
+    return x[..., 0], rank, svals
+
+
 def _eigensolve_failed(err: str, flag: int) -> None:
     raise EngineError("eigenvalue solve did not converge")
 
@@ -412,12 +428,8 @@ def _eigensolve_failed(err: str, flag: int) -> None:
              over="ignore", divide="ignore", under="ignore")
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a complex hermitian matrix, or of each in a
-    stack (..., d, d), read from the lower triangle.
-
-    This is np.linalg.eigvalsh without its Python wrapper: numpy's eigvalsh
-    kernel, the generalized ufunc numpy.linalg._umath_linalg.eigvalsh_lo,
-    called under the error state the wrapper sets, so the bits are the
-    wrapper's (tests/test_qlinalg.py pins that).  A LAPACK failure raises
+    stack (..., d, d), read from the lower triangle: np.linalg.eigvalsh's
+    kernel under the wrapper's error state.  A LAPACK failure raises
     EngineError instead of numpy's LinAlgError.
     """
     return _umath_linalg.eigvalsh_lo(m, signature="D->d")

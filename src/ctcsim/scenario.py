@@ -4,20 +4,15 @@ Only this module wires a CircuitSpec into the two engines.  Each block is
 one interaction U, given by name or as an anonymous 4x4 matrix: the qubit
 meets its own past self through U followed by a swap.  The density-matrix
 engine conjugates with U, and the Heisenberg engine conjugates through
-U_bar = SWAP U.  A block resolves U once and keeps, each compiled on first
-use, the slice of U's Pauli transfer matrix that the loop map reads and
-the Clifford table of U_bar.
+U_bar = SWAP U.
 
-What does not depend on the preparation is compiled on first use: the blocks
-keep their compiled parts, and heisenberg_model.compile_words keeps, per
-distinct circuit, each axis's back-propagated word.  evaluate_db and
+What does not depend on the preparation is compiled on first use: each
+block's parts (BlockSpec) and, per distinct circuit, each axis's
+back-propagated word (heisenberg_model.compile_words).  evaluate_db and
 evaluate_heisenberg run a spec's circuit on N preparations at once, and are
-the only route from a spec to numbers; run_db, run_heisenberg and compare
-are the one-point case, on spec.prep.
-
-Gate names accept a "_swap" suffix meaning "followed by a swap", so the
-canonical interactions (a controlled gate chased by a swap) are expressible
-by name: "cnot_swap", "cz_swap".
+the only route from a spec to numbers; run_db and run_heisenberg are the
+one-point case, on spec.prep.  verdict is the one cross-engine rule, and
+compare is verdict on run_db and run_heisenberg.
 """
 
 from __future__ import annotations
@@ -51,12 +46,14 @@ from .timed_pauli import LOCAL_TABLES, Clifford
 # the disagreement budget.
 COMPARISON_ATOL = 1e-9
 
-# One entry per local gate name: the standard gate whose matrix the
-# density-matrix engine applies and whose table the Heisenberg engine reads.
-_LOCALS: dict[str, str] = {
-    "i2": "I2", "i": "I2", "h": "H",
-    "x": "X", "y": "Y", "z": "Z", "s": "S",
-}
+# One entry per local gate name: the matrix the density-matrix engine
+# applies, shared read-only, and the table the Heisenberg engine reads.
+_LOCALS: dict[str, tuple[np.ndarray, Clifford]] = {
+    name: (standard_gate(gate), LOCAL_TABLES[gate])
+    for name, gate in (("i2", "I2"), ("i", "I2"), ("h", "H"),
+                       ("x", "X"), ("y", "Y"), ("z", "Z"), ("s", "S"))}
+for _matrix, _ in _LOCALS.values():
+    _matrix.flags.writeable = False
 
 
 class ScenarioError(CtcsimError, ValueError):
@@ -123,20 +120,11 @@ class CircuitSpec:
 
 
 def local_matrix(name: str) -> np.ndarray:
-    return standard_gate(_LOCALS[name.lower()])
-
-
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
-
-
-# The matrices evaluate_db applies, built once and shared read-only.
-_LOCAL_MATRICES = {name: _read_only(local_matrix(name)) for name in _LOCALS}
+    return _LOCALS[name.lower()][0].copy()
 
 
 def local_clifford(name: str) -> Clifford:
-    return LOCAL_TABLES[_LOCALS[name.lower()]]
+    return _LOCALS[name.lower()][1]
 
 
 def heisenberg_circuit(spec: CircuitSpec) -> HeisenbergCircuit:
@@ -174,7 +162,7 @@ def named_scenario(name: str, prep: PureStateParams | None = None,
 def evaluate_db(spec: CircuitSpec, preps: Preparations) -> DBBatch:
     """The circuit of spec on each preparation; spec.prep is not read."""
     return db_model.solve_chain_batch([(b.u, b.loop) for b in spec.blocks],
-                                      [_LOCAL_MATRICES[n.lower()] for n in spec.local_gates],
+                                      [_LOCALS[n.lower()][0] for n in spec.local_gates],
                                       preps)
 
 
@@ -209,14 +197,13 @@ class ComparisonReport:
         return "agree" in self.flags
 
 
-def compare(spec: CircuitSpec) -> ComparisonReport:
-    """Run both engines on one spec and give the cross-engine verdict.
+def verdict(db_run: DBRun, heis: HeisenbergResult) -> ComparisonReport:
+    """The cross-engine verdict on one preparation's two runs.
 
     agree requires every Bloch component within COMPARISON_ATOL and neither a
     singular Heisenberg component nor a degenerate fixed point; diverge marks
     a clean numeric disagreement.
     """
-    db_run, heis = run_db(spec), run_heisenberg(spec)
     flags: list[str] = []
     if db_run.degenerate:
         flags.append("degenerate")
@@ -231,6 +218,11 @@ def compare(spec: CircuitSpec) -> ComparisonReport:
     elif delta >= COMPARISON_ATOL:
         flags.append("diverge")
     return ComparisonReport(db_run, heis, tdist, delta, tuple(flags))
+
+
+def compare(spec: CircuitSpec) -> ComparisonReport:
+    """Run both engines on one spec and give their verdict."""
+    return verdict(run_db(spec), run_heisenberg(spec))
 
 
 # -- no-signaling geometry of the external apparatus ------------------------

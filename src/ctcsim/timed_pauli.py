@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -119,12 +119,10 @@ class TimedPauliWord:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def build(ipow: int = 0,
-              letters: Mapping[int, PauliLetter] | Iterable[tuple[int, PauliLetter]] = (),
+    def build(ipow: int, letters: Mapping[int, PauliLetter],
               tail: tuple[int, PauliLetter] | None = None) -> "TimedPauliWord":
         """Canonicalize and build: drops identities, absorbs head into tail."""
-        items = dict(letters.items() if isinstance(letters, Mapping) else letters)
-        items = {k: v for k, v in items.items() if v is not _L.I}
+        items = {k: v for k, v in letters.items() if v is not _L.I}
         if tail is not None:
             start, letter = tail
             if letter is _L.I:
@@ -219,12 +217,7 @@ def word_mul(a: TimedPauliWord, b: TimedPauliWord) -> TimedPauliWord:
         tail = None
         stop = max(a.support_stop(), b.support_stop())
 
-    starts = [k for k, _ in a.head] + [k for k, _ in b.head]
-    if a.tail is not None:
-        starts.append(a.tail[0])
-    if b.tail is not None:
-        starts.append(b.tail[0])
-    lo = min(starts) if starts else 0
+    lo = min((k for k in (a.min_label(), b.min_label()) if k is not None), default=0)
 
     ipow = a.ipow + b.ipow
     letters: dict[int, PauliLetter] = {}

@@ -190,8 +190,11 @@ def trace_distance_eigvalsh(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 class PoisonedEigensolve:
-    """Stands in for numpy.linalg._umath_linalg: an eigvalsh kernel that fails
-    as a LAPACK failure does, raising the invalid flag (and answering NaN)."""
+    """Stands in for numpy.linalg._umath_linalg: its own lstsq kernel, and an
+    eigvalsh kernel that fails as a LAPACK failure does, raising the invalid
+    flag (and answering NaN)."""
+
+    lstsq = staticmethod(np.linalg._umath_linalg.lstsq)
 
     @staticmethod
     def eigvalsh_lo(m, signature):

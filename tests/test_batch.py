@@ -10,7 +10,6 @@ its density-matrix components agree with the plain-iteration oracle.
 """
 
 import pathlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctcsim import cli, db_model, heisenberg_model, scenario
-from ctcsim.db_model import DBBatch, FixedPointError, solve_fixed_point
-from ctcsim.heisenberg_model import HeisenbergBatch, TimeDistribution
+from ctcsim.db_model import FixedPointError, solve_fixed_point
+from ctcsim.heisenberg_model import TimeDistribution
 from ctcsim.qlinalg import SWAP, Preparations, PureStateParams
 from ctcsim.scenario import BlockSpec, CircuitSpec
 from helpers import bloch_from_density, random_params
@@ -161,9 +160,9 @@ def test_batch_is_n_single_evaluations(circuit, grid):
 
     singles = []
     for a2, th in zip(alpha2, theta):
-        one = replace(spec, prep=PureStateParams(alpha2=a2, theta=th))
-        singles += cli.records_for("p", one.prep.batch, DBBatch.of(scenario.run_db(one)),
-                                   HeisenbergBatch.of(scenario.run_heisenberg(one)))
+        one = PureStateParams(alpha2=a2, theta=th).batch
+        singles += cli.records_for("p", one, scenario.evaluate_db(spec, one),
+                                   scenario.evaluate_heisenberg(spec, one))
     assert repr(cli.records_for("p", preps, db, heis)) == repr(singles)
 
     for n, (a2, th) in enumerate(zip(alpha2, theta)):

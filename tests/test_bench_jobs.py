@@ -1,7 +1,8 @@
 """The benchmark's two job kinds still run on this tree.
 
-bench/child.py runs one job in a fresh interpreter: a CLI argv through
-ctcsim.cli.main, or scenario.compare calls whose report fields it prints.
+bench/child.py runs one job in a fresh interpreter: a CLI argv (a sweep or
+a compare) through ctcsim.cli.main, or scenario.compare calls whose report
+fields it prints.
 A refactor that drops a name or a field the benchmark reads would otherwise
 show only when the benchmark itself runs.  Each job runs as the benchmark
 launches it, with its result file under tmp_path, no bytecode written and
@@ -47,6 +48,12 @@ def test_cli_chained_theta_sweep_job(tmp_path):
             "--alpha2", "0.3", "--model", "both", "--format", "csv"]
     out, _ = run_job({"kind": "cli", "argv": argv, "trace": False}, tmp_path)
     assert out == (GOLDEN / "sweep_chained_cnot_hadamard_theta_101_both.txt").read_text()
+
+
+def test_cli_compare_job(tmp_path):
+    argv = ["compare", "cnot", "--format", "csv"]
+    out, _ = run_job({"kind": "cli", "argv": argv, "trace": False}, tmp_path)
+    assert out == (GOLDEN / "compare_cnot.txt").read_text()
 
 
 def test_traced_cli_sweep_job(tmp_path):

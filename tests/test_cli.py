@@ -19,7 +19,7 @@ from ctcsim.cli import (
 )
 from ctcsim.db_model import FixedPointError
 from ctcsim.heisenberg_model import NotCliffordError, UnsupportedOverlapError
-from ctcsim.qlinalg import CtcsimError, EngineError, Preparations, QlinalgError
+from ctcsim.qlinalg import CtcsimError, EngineError, Preparations, PureStateParams, QlinalgError
 from ctcsim.scenario import BlockSpec, ScenarioError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -191,7 +191,7 @@ class TestCompareCommand:
 
     def test_each_engine_runs_once(self, capsys, monkeypatch):
         calls = []
-        for name in ("run_db", "run_heisenberg"):
+        for name in ("evaluate_db", "evaluate_heisenberg"):
             real = getattr(scenario, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -200,7 +200,31 @@ class TestCompareCommand:
             monkeypatch.setattr(scenario, name, counted)
         code, _, _ = run_cli(capsys, "compare", "cnot", "--format", "csv")
         assert code == 0
-        assert sorted(calls) == ["run_db", "run_heisenberg"]
+        assert calls == ["evaluate_db", "evaluate_heisenberg"]
+
+    def test_records_carry_the_library_verdict(self, capsys):
+        # cmd_compare evaluates the engines itself; at every preparation of the
+        # compare corpus its csv must print what scenario.compare reports
+        corpus = (REPO / "tests" / "golden" / "compare_corpus.txt").read_text().splitlines()
+        assert len(corpus) == 60
+        for line in corpus:
+            name, alpha2, theta = line.split()[:3]
+            code, out, _ = run_cli(capsys, "compare", name, f"--alpha2={alpha2}",
+                                   f"--theta={theta}", "--format", "csv")
+            assert code == 0
+            db, heis = csv_records(out)
+            r = scenario.compare(scenario.named_scenario(
+                name, PureStateParams(alpha2=float(alpha2), theta=float(theta))))
+            statuses = r.heisenberg.statuses
+            assert [db[a] for a in "xyz"] == list(map(repr, r.db.bloch.as_tuple()))
+            assert [heis[a] for a in "xyz"] == [
+                repr(r.heisenberg.components[a]) if statuses[a] == "ok" else statuses[a]
+                for a in "xyz"]
+            assert db["flags"] == ";".join(r.flags)
+            unresolved = sorted(set(statuses.values()) - {"ok"})
+            assert heis["flags"] == ";".join(dict.fromkeys([*unresolved, *r.flags]))
+            td = "" if r.trace_distance is None else repr(r.trace_distance)
+            assert db["trace_distance"] == heis["trace_distance"] == td
 
     def test_cz_compare_agrees(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "cz", "--alpha2", "0.8",

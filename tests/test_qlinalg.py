@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +24,7 @@ from ctcsim.qlinalg import (
     PureStateParams,
     QlinalgError,
     SWAP,
+    _density_deviations,
     _lowest_eigenvalue,
     all_at_most,
     any_above,
@@ -452,6 +457,72 @@ class TestEigensolve:
             hermitian_eigenvalues(np.stack([I2, I2]))
         with pytest.raises(EngineError, match="eigenvalue solve did not converge"):
             trace_distance(I2 / 2, I2 / 2)
+
+
+class TestPrivateKernels:
+    SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+    @pytest.mark.parametrize("kernel", ["lstsq", "eigvalsh_lo"])
+    def test_missing_kernel_is_one_import_error(self, kernel):
+        code = f"from numpy.linalg import _umath_linalg; del _umath_linalg.{kernel}; import ctcsim"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(self.SRC)}, timeout=60)
+        assert proc.returncode == 1
+        assert "During handling" not in proc.stderr
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("ImportError: ")
+        assert f"_umath_linalg.{kernel}," in last and "numpy 2.4.6" in last
+
+
+class TestStackSizeIndependence:
+    """One matrix's check values do not depend on the stack it is checked in:
+    np.abs of a complex stack, which the checks take, must round every member
+    alike whatever the stack's length, so run (a stack of 1) and sweep (a
+    stack of N) judge one state alike."""
+
+    @staticmethod
+    def matrices(rng) -> list[np.ndarray]:
+        """Prepared states conjugated by a random unitary, whose hermiticity
+        and trace deviations are rounding, and raw complex 2x2s."""
+        states = conjugate(random_unitary(rng, 2), prepared_grid(100))
+        raw = rng.normal(size=(100, 2, 2)) + 1j * rng.normal(size=(100, 2, 2))
+        return [*states, *raw]
+
+    @staticmethod
+    def stacks(rng, m: np.ndarray):
+        """m alone, then first, in the middle and last in stacks of 2, 3, 5 and 101."""
+        yield 0, m[None]
+        for n in (2, 3, 5, 101):
+            for pos in sorted({0, n // 2, n - 1}):
+                stack = conjugate(random_unitary(rng, 2), prepared_grid(n))
+                stack[pos] = m
+                yield pos, stack
+
+    def test_density_deviations(self, rng):
+        for m in self.matrices(rng):
+            alone = [d[0] for d in _density_deviations(m[None])]
+            for pos, stack in self.stacks(rng, m):
+                got = [d[pos] for d in _density_deviations(stack)]
+                assert same_bits(np.array(got), np.array(alone))
+
+    def test_bloch_norm(self, rng, monkeypatch):
+        seen = []
+
+        def recording(x, bound):
+            if bound == 1.0 + qlinalg.BLOCH_ATOL:
+                seen.append(x.copy())
+            return all_at_most(x, bound)
+
+        monkeypatch.setattr(qlinalg, "all_at_most", recording)
+        for m in self.matrices(rng)[:100]:
+            r_alone = bloch_coordinates(m[None])
+            (norm_alone,) = seen
+            for pos, stack in self.stacks(rng, m):
+                seen.clear()
+                r = bloch_coordinates(stack)
+                assert same_bits(r[pos], r_alone[0])
+                assert same_bits(seen[0][pos], norm_alone[0])
+            seen.clear()
 
 
 class TestPauliTransfer:
