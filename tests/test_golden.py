@@ -84,6 +84,14 @@ for _name, _cfg in (("run_config_chained", CONFIGS / "chained.cfg"),
                     ("compare_config_chained", CONFIGS / "chained.cfg"),
                     ("run_config_bare_s_local", GOLDEN / "bare_s_local.cfg")):
     CASES[_name] = [_name.split("_", 1)[0], "--config", str(_cfg), "--format", "csv"]
+# Two-block circuits whose identity local follows a non-identity one, which
+# no named circuit has: a compare and a sweep of each.
+for _locals in ("x_i2_s", "i_y_i2"):
+    _cfg = str(GOLDEN / f"mixed_locals_{_locals}.cfg")
+    CASES[f"compare_config_mixed_locals_{_locals}"] = ["compare", "--config", _cfg,
+                                                       "--format", "csv"]
+    CASES[f"sweep_config_mixed_locals_{_locals}_alpha2"] = [
+        "sweep", "--config", _cfg, "alpha2", "0", "1", "11", "--format", "csv"]
 
 CONJECTURE = ["conjecture-check", "--seed", "7", "--trials", "200"]
 MAX_DELTA_ATOL = 1e-12
