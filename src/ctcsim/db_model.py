@@ -21,11 +21,15 @@ preparations through a chain in one pass, with every check applied to
 every state.  The conjugations by the local gates and by U are two flat
 products each (qlinalg.conjugate), the fixed points one stacked
 least-squares call and the density checks closed forms; only the printed
-residual takes one eigensolve per state, inside one numpy call.
-scenario.evaluate_db, the route every CLI command takes, feeds it the
-(u, loop slice) pair each block keeps; solve_chain and
-solve_fixed_point(method="eigen") are its one-state case for direct
-callers.  The iteration stays scalar, as the independent oracle.
+residual takes one eigensolve per state, inside one numpy call.  A local
+gate given as None is the identity and is not applied, which saves the
+three numpy calls a conjugation of a one-state stack makes; the outputs are
+bit for bit those of conjugating by I2 (tests/test_db_model.py pins them
+against that chain).  scenario.evaluate_db, the route every CLI command
+takes, feeds it the (u, loop slice) pair each block keeps and None for
+each identity local; solve_chain and solve_fixed_point(method="eigen") are
+its one-state case for direct callers, and apply every local gate they are
+given.  The iteration stays scalar, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -264,15 +268,17 @@ def solve_fixed_point(u: Mat4, rho_in: DensityMatrix, method: str = "both", *,
                       residual=residual[0].item(), degenerate=degenerate[0].item())
 
 
-def solve_chain_batch(blocks: Sequence[tuple[Mat4, np.ndarray]], local_gates: Sequence[Mat2],
-                      preps: Preparations) -> DBBatch:
+def solve_chain_batch(blocks: Sequence[tuple[Mat4, np.ndarray]],
+                      local_gates: Sequence[Mat2 | None], preps: Preparations) -> DBBatch:
     """Thread N prepared pure states through consecutive wormhole blocks.
 
     blocks holds each interaction U with its loop_transfer(U); local_gates
-    interleaves the blocks (before, between, after).  Each block is solved
-    by the direct solve with the current states as the loop inputs, then
-    each state is replaced by its block output.  Every check runs on every
-    state.
+    interleaves the blocks (before, between, after), None standing for an
+    identity that is not applied.  Each block is solved by the direct solve
+    with the current states as the loop inputs, then each state is replaced
+    by its block output.  Every check runs on every state: the states
+    entering each block are checked as density matrices whether or not a
+    local gate was applied to them.
     """
     if len(local_gates) != len(blocks) + 1:
         raise ValueError(
@@ -281,13 +287,15 @@ def solve_chain_batch(blocks: Sequence[tuple[Mat4, np.ndarray]], local_gates: Se
     residual = np.zeros(len(preps))
     degenerate = np.zeros(len(preps), dtype=bool)
     for gate_before, (u, loop) in zip(local_gates, blocks):
-        rho = conjugate(gate_before, rho)
+        if gate_before is not None:
+            rho = conjugate(gate_before, rho)
         assert_density(rho)
         fixed, block_degenerate = _solve_eigen(loop, rho)
         block_residual, rho = _close_loop(u, rho, fixed, ATOL_SOLVER)
         residual = np.maximum(residual, block_residual)
         degenerate |= block_degenerate
-    rho = conjugate(local_gates[-1], rho)
+    if local_gates[-1] is not None:
+        rho = conjugate(local_gates[-1], rho)
     return DBBatch(rho, bloch_coordinates(rho), residual, degenerate)
 
 

@@ -6,13 +6,17 @@ meets its own past self through U followed by a swap.  The density-matrix
 engine conjugates with U, and the Heisenberg engine conjugates through
 U_bar = SWAP U.
 
-What does not depend on the preparation is compiled on first use: each
-block's parts (BlockSpec) and, per distinct circuit, each axis's
-back-propagated word (heisenberg_model.compile_words).  evaluate_db and
-evaluate_heisenberg run a spec's circuit on N preparations at once, and are
-the only route from a spec to numbers; run_db and run_heisenberg are the
-one-point case, on spec.prep.  verdict is the one cross-engine rule, and
-compare is verdict on run_db and run_heisenberg.
+What does not depend on the preparation is compiled on first use and kept:
+each block's parts (BlockSpec), and each circuit's engine inputs (Circuit):
+the density-matrix engine's (u, loop slice) pairs and local gates, an
+identity local marked not to be applied, and the HeisenbergCircuit under
+which heisenberg_model.compile_words keeps each axis's back-propagated word.
+A spec makes its Circuit on first use; the named scenarios share one
+Circuit per name, so a named circuit's inputs are resolved once per process
+whatever its preparation.  evaluate_db and evaluate_heisenberg run a spec's circuit on N
+preparations at once, and are the only route from a spec to numbers; run_db
+and run_heisenberg are the one-point case, on spec.prep.  verdict is the one
+cross-engine rule, and compare is verdict on run_db and run_heisenberg.
 """
 
 from __future__ import annotations
@@ -102,12 +106,44 @@ class BlockSpec:
         return tableau_from_unitary(qlinalg.SWAP @ self.u)
 
 
+@dataclass(frozen=True, eq=False)
+class Circuit:
+    """A circuit's blocks and local gates, with what each engine reads of
+    them resolved on first use and kept.
+
+    db_blocks holds each block's (u, loop) and db_locals each local gate's
+    matrix, or None for an identity, which the density-matrix chain does not
+    apply (read off the local's Clifford table, as apply_local skips it).
+    heisenberg is the HeisenbergCircuit that compile_words keys its words on.
+    """
+
+    blocks: tuple[BlockSpec, ...]
+    local_gates: tuple[str, ...]
+
+    @functools.cached_property
+    def db_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return tuple((b.u, b.loop) for b in self.blocks)
+
+    @functools.cached_property
+    def db_locals(self) -> tuple[np.ndarray | None, ...]:
+        return tuple(None if clifford.is_identity else matrix
+                     for matrix, clifford in (_LOCALS[n.lower()] for n in self.local_gates))
+
+    @functools.cached_property
+    def heisenberg(self) -> HeisenbergCircuit:
+        return heisenberg_circuit(self)
+
+
+# The overlap every spec has unless given one; the class is frozen.
+_ORTHOGONAL = TimeDistribution.orthogonal()
+
+
 @dataclass(frozen=True)
 class CircuitSpec:
     prep: PureStateParams
     blocks: tuple[BlockSpec, ...]
     local_gates: tuple[str, ...]
-    overlap: TimeDistribution = field(default_factory=TimeDistribution.orthogonal)
+    overlap: TimeDistribution = _ORTHOGONAL
 
     def __post_init__(self) -> None:
         if len(self.local_gates) != len(self.blocks) + 1:
@@ -118,6 +154,11 @@ class CircuitSpec:
             if name.lower() not in _LOCALS:
                 raise ScenarioError(f"unknown local gate {name!r}")
 
+    @functools.cached_property
+    def circuit(self) -> Circuit:
+        """The spec's blocks and local gates, with their engine inputs."""
+        return Circuit(self.blocks, self.local_gates)
+
 
 def local_matrix(name: str) -> np.ndarray:
     return _LOCALS[name.lower()][0].copy()
@@ -127,7 +168,7 @@ def local_clifford(name: str) -> Clifford:
     return _LOCALS[name.lower()][1]
 
 
-def heisenberg_circuit(spec: CircuitSpec) -> HeisenbergCircuit:
+def heisenberg_circuit(spec: CircuitSpec | Circuit) -> HeisenbergCircuit:
     return HeisenbergCircuit(
         blocks=tuple(b.clifford for b in spec.blocks),
         local_gates=tuple(local_clifford(n) for n in spec.local_gates),
@@ -136,13 +177,13 @@ def heisenberg_circuit(spec: CircuitSpec) -> HeisenbergCircuit:
 
 DEFAULT_PREP = PureStateParams.from_alpha2(0.75, 0.0)
 
-# (blocks, local gates) per name.  The blocks live at module level, so each
-# named table is compiled once per process.
+# One Circuit per name, at module level, so each named circuit's tables and
+# engine inputs are compiled once per process.
 _CNOT = BlockSpec("cnot_swap")
 _NAMED = {
-    "cz": ((BlockSpec("cz_swap"),), ("i2", "i2")),
-    "cnot": ((_CNOT,), ("i2", "i2")),
-    "chained_cnot_hadamard": ((_CNOT, _CNOT), ("i2", "h", "h")),
+    "cz": Circuit((BlockSpec("cz_swap"),), ("i2", "i2")),
+    "cnot": Circuit((_CNOT,), ("i2", "i2")),
+    "chained_cnot_hadamard": Circuit((_CNOT, _CNOT), ("i2", "h", "h")),
 }
 
 
@@ -155,21 +196,23 @@ def named_scenario(name: str, prep: PureStateParams | None = None,
     """A paper scenario by stable public name: cz, cnot, chained_cnot_hadamard."""
     if name not in _NAMED:
         raise ScenarioError(f"unknown scenario {name!r}; known: {', '.join(_NAMED)}")
-    return CircuitSpec(prep if prep is not None else DEFAULT_PREP, *_NAMED[name],
-                       overlap if overlap is not None else TimeDistribution.orthogonal())
+    circuit = _NAMED[name]
+    spec = CircuitSpec(prep if prep is not None else DEFAULT_PREP, circuit.blocks,
+                       circuit.local_gates, overlap if overlap is not None else _ORTHOGONAL)
+    vars(spec)["circuit"] = circuit  # cached ahead: every spec of a name shares its Circuit
+    return spec
 
 
 def evaluate_db(spec: CircuitSpec, preps: Preparations) -> DBBatch:
     """The circuit of spec on each preparation; spec.prep is not read."""
-    return db_model.solve_chain_batch([(b.u, b.loop) for b in spec.blocks],
-                                      [_LOCALS[n.lower()][0] for n in spec.local_gates],
-                                      preps)
+    circuit = spec.circuit
+    return db_model.solve_chain_batch(circuit.db_blocks, circuit.db_locals, preps)
 
 
 def evaluate_heisenberg(spec: CircuitSpec, preps: Preparations) -> HeisenbergBatch:
     """The words of spec's circuit on each preparation; spec.prep is not read."""
     return heisenberg_model.evaluate_words(
-        heisenberg_model.compile_words(heisenberg_circuit(spec)), preps, spec.overlap)
+        heisenberg_model.compile_words(spec.circuit.heisenberg), preps, spec.overlap)
 
 
 def run_db(spec: CircuitSpec) -> DBRun:

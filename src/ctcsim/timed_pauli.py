@@ -281,13 +281,15 @@ def tableau_from_unitary(u: np.ndarray) -> Clifford:
     The image of a Pauli string P is its row of the Pauli transfer matrix (a
     one-qubit U is read as U x I).  The row's largest entry names the
     candidate signed string, which must then match U^dag P U densely, each
-    entry within 1e-9 in absolute value, or the gate is not Clifford.
+    entry within 1e-9 in absolute value, or the gate is not Clifford.  U is
+    checked unitary first, within qlinalg.ATOL_STRUCT, as loop_transfer
+    checks it.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape not in ((2, 2), (4, 4)):
         raise NotCliffordError("a conjugation table needs a 2x2 or 4x4 unitary")
     qubits = u.shape[0] // 2
-    assert_unitary(u, atol=1e-9)
+    assert_unitary(u)
     if qubits == 1:
         u = np.kron(u, I2)
     rows = np.arange(0, 16, 4) if qubits == 1 else np.arange(16)  # strings P x I, or all

@@ -7,7 +7,9 @@ QR-sampled unitaries.  Keep it dumb.
 
 import numpy as np
 
+from ctcsim.db_model import DBBatch, _close_loop, _solve_eigen
 from ctcsim.qlinalg import (
+    ATOL_SOLVER,
     I2,
     PAULI_BY_NAME,
     PAULI_X,
@@ -16,7 +18,9 @@ from ctcsim.qlinalg import (
     PAULIS,
     BlochVector,
     PureStateParams,
+    assert_density,
     bloch_coordinates,
+    conjugate,
 )
 from ctcsim.timed_pauli import TimedPauliWord
 
@@ -187,6 +191,23 @@ def trace_distance_eigvalsh(rho: np.ndarray, sigma: np.ndarray) -> float:
     """qlinalg.trace_distance through the public np.linalg.eigvalsh."""
     evals = np.linalg.eigvalsh(np.asarray(rho) - np.asarray(sigma))
     return float(0.5 * np.sum(np.abs(evals)))
+
+
+def solve_chain_batch_every_local(blocks, local_gates, preps) -> DBBatch:
+    """db_model.solve_chain_batch as it was before an identity local could be
+    skipped: every local gate, I2 included, is conjugated in."""
+    rho = preps.density()
+    residual = np.zeros(len(preps))
+    degenerate = np.zeros(len(preps), dtype=bool)
+    for gate_before, (u, loop) in zip(local_gates, blocks):
+        rho = conjugate(gate_before, rho)
+        assert_density(rho)
+        fixed, block_degenerate = _solve_eigen(loop, rho)
+        block_residual, rho = _close_loop(u, rho, fixed, ATOL_SOLVER)
+        residual = np.maximum(residual, block_residual)
+        degenerate |= block_degenerate
+    rho = conjugate(local_gates[-1], rho)
+    return DBBatch(rho, bloch_coordinates(rho), residual, degenerate)
 
 
 class PoisonedEigensolve:

@@ -86,6 +86,56 @@ class TestCompileOnce:
             per_circuit[names[n % 3]] += calls["backpropagate_block"] - before
         assert per_circuit == {"cz": AXES, "cnot": AXES, "chained_cnot_hadamard": 2 * AXES}
 
+    def test_repeated_compares_resolve_each_circuits_inputs_once(self, calls, rng,
+                                                                 monkeypatch):
+        # fresh named circuits, so their first use falls in this test: the
+        # HeisenbergCircuit is built once per circuit, and every compare of a
+        # circuit hands the chain the same (u, loop) pairs and local gates
+        monkeypatch.setattr(scenario, "_NAMED", {
+            name: scenario.Circuit(c.blocks, c.local_gates) for name, c in scenario._NAMED.items()})
+        built, chains = [], []
+        heisenberg_circuit, solve_chain_batch = scenario.heisenberg_circuit, db_model.solve_chain_batch
+
+        def building(spec):
+            built.append(spec.local_gates)
+            return heisenberg_circuit(spec)
+
+        def chaining(blocks, local_gates, preps):
+            chains.append((blocks, local_gates))
+            return solve_chain_batch(blocks, local_gates, preps)
+
+        monkeypatch.setattr(scenario, "heisenberg_circuit", building)
+        monkeypatch.setattr(db_model, "solve_chain_batch", chaining)
+        names = scenario.scenario_names()
+        for n in range(150):
+            scenario.compare(scenario.named_scenario(names[n % 3], random_params(rng)))
+        assert built == [scenario.named_scenario(name).local_gates for name in names]
+        for n, (blocks, local_gates) in enumerate(chains):
+            assert blocks is chains[n % 3][0] and local_gates is chains[n % 3][1]
+        assert calls["backpropagate_block"] == 4 * AXES  # as in the test above
+
+    @CIRCUITS
+    def test_config_parsed_anew_compiles_once_per_command(self, tmp_path, calls, capsys,
+                                                          monkeypatch, circuit, blocks):
+        # each command parses the config into new blocks and compiles them
+        # once, whatever an earlier command compiled; the words of an equal
+        # circuit are compiled once per process
+        tables, built = [], []
+        tableau_from_unitary, heisenberg_circuit = (scenario.tableau_from_unitary,
+                                                    scenario.heisenberg_circuit)
+        monkeypatch.setattr(scenario, "tableau_from_unitary",
+                            lambda u: tables.append(u) or tableau_from_unitary(u))
+        monkeypatch.setattr(scenario, "heisenberg_circuit",
+                            lambda spec: built.append(spec) or heisenberg_circuit(spec))
+        config = self.config(tmp_path, circuit)
+        commands = [["run"], ["compare"], ["sweep", "--model", "both", "alpha2", "0", "1", "5"]]
+        for n, command in enumerate(commands * 2, start=1):
+            assert cli.main([*command, "--config", config, "--format", "csv"]) == 0
+            capsys.readouterr()
+            assert (calls["pauli_transfer"], len(tables), len(built)) == (n * blocks,
+                                                                          n * blocks, n)
+        assert calls["backpropagate_block"] == blocks * AXES
+
     def test_cached_words_serve_every_overlap(self):
         # one circuit under orthogonal, gaussian, then orthogonal overlap:
         # each evaluation equals one from freshly compiled words

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,7 @@ from helpers import (
     random_density,
     random_params,
     random_unitary,
+    solve_chain_batch_every_local,
     spectral_norm_eigvalsh,
     with_signed_zeros,
 )
@@ -382,6 +385,60 @@ class TestRunChain:
         assert run.residual == max(s.residual for s in sols)
         assert np.array_equal(run.output, PAULI_X @ rho @ PAULI_X.conj().T)
         assert run.bloch == bloch_from_density(run.output)
+
+
+# Stacks that reach the signed zeros: alpha2 at 0, 1 and 1e-300 with theta
+# at +0.0 and -0.0, each alone and all of them in one stack of 101.
+EDGE_ALPHA2 = (0.0, 1.0, 1e-300, 0.3)
+EDGE_THETA = (0.0, -0.0, 0.7)
+
+
+def identity_skip_stacks():
+    yield Preparations(np.array([]), np.array([]))
+    for alpha2, theta in itertools.product(EDGE_ALPHA2, EDGE_THETA):
+        yield Preparations(alpha2, theta)
+    alpha2 = np.linspace(0.0, 1.0, 101)
+    alpha2[1] = 1e-300
+    theta = np.resize(np.array(EDGE_THETA + (-2.5, np.pi)), 101)
+    yield Preparations(alpha2, theta)
+
+
+def mixed_locals_circuit():
+    """The two-block cnot_swap config circuit with locals x i2 s."""
+    cfg = cli.parse_config_text("prep.alpha2 = 0.3\nblock = cnot_swap\nblock = cnot_swap\n"
+                                "locals = x i2 s\n")
+    return cli.spec_from_config(cfg).circuit
+
+
+class TestIdentityLocalSkipped:
+    """The chain does not apply an identity local (None); its every output
+    bit is that of the chain that conjugates by I2."""
+
+    @pytest.mark.parametrize("name", [*scenario.scenario_names(), "config x i2 s"])
+    def test_same_bits_as_conjugating_by_i2(self, name):
+        circuit = (mixed_locals_circuit() if name.startswith("config")
+                   else scenario.named_scenario(name).circuit)
+        assert any(g is None for g in circuit.db_locals)
+        every = [scenario.local_matrix(n) for n in circuit.local_gates]
+        for preps in identity_skip_stacks():
+            got = db_model.solve_chain_batch(circuit.db_blocks, circuit.db_locals, preps)
+            want = solve_chain_batch_every_local(circuit.db_blocks, every, preps)
+            for field in ("output", "bloch", "residual", "degenerate"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert g.shape == w.shape and g.dtype == w.dtype, (field, len(preps))
+                assert g.tobytes() == w.tobytes(), (field, preps.alpha2, preps.theta)
+
+    def test_only_identity_locals_are_skipped(self):
+        assert [g is None for g in mixed_locals_circuit().db_locals] == [False, True, False]
+        circuit = scenario.named_scenario("chained_cnot_hadamard").circuit
+        assert [g is None for g in circuit.db_locals] == [True, False, False]
+
+    def test_unconjugated_state_still_checked_with_its_message(self, monkeypatch):
+        # the prepared states enter cnot's block with no local applied
+        monkeypatch.setattr(Preparations, "density", lambda self: np.array([[[0.6, 0], [0, 0.6]]]))
+        circuit = scenario.named_scenario("cnot").circuit
+        with pytest.raises(QlinalgError, match="trace deviates from 1 by 2.000e-01"):
+            db_model.solve_chain_batch(circuit.db_blocks, circuit.db_locals, Preparations(0.5, 0.0))
 
 
 class TestNonlinearity:

@@ -7,6 +7,7 @@ import pytest
 
 from ctcsim import cli, scenario
 from ctcsim.db_model import DBRun, solve_fixed_point
+from ctcsim.heisenberg_model import TimeDistribution
 from ctcsim.qlinalg import CNOT, CZ, PAULI_BY_NAME, PureStateParams, QlinalgError, SWAP
 from ctcsim.scenario import (
     BlockSpec,
@@ -42,6 +43,20 @@ class TestNamedScenarios:
         spec = named_scenario("chained_cnot_hadamard")
         assert len(spec.blocks) == 2
         assert len(spec.local_gates) == 3
+
+    def test_specs_share_one_default_overlap(self):
+        config = spec_with([BlockSpec("cnot_swap")], ["i2", "i2"], PureStateParams.from_alpha2(0.3))
+        assert named_scenario("cz").overlap is named_scenario("cnot").overlap is config.overlap
+        assert config.overlap == TimeDistribution.orthogonal()
+
+    def test_named_specs_share_their_circuit(self):
+        # one Circuit per name, so its resolved inputs serve every preparation;
+        # a spec built from the same parts has its own
+        a = named_scenario("cnot", PureStateParams.from_alpha2(0.3))
+        b = named_scenario("cnot", PureStateParams.from_alpha2(0.6, 1.0))
+        assert a.circuit is b.circuit
+        assert spec_with(a.blocks, a.local_gates, a.prep).circuit is not a.circuit
+        assert a == spec_with(a.blocks, a.local_gates, a.prep)
 
     def test_cz_scenario_reproduces_output_coherence(self, rng):
         # output keeps the populations and scales the coherence by the
@@ -243,6 +258,17 @@ def test_infinite_block_ends_in_qlinalg_error_without_a_warning(capfd):
         with pytest.raises(QlinalgError, match="not unitary"):
             call()
     assert capfd.readouterr() == ("", "")
+
+
+def test_both_engines_refuse_a_block_off_unitarity_by_2e_10():
+    # the Heisenberg engine's table once accepted deviations up to 1e-9, the
+    # density-matrix engine's loop slice only up to ATOL_STRUCT
+    u = CNOT.copy()
+    u[0, 0] *= 1 + 1e-10
+    spec = spec_with([BlockSpec(u)], ["i2", "i2"], PureStateParams.from_alpha2(0.3, 0.2))
+    for call in (run_db, run_heisenberg, compare):
+        with pytest.raises(QlinalgError, match=r"not unitary \(deviation 2.000e-10\)"):
+            call(spec)
 
 
 class TestGeometry:

@@ -16,6 +16,7 @@ from ctcsim.qlinalg import (
     PAULI_Y,
     PAULI_Z,
     PHASE_S,
+    QlinalgError,
     SWAP,
 )
 from ctcsim.timed_pauli import (
@@ -266,6 +267,14 @@ class TestApplyLocal:
     def test_clifford_within_tolerance_accepted(self):
         gate = SWAP @ CNOT @ np.diag([1, 1, 1, np.exp(1e-10j)])
         assert tableau_from_unitary(gate) == tableau_from_unitary(SWAP @ CNOT)
+
+    def test_gate_off_unitarity_refused(self):
+        # unitary within ATOL_STRUCT, as the density-matrix engine asks, though
+        # the images may still match within 1e-9
+        gate = SWAP @ CNOT
+        gate[0, 0] *= 1 + 1e-10
+        with pytest.raises(QlinalgError, match="not unitary"):
+            tableau_from_unitary(gate)
 
     def test_equal_tables_hash_equal(self):
         # the hash is the table's, taken once per table
