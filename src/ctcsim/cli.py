@@ -29,7 +29,6 @@ import functools
 import gc
 import math
 import sys
-from dataclasses import replace
 from itertools import islice, repeat
 
 import numpy as np
@@ -135,7 +134,7 @@ def spec_from_config(cfg: Config) -> CircuitSpec:
     with cfg.at("prep.alpha2"):
         prep = PureStateParams(alpha2=alpha2)
     with cfg.at("prep.theta"):
-        prep = replace(prep, theta=cfg.get("prep.theta", 0.0))
+        prep = prep._replace(theta=cfg.get("prep.theta", 0.0))
     kind = cfg.get("overlap.kind", "orthogonal_limit")
     if kind != "gaussian":
         with cfg.at("overlap.kind"):
@@ -171,13 +170,13 @@ def load_spec(target: str, args: argparse.Namespace) -> tuple[str, CircuitSpec]:
     else:
         spec = scenario.named_scenario(target)
     given = {"alpha2": args.alpha2, "theta": args.theta}
-    prep = replace(spec.prep, **{k: v for k, v in given.items() if v is not None})
+    prep = spec.prep._replace(**{k: v for k, v in given.items() if v is not None})
     overlap = spec.overlap
     if args.tau is not None and args.d is None:
         raise ConfigError("--tau needs --d: the shift only applies to gaussian overlap")
     if args.d is not None:
         overlap = TimeDistribution.gaussian(args.d, args.tau if args.tau is not None else 0.0)
-    return target or "config", replace(spec, prep=prep, overlap=overlap)
+    return target or "config", spec._replace(prep=prep, overlap=overlap)
 
 
 # -- record production -------------------------------------------------------

@@ -34,8 +34,7 @@ given.  The iteration stays scalar, as the independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .qlinalg import (
     PAULI_READOUT,
     Preparations,
     PureStateParams,
+    Record,
     any_above,
     assert_density,
     assert_unitary,
@@ -81,8 +81,7 @@ class FixedPointError(EngineError, RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class DBSolution:
+class DBSolution(NamedTuple):
     fixed_point: DensityMatrix
     output: DensityMatrix
     iterations: int
@@ -90,8 +89,7 @@ class DBSolution:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class DBRun:
+class DBRun(NamedTuple):
     """A chain of blocks: the output, the largest residual and whether any
     block's fixed point was degenerate."""
 
@@ -101,35 +99,46 @@ class DBRun:
     degenerate: bool
 
 
-@dataclass(frozen=True, eq=False)
-class DBBatch:
+class DBBatch(Record):
     """A chain of blocks run on N preparations: row n is the DBRun of the n-th.
 
     output is (N, 2, 2), bloch (N, 3), residual and degenerate (N,).
     """
 
-    output: np.ndarray
-    bloch: np.ndarray
-    residual: np.ndarray
-    degenerate: np.ndarray
+    _fields = ("output", "bloch", "residual", "degenerate")
+
+    def __init__(self, output: np.ndarray, bloch: np.ndarray, residual: np.ndarray,
+                 degenerate: np.ndarray) -> None:
+        vars(self).update(output=output, bloch=bloch, residual=residual, degenerate=degenerate)
 
     def __getitem__(self, n: int) -> DBRun:
         return DBRun(self.output[n], BlochVector(*self.bloch[n].tolist()),
                      self.residual[n].item(), self.degenerate[n].item())
 
 
-def loop_transfer(u: Mat4) -> np.ndarray:
-    """The slice of U's Pauli transfer matrix that the loop map reads.
-
-    loop[i, l, j] = R[0l, ij] for l = x, y, z: the trapped qubit's l
-    coordinate after U acts on s_i x s_j, held with i first so that
-    _bloch_affine sums over it in whole contiguous (l, j) blocks.  U is
-    checked to be a two-qubit unitary first.
-    """
+def interaction_transfer(u: Mat4) -> np.ndarray:
+    """The Pauli transfer matrix R of the interaction U, U checked to be a
+    two-qubit unitary first: a block's one compile, from which loop_slice
+    and timed_pauli.tableau_from_transfer each read what their engine needs."""
     if np.shape(u) != (4, 4):
         raise ValueError("interaction must be a two-qubit gate")
     assert_unitary(u)
-    return np.ascontiguousarray(pauli_transfer(u)[0, 1:].transpose(1, 0, 2))
+    return pauli_transfer(u)
+
+
+def loop_slice(transfer: np.ndarray) -> np.ndarray:
+    """The slice of U's Pauli transfer matrix R that the loop map reads.
+
+    loop[i, l, j] = R[0l, ij] for l = x, y, z: the trapped qubit's l
+    coordinate after U acts on s_i x s_j, held with i first so that
+    _bloch_affine sums over it in whole contiguous (l, j) blocks.
+    """
+    return np.ascontiguousarray(transfer[0, 1:].transpose(1, 0, 2))
+
+
+def loop_transfer(u: Mat4) -> np.ndarray:
+    """The loop slice of the interaction U, checked unitary."""
+    return loop_slice(interaction_transfer(u))
 
 
 def _joint(u: Mat4, rho_in: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -10,9 +10,9 @@ into a per-label recurrence over ascending labels k:
     lower_out_k = measured letter at k
     (ipow_k, (upper_in_k, lower_in_k)) = gate.conj(upper_out_k, lower_out_k)
 
-Each step is one read of the gate's Clifford table, which tableau_from_unitary
-builds once from the dense unitary: row P of the Pauli transfer matrix gives
-U^dag P U as a signed Pauli pair, confirmed densely.
+Each step is one read of the gate's Clifford table, built once from the
+dense unitary: row P of its Pauli transfer matrix gives U^dag P U as a
+signed Pauli pair, confirmed densely.
 
 The upper_in letters form the word to evolve further toward preparation.
 The recurrence state in the constant region of the measured word is just
@@ -38,14 +38,22 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from .qlinalg import BlochVector, EngineError, Preparations, PureStateParams, QlinalgError
+from .qlinalg import (
+    BlochVector,
+    EngineError,
+    Preparations,
+    PureStateParams,
+    QlinalgError,
+    Record,
+    ValueRecord,
+)
 
-# Re-exported for scenario and the benchmark tracer: tableau_from_unitary, NotCliffordError.
+# Re-exported for the package and the benchmark tracer: tableau_from_unitary, NotCliffordError.
 from .timed_pauli import (
     PAULI_INDEX,
     Clifford,
@@ -74,8 +82,7 @@ class UnsupportedOverlapError(EngineError, ValueError):
     """Gaussian overlap evaluation is defined for at most two non-identity labels."""
 
 
-@dataclass(frozen=True)
-class TimeDistribution:
+class TimeDistribution(ValueRecord):
     """Temporal profile of when an operator acts.
 
     kind "orthogonal_limit": the wormhole shift dwarfs the profile width, so
@@ -83,18 +90,18 @@ class TimeDistribution:
     and shift tau are explicit and cross-label overlap matters.
     """
 
-    kind: str = "orthogonal_limit"
-    d: float | None = None
-    tau: float | None = None
+    _fields = ("kind", "d", "tau")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("orthogonal_limit", "gaussian"):
-            raise QlinalgError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "gaussian":
-            if self.d is None or not 0 < self.d < math.inf:
-                raise QlinalgError(f"gaussian kind needs a finite width d > 0, got {self.d!r}")
-            if self.tau is None or not 0 <= self.tau < math.inf:
-                raise QlinalgError(f"gaussian kind needs a finite shift tau >= 0, got {self.tau!r}")
+    def __init__(self, kind: str = "orthogonal_limit", d: float | None = None,
+                 tau: float | None = None) -> None:
+        vars(self).update(kind=kind, d=d, tau=tau)
+        if kind not in ("orthogonal_limit", "gaussian"):
+            raise QlinalgError(f"unknown distribution kind {kind!r}")
+        if kind == "gaussian":
+            if d is None or not 0 < d < math.inf:
+                raise QlinalgError(f"gaussian kind needs a finite width d > 0, got {d!r}")
+            if tau is None or not 0 <= tau < math.inf:
+                raise QlinalgError(f"gaussian kind needs a finite shift tau >= 0, got {tau!r}")
 
     @staticmethod
     def orthogonal() -> "TimeDistribution":
@@ -105,8 +112,7 @@ class TimeDistribution:
         return TimeDistribution("gaussian", d=d, tau=tau)
 
 
-@dataclass(frozen=True)
-class BlockResult:
+class BlockResult(NamedTuple):
     """Solved self-consistent evolution through one wormhole block.
 
     lower_seq stores the lower_in letters for labels 0..labels_resolved-1;
@@ -124,22 +130,24 @@ class BlockResult:
     cycle_period: int
 
 
-@dataclass(frozen=True)
-class HeisenbergCircuit:
+class HeisenbergCircuit(ValueRecord):
     """Wormhole blocks with interleaved local Cliffords (length blocks + 1)."""
 
-    blocks: tuple[Clifford, ...]
-    local_gates: tuple[Clifford, ...]
+    _fields = ("blocks", "local_gates")
 
-    def __post_init__(self) -> None:
-        if len(self.local_gates) != len(self.blocks) + 1:
+    def __init__(self, blocks: tuple[Clifford, ...], local_gates: tuple[Clifford, ...]) -> None:
+        vars(self).update(blocks=blocks, local_gates=local_gates)
+        if len(local_gates) != len(blocks) + 1:
             raise ValueError(
-                f"need {len(self.blocks) + 1} local gates for "
-                f"{len(self.blocks)} blocks, got {len(self.local_gates)}")
+                f"need {len(blocks) + 1} local gates for "
+                f"{len(blocks)} blocks, got {len(local_gates)}")
+
+    def __hash__(self) -> int:
+        # the key of compile_words, hashed on every evaluation
+        return hash((self.blocks, self.local_gates))
 
 
-@dataclass(frozen=True)
-class HeisenbergResult:
+class HeisenbergResult(NamedTuple):
     """Per-axis expectation values and statuses of a circuit evaluation."""
 
     components: dict[str, float | None]
@@ -156,13 +164,14 @@ class HeisenbergResult:
         return BlochVector(self.components["x"], self.components["y"], self.components["z"])
 
 
-@dataclass(frozen=True, eq=False)
-class HeisenbergBatch:
+class HeisenbergBatch(Record):
     """N evaluations: per axis, each point's value (nan where its status is
     not ok) and status.  Row n is the HeisenbergResult of the n-th point."""
 
-    values: dict[str, np.ndarray]
-    statuses: dict[str, list[str]]
+    _fields = ("values", "statuses")
+
+    def __init__(self, values: dict[str, np.ndarray], statuses: dict[str, list[str]]) -> None:
+        vars(self).update(values=values, statuses=statuses)
 
     def __getitem__(self, n: int) -> HeisenbergResult:
         statuses = {axis: s[n] for axis, s in self.statuses.items()}

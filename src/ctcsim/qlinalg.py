@@ -13,8 +13,8 @@ tests/test_qlinalg.py pins each closed form against the dense definition or
 the form it replaces, bit for bit where its bits reach the output.  This
 module is the numeric oracle the symbolic engine is checked against, so it
 stays deliberately dumb -- no sparsity, no n-qubit generality.  As the
-bottom of the import graph it also holds the prepared states and the root
-of ctcsim's exceptions.
+bottom of the import graph it also holds the prepared states, the root
+of ctcsim's exceptions and the base of its record types.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -59,6 +58,49 @@ class EngineError(CtcsimError):
 
 class QlinalgError(CtcsimError, ValueError):
     """Structurally invalid state, operator or time profile."""
+
+
+class Record:
+    """Base of ctcsim's immutable records, which compare by identity.
+
+    A record's __init__ stores its attributes in its __dict__, where
+    functools.cached_property also stores what it derives on first use.
+    Setting or deleting an attribute afterwards raises AttributeError.
+    _fields names the constructor's fields in order.  The repr shows them,
+    and _replace builds a copy with changes through the constructor, so
+    every check runs again.  Records that only hold values, with no checks,
+    are typing.NamedTuples instead.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class ValueRecord(Record):
+    """A record that equals, and hashes as, a record of its type with equal fields."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 I2 = np.eye(2, dtype=complex)
@@ -124,27 +166,23 @@ _BLOCH_READOUT = PAULI_READOUT[:, 1:].copy()
 _IDENTITY_PARTS = real_parts(I2).copy()
 
 
-@dataclass(frozen=True, kw_only=True)
-class PureStateParams:
+class PureStateParams(ValueRecord):
     """The input qubit alpha e^{i theta}|0> + beta e^{-i theta}|1>, kept as given.
 
     alpha2 is the |0> population in [0, 1]; the real amplitudes
     alpha = sqrt(alpha2) and beta = sqrt(1 - alpha2) are derived once.
     """
 
-    alpha2: float
-    theta: float = 0.0
-    alpha: float = field(init=False, repr=False, compare=False)
-    beta: float = field(init=False, repr=False, compare=False)
+    _fields = ("alpha2", "theta")
 
-    def __post_init__(self) -> None:
+    def __init__(self, *, alpha2: float, theta: float = 0.0) -> None:
+        vars(self).update(alpha2=alpha2, theta=theta)
         # 2 theta is the angle every closed form reads, so it must be finite too
-        if not (math.isfinite(self.alpha2) and math.isfinite(2.0 * self.theta)):
+        if not (math.isfinite(alpha2) and math.isfinite(2.0 * theta)):
             raise QlinalgError(f"state parameters must be finite, got {self!r}")
-        if not 0.0 <= self.alpha2 <= 1.0:
-            raise QlinalgError(f"alpha2 must be in [0, 1], got {self.alpha2!r}")
-        object.__setattr__(self, "alpha", math.sqrt(self.alpha2))
-        object.__setattr__(self, "beta", math.sqrt(1.0 - self.alpha2))
+        if not 0.0 <= alpha2 <= 1.0:
+            raise QlinalgError(f"alpha2 must be in [0, 1], got {alpha2!r}")
+        vars(self).update(alpha=math.sqrt(alpha2), beta=math.sqrt(1.0 - alpha2))
 
     @classmethod
     def from_alpha2(cls, alpha2: float, theta: float = 0.0) -> "PureStateParams":
@@ -168,8 +206,7 @@ class PureStateParams:
         return BlochVector(*self.batch.pauli_expectations[0, 1:].tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class Preparations:
+class Preparations(Record):
     """N prepared states, one per (alpha2, theta) pair; scalars broadcast.
 
     Each pair is checked as PureStateParams checks one, and the first bad
@@ -177,15 +214,11 @@ class Preparations:
     beta, are derived once, with the arithmetic of PureStateParams.
     """
 
-    alpha2: np.ndarray
-    theta: np.ndarray
-    amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
-    alpha: np.ndarray = field(init=False, repr=False, compare=False)
-    beta: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("alpha2", "theta")
 
-    def __post_init__(self) -> None:
-        alpha2 = np.array(self.alpha2, dtype=float, copy=None, ndmin=1)
-        theta = np.array(self.theta, dtype=float, copy=None, ndmin=1)
+    def __init__(self, alpha2: np.ndarray, theta: np.ndarray) -> None:
+        alpha2 = np.array(alpha2, dtype=float, copy=None, ndmin=1)
+        theta = np.array(theta, dtype=float, copy=None, ndmin=1)
         if alpha2.shape != theta.shape:
             alpha2, theta = np.broadcast_arrays(alpha2, theta)
         # |theta| <= max / 2 is exactly "2 theta is finite", without overflowing
@@ -204,11 +237,8 @@ class Preparations:
         return self
 
     def _set(self, alpha2: np.ndarray, theta: np.ndarray, amplitudes: np.ndarray) -> None:
-        object.__setattr__(self, "alpha2", alpha2)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "amplitudes", amplitudes)
-        object.__setattr__(self, "alpha", amplitudes[:, 0])
-        object.__setattr__(self, "beta", amplitudes[:, 1])
+        vars(self).update(alpha2=alpha2, theta=theta, amplitudes=amplitudes,
+                          alpha=amplitudes[:, 0], beta=amplitudes[:, 1])
 
     def __len__(self) -> int:
         return len(self.alpha2)
@@ -240,13 +270,11 @@ class Preparations:
         return out
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    rx: float
-    ry: float
-    rz: float
+class BlochVector(ValueRecord):
+    _fields = ("rx", "ry", "rz")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rx: float, ry: float, rz: float) -> None:
+        vars(self).update(rx=rx, ry=ry, rz=rz)
         if self.norm() > 1.0 + BLOCH_ATOL:
             raise QlinalgError(f"Bloch vector norm {self.norm()!r} exceeds 1")
 

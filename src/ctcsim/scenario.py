@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .heisenberg_model import (
     HeisenbergCircuit,
     HeisenbergResult,
     TimeDistribution,
-    tableau_from_unitary,
 )
 from .db_model import DBBatch, DBRun
 from .qlinalg import (
@@ -42,9 +41,11 @@ from .qlinalg import (
     Preparations,
     PureStateParams,
     QlinalgError,
+    Record,
+    ValueRecord,
     standard_gate,
 )
-from .timed_pauli import LOCAL_TABLES, Clifford
+from .timed_pauli import LOCAL_TABLES, Clifford, tableau_from_transfer
 
 # The symbolic engine is exact, so the direct fixed-point solve dominates
 # the disagreement budget.
@@ -64,32 +65,32 @@ class ScenarioError(CtcsimError, ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class BlockSpec:
+class BlockSpec(Record):
     """One wormhole block: a gate name ("<g>_swap" composes a swap after g) or a 4x4 matrix.
 
     u, the interaction U, is resolved once as a complex matrix, and blocks
-    with bitwise-equal u are equal.  loop, U's loop slice of its Pauli
-    transfer matrix (checked unitary), and clifford, the table of
-    U_bar = SWAP @ U, are each compiled on first use and kept with the block.
+    with bitwise-equal u are equal.  transfer, U's Pauli transfer matrix
+    (checked unitary), is compiled on first use and kept with the block, as
+    is what each engine reads of it: loop, U's loop slice, and clifford, the
+    table of U_bar = SWAP @ U.
     """
 
-    gate: str | np.ndarray
-    u: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("gate",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.gate, str):
-            key = self.gate.lower()
+    def __init__(self, gate: str | np.ndarray) -> None:
+        vars(self)["gate"] = gate
+        if isinstance(gate, str):
+            key = gate.lower()
             follow_swap = key.endswith("_swap") and key != "swap"
             try:
                 mat = standard_gate(key[:-5] if follow_swap else key)
             except QlinalgError:  # name the value given, not the stripped name
-                raise QlinalgError(f"unknown gate name {self.gate!r}") from None
+                raise QlinalgError(f"unknown gate name {gate!r}") from None
         else:  # an anonymous matrix is its own gate; a copy, so u cannot change
-            mat, follow_swap = np.array(self.gate, dtype=complex), False
+            mat, follow_swap = np.array(gate, dtype=complex), False
         if mat.shape != (4, 4):
-            raise ScenarioError(f"block gate {self.gate!r} is not a two-qubit gate")
-        object.__setattr__(self, "u", qlinalg.SWAP @ mat if follow_swap else mat)
+            raise ScenarioError(f"block gate {gate!r} is not a two-qubit gate")
+        vars(self)["u"] = qlinalg.SWAP @ mat if follow_swap else mat
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BlockSpec) and self.u.tobytes() == other.u.tobytes()
@@ -98,16 +99,20 @@ class BlockSpec:
         return hash(self.u.tobytes())
 
     @functools.cached_property
+    def transfer(self) -> np.ndarray:
+        return db_model.interaction_transfer(self.u)
+
+    @functools.cached_property
     def loop(self) -> np.ndarray:
-        return db_model.loop_transfer(self.u)
+        return db_model.loop_slice(self.transfer)
 
     @functools.cached_property
     def clifford(self) -> Clifford:
-        return tableau_from_unitary(qlinalg.SWAP @ self.u)
+        # SWAP swaps U's two output qubits: R_bar[k, l] = R[l, k]
+        return tableau_from_transfer(qlinalg.SWAP @ self.u, self.transfer.swapaxes(0, 1))
 
 
-@dataclass(frozen=True, eq=False)
-class Circuit:
+class Circuit(Record):
     """A circuit's blocks and local gates, with what each engine reads of
     them resolved on first use and kept.
 
@@ -117,8 +122,10 @@ class Circuit:
     heisenberg is the HeisenbergCircuit that compile_words keys its words on.
     """
 
-    blocks: tuple[BlockSpec, ...]
-    local_gates: tuple[str, ...]
+    _fields = ("blocks", "local_gates")
+
+    def __init__(self, blocks: tuple[BlockSpec, ...], local_gates: tuple[str, ...]) -> None:
+        vars(self).update(blocks=blocks, local_gates=local_gates)
 
     @functools.cached_property
     def db_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -134,23 +141,21 @@ class Circuit:
         return heisenberg_circuit(self)
 
 
-# The overlap every spec has unless given one; the class is frozen.
+# The overlap every spec has unless given one; the class is immutable.
 _ORTHOGONAL = TimeDistribution.orthogonal()
 
 
-@dataclass(frozen=True)
-class CircuitSpec:
-    prep: PureStateParams
-    blocks: tuple[BlockSpec, ...]
-    local_gates: tuple[str, ...]
-    overlap: TimeDistribution = _ORTHOGONAL
+class CircuitSpec(ValueRecord):
+    _fields = ("prep", "blocks", "local_gates", "overlap")
 
-    def __post_init__(self) -> None:
-        if len(self.local_gates) != len(self.blocks) + 1:
+    def __init__(self, prep: PureStateParams, blocks: tuple[BlockSpec, ...],
+                 local_gates: tuple[str, ...], overlap: TimeDistribution = _ORTHOGONAL) -> None:
+        vars(self).update(prep=prep, blocks=blocks, local_gates=local_gates, overlap=overlap)
+        if len(local_gates) != len(blocks) + 1:
             raise ScenarioError(
-                f"need {len(self.blocks) + 1} local gates for "
-                f"{len(self.blocks)} blocks, got {len(self.local_gates)}")
-        for name in self.local_gates:
+                f"need {len(blocks) + 1} local gates for "
+                f"{len(blocks)} blocks, got {len(local_gates)}")
+        for name in local_gates:
             if name.lower() not in _LOCALS:
                 raise ScenarioError(f"unknown local gate {name!r}")
 
@@ -223,8 +228,7 @@ def run_heisenberg(spec: CircuitSpec) -> HeisenbergResult:
     return evaluate_heisenberg(spec, spec.prep.batch)[0]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     db: DBRun
     heisenberg: HeisenbergResult
     trace_distance: float | None
@@ -271,27 +275,25 @@ def compare(spec: CircuitSpec) -> ComparisonReport:
 # -- no-signaling geometry of the external apparatus ------------------------
 
 
-@dataclass(frozen=True)
-class GeometryConfig:
+class GeometryConfig(ValueRecord):
     """External layout of the apparatus between entry and exit ports."""
 
-    hi_position: tuple[float, ...]
-    ho_position: tuple[float, ...]
-    external_transit_time: float
-    c: float = 299792458.0
+    _fields = ("hi_position", "ho_position", "external_transit_time", "c")
 
-    def __post_init__(self) -> None:
-        values = (*self.hi_position, *self.ho_position, self.external_transit_time, self.c)
+    def __init__(self, hi_position: tuple[float, ...], ho_position: tuple[float, ...],
+                 external_transit_time: float, c: float = 299792458.0) -> None:
+        vars(self).update(hi_position=hi_position, ho_position=ho_position,
+                          external_transit_time=external_transit_time, c=c)
+        values = (*hi_position, *ho_position, external_transit_time, c)
         if not all(map(math.isfinite, values)):
             raise ScenarioError(f"geometry values must be finite, got {self!r}")
-        if self.c <= 0:
+        if c <= 0:
             raise ScenarioError("speed of light must be positive")
-        if len(self.hi_position) != len(self.ho_position):
+        if len(hi_position) != len(ho_position):
             raise ScenarioError("entry and exit positions need matching dimensions")
 
 
-@dataclass(frozen=True)
-class GeometryCheck:
+class GeometryCheck(NamedTuple):
     ok: bool
     margin: float  # seconds of slack; negative on violation
 

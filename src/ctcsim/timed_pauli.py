@@ -28,7 +28,6 @@ import functools
 import itertools
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -40,6 +39,7 @@ from .qlinalg import (
     I2,
     PAULI_PAIRS,
     SWAP,
+    ValueRecord,
     assert_unitary,
     pauli_transfer,
     standard_gate,
@@ -84,8 +84,7 @@ def letter_mul_ipow(a: PauliLetter, b: PauliLetter) -> tuple[int, PauliLetter]:
     return _MUL_TABLE[(a, b)]
 
 
-@dataclass(frozen=True)
-class TimedPauliWord:
+class TimedPauliWord(ValueRecord):
     """Canonicalized signed product of letters at integer time labels.
 
     head holds (label, letter) pairs sorted by label with no identities;
@@ -95,25 +94,25 @@ class TimedPauliWord:
     structural equality is word equality.
     """
 
-    ipow: int = 0
-    head: tuple[tuple[int, PauliLetter], ...] = ()
-    tail: tuple[int, PauliLetter] | None = None
+    _fields = ("ipow", "head", "tail")
 
-    def __post_init__(self) -> None:
-        if self.ipow not in (0, 1, 2, 3):
-            raise ValueError(f"ipow must be in 0..3, got {self.ipow!r}")
-        labels = [k for k, _ in self.head]
+    def __init__(self, ipow: int = 0, head: tuple[tuple[int, PauliLetter], ...] = (),
+                 tail: tuple[int, PauliLetter] | None = None) -> None:
+        vars(self).update(ipow=ipow, head=head, tail=tail)
+        if ipow not in (0, 1, 2, 3):
+            raise ValueError(f"ipow must be in 0..3, got {ipow!r}")
+        labels = [k for k, _ in head]
         if labels != sorted(set(labels)):
             raise ValueError("head labels must be strictly increasing")
-        if any(letter is _L.I for _, letter in self.head):
+        if any(letter is _L.I for _, letter in head):
             raise ValueError("head must not store identity letters")
-        if self.tail is not None:
-            start, letter = self.tail
+        if tail is not None:
+            start, letter = tail
             if letter is _L.I:
                 raise ValueError("tail letter must not be identity")
             if labels and labels[-1] >= start:
                 raise ValueError("head labels must precede the tail start")
-            if labels and labels[-1] == start - 1 and self.head[-1][1] is letter:
+            if labels and labels[-1] == start - 1 and head[-1][1] is letter:
                 raise ValueError("head letter adjacent to an equal tail is not canonical")
 
     # -- construction ------------------------------------------------------
@@ -240,17 +239,19 @@ class NotCliffordError(EngineError, ValueError):
 PAULI_INDEX = {letter: i for i, letter in enumerate(_L)}
 
 
-@dataclass(frozen=True)
-class Clifford:
+class Clifford(ValueRecord):
     """A one- or two-qubit Clifford gate as its conjugation table P -> U^dag P U.
 
     table[i] is (ipow, letters), the image of the i-th Pauli string with one
     letter per qubit; strings count in base 4 over (I, X, Y, Z), first
     (upper) qubit most significant.  Images of Pauli strings are hermitian,
-    so ipow is 0 or 2.  Tables come only from tableau_from_unitary.
+    so ipow is 0 or 2.  Tables come only from tableau_from_transfer.
     """
 
-    table: tuple[tuple[int, tuple[PauliLetter, ...]], ...]
+    _fields = ("table",)
+
+    def __init__(self, table: tuple[tuple[int, tuple[PauliLetter, ...]], ...]) -> None:
+        vars(self).update(table=table)
 
     def __hash__(self) -> int:
         # a circuit's hash (the key of compile_words) visits every table
@@ -278,12 +279,9 @@ class Clifford:
 def tableau_from_unitary(u: np.ndarray) -> Clifford:
     """Conjugation table of a one- or two-qubit Clifford: images under U^dag P U.
 
-    The image of a Pauli string P is its row of the Pauli transfer matrix (a
-    one-qubit U is read as U x I).  The row's largest entry names the
-    candidate signed string, which must then match U^dag P U densely, each
-    entry within 1e-9 in absolute value, or the gate is not Clifford.  U is
-    checked unitary first, within qlinalg.ATOL_STRUCT, as loop_transfer
-    checks it.
+    tableau_from_transfer on U's Pauli transfer matrix; a one-qubit U is
+    read as U x I.  U is checked unitary first, within qlinalg.ATOL_STRUCT,
+    as db_model.interaction_transfer checks it.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape not in ((2, 2), (4, 4)):
@@ -292,9 +290,22 @@ def tableau_from_unitary(u: np.ndarray) -> Clifford:
     assert_unitary(u)
     if qubits == 1:
         u = np.kron(u, I2)
-    rows = np.arange(0, 16, 4) if qubits == 1 else np.arange(16)  # strings P x I, or all
+    return tableau_from_transfer(u, pauli_transfer(u), qubits)
+
+
+def tableau_from_transfer(u: np.ndarray, transfer: np.ndarray, qubits: int = 2) -> Clifford:
+    """Conjugation table of a 4x4 unitary U read off its Pauli transfer matrix,
+    (4, 4, 4, 4) as qlinalg.pauli_transfer gives it: of every Pauli string,
+    or with qubits=1 of each string P x I, as the table of a one-qubit gate.
+
+    The image of a Pauli string P is its row of the transfer matrix.  The
+    row's largest entry names the candidate signed string, which must then
+    match U^dag P U densely, each entry within 1e-9 in absolute value, or
+    the gate is not Clifford.
+    """
+    rows = np.arange(0, 16, 4) if qubits == 1 else np.arange(16)
     paulis = PAULI_PAIRS.reshape(16, 4, 4)
-    ptm = pauli_transfer(u).reshape(16, 16)[rows]
+    ptm = transfer.reshape(16, 16)[rows]
     best = np.abs(ptm).argmax(axis=1)
     signs = np.sign(ptm[np.arange(len(rows)), best])
     dense = u.conj().T @ paulis[rows] @ u

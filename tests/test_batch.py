@@ -35,7 +35,7 @@ class TestCompileOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"backpropagate_block": 0, "pauli_transfer": 0}
+        calls = {"backpropagate_block": 0, "interaction_transfer": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -46,7 +46,7 @@ class TestCompileOnce:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(heisenberg_model, "backpropagate_block")
-        counted(db_model, "pauli_transfer")
+        counted(db_model, "interaction_transfer")
         heisenberg_model.compile_words.cache_clear()  # words from earlier tests
         return calls
 
@@ -64,7 +64,7 @@ class TestCompileOnce:
         assert cli.main(["sweep", "--config", self.config(tmp_path, circuit), "alpha2", "0", "1",
                          str(steps), "--model", "both", "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * steps
-        assert calls == {"backpropagate_block": blocks * AXES, "pauli_transfer": blocks}
+        assert calls == {"backpropagate_block": blocks * AXES, "interaction_transfer": blocks}
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @CIRCUITS
@@ -73,7 +73,7 @@ class TestCompileOnce:
         assert cli.main([command, "--config", self.config(tmp_path, circuit),
                          "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2
-        assert calls == {"backpropagate_block": blocks * AXES, "pauli_transfer": blocks}
+        assert calls == {"backpropagate_block": blocks * AXES, "interaction_transfer": blocks}
 
     def test_repeated_compares_back_propagate_once_per_circuit(self, calls, rng):
         # 150 compares, the three named scenarios in turn, each at its own
@@ -121,10 +121,10 @@ class TestCompileOnce:
         # once, whatever an earlier command compiled; the words of an equal
         # circuit are compiled once per process
         tables, built = [], []
-        tableau_from_unitary, heisenberg_circuit = (scenario.tableau_from_unitary,
-                                                    scenario.heisenberg_circuit)
-        monkeypatch.setattr(scenario, "tableau_from_unitary",
-                            lambda u: tables.append(u) or tableau_from_unitary(u))
+        tableau_from_transfer, heisenberg_circuit = (scenario.tableau_from_transfer,
+                                                     scenario.heisenberg_circuit)
+        monkeypatch.setattr(scenario, "tableau_from_transfer", lambda u, transfer: (
+            tables.append(u) or tableau_from_transfer(u, transfer)))
         monkeypatch.setattr(scenario, "heisenberg_circuit",
                             lambda spec: built.append(spec) or heisenberg_circuit(spec))
         config = self.config(tmp_path, circuit)
@@ -132,8 +132,8 @@ class TestCompileOnce:
         for n, command in enumerate(commands * 2, start=1):
             assert cli.main([*command, "--config", config, "--format", "csv"]) == 0
             capsys.readouterr()
-            assert (calls["pauli_transfer"], len(tables), len(built)) == (n * blocks,
-                                                                          n * blocks, n)
+            assert (calls["interaction_transfer"], len(tables), len(built)) == (n * blocks,
+                                                                                n * blocks, n)
         assert calls["backpropagate_block"] == blocks * AXES
 
     def test_cached_words_serve_every_overlap(self):

@@ -1,7 +1,10 @@
 import gc
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -606,3 +609,13 @@ class TestEmitChunks:
         assert writes == -(-lines // per_slice)
         assert self.emitted(monkeypatch, rows[:n], fmt, 1) == (text, lines)
         assert text.count("\n") == lines
+
+
+def test_start_up_generates_no_dataclass_code():
+    # each frozen dataclass execs its generated methods at import; the
+    # records are written out instead, so start-up never imports dataclasses
+    code = ("import sys, ctcsim.cli; ctcsim.cli.build_parser(); "
+            "print(sorted({'ctcsim.cli', 'dataclasses'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['ctcsim.cli']\n", "")

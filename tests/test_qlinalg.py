@@ -3,7 +3,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,7 +66,7 @@ class TestPureStateParams:
     def test_kept_as_given(self):
         p = PureStateParams(alpha2=0.3, theta=0.2)
         assert (p.alpha2, p.theta, p.alpha, p.beta) == (0.3, 0.2, math.sqrt(0.3), math.sqrt(0.7))
-        assert replace(p, theta=1.0).alpha2 == 0.3
+        assert p._replace(theta=1.0).alpha2 == 0.3
 
     def test_positional_call_rejected(self):
         # an (alpha, beta, theta) call from before alpha2 was stored fails loudly

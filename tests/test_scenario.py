@@ -156,11 +156,11 @@ class TestCompileOnce:
     def test_config_sweep_compiles_each_block_once(self, tmp_path, monkeypatch, capsys):
         calls = []
 
-        def counted(u, _real=scenario.tableau_from_unitary):
+        def counted(u, transfer, _real=scenario.tableau_from_transfer):
             calls.append(u)
-            return _real(u)
+            return _real(u, transfer)
 
-        monkeypatch.setattr(scenario, "tableau_from_unitary", counted)
+        monkeypatch.setattr(scenario, "tableau_from_transfer", counted)
         cfg = tmp_path / "two.cfg"
         cfg.write_text("prep.alpha2 = 0.75\nblock = cnot_swap\nblock = cnot_swap\n"
                        "locals = i2 h h\n")
