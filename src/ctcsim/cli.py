@@ -284,8 +284,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Evaluate the circuit on the whole grid at once; its words and loop
-    slices are compiled once, with the spec."""
+    """Evaluate the circuit on the whole grid at once."""
     if getattr(args, args.param) is not None:
         raise ConfigError(f"--{args.param} is the swept parameter; give its range only")
     if not args.start < args.stop or not math.isfinite(args.stop - args.start):

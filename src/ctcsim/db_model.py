@@ -25,9 +25,7 @@ residual takes one eigensolve per state, inside one numpy call.  A local
 gate given as None is the identity and is not applied, which saves the
 three numpy calls a conjugation of a one-state stack makes; the outputs are
 bit for bit those of conjugating by I2 (tests/test_db_model.py pins them
-against that chain).  scenario.evaluate_db, the route every CLI command
-takes, feeds it the (u, loop slice) pair each block keeps and None for
-each identity local; solve_chain and solve_fixed_point(method="eigen") are
+against that chain).  solve_chain and solve_fixed_point(method="eigen") are
 its one-state case for direct callers, and apply every local gate they are
 given.  The iteration stays scalar, as the independent oracle.
 """
@@ -131,9 +129,11 @@ def loop_slice(transfer: np.ndarray) -> np.ndarray:
 
     loop[i, l, j] = R[0l, ij] for l = x, y, z: the trapped qubit's l
     coordinate after U acts on s_i x s_j, held with i first so that
-    _bloch_affine sums over it in whole contiguous (l, j) blocks.
+    _bloch_affine sums over it in whole contiguous (l, j) blocks.  Read-only.
     """
-    return np.ascontiguousarray(transfer[0, 1:].transpose(1, 0, 2))
+    loop = np.ascontiguousarray(transfer[0, 1:].transpose(1, 0, 2))
+    loop.flags.writeable = False
+    return loop
 
 
 def loop_transfer(u: Mat4) -> np.ndarray:

@@ -29,13 +29,13 @@ The whole circuit lives in the back-propagated words; the prepared state and
 the temporal profile enter only at the final expectation.  So evaluation has
 two steps: compile_words back-propagates each axis, and evaluate_words takes
 the closed-form letter expectations of N preparations at once.
-heisenberg_bloch, the entry point on a bare HeisenbergCircuit, runs both
-steps for one state.
+scenario.compile_circuit keeps each distinct circuit's words for the
+process; heisenberg_bloch, the entry point on a bare HeisenbergCircuit, runs
+both steps for one state on every call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -141,10 +141,6 @@ class HeisenbergCircuit(ValueRecord):
             raise ValueError(
                 f"need {len(blocks) + 1} local gates for "
                 f"{len(blocks)} blocks, got {len(local_gates)}")
-
-    def __hash__(self) -> int:
-        # the key of compile_words, hashed on every evaluation
-        return hash((self.blocks, self.local_gates))
 
 
 class HeisenbergResult(NamedTuple):
@@ -362,14 +358,10 @@ def evaluate_expectation(w: TimedPauliWord, p: PureStateParams,
     return (values[0].item(), "ok") if defined is None or defined[0] else (None, "singular")
 
 
-@functools.cache
 def compile_words(circuit: HeisenbergCircuit) -> Mapping[str, TimedPauliWord | str]:
-    """Each axis's observable back-propagated to the preparation point.
-
-    The words depend on the circuit alone, so each distinct circuit is
-    compiled once per process and the read-only result is shared.  An axis
-    that hits a divergent phase or a singular recurrence is given by that
-    status instead of a word.
+    """Each axis's observable back-propagated to the preparation point, as a
+    read-only mapping.  An axis that hits a divergent phase or a singular
+    recurrence is given by that status instead of a word.
     """
     words: dict[str, TimedPauliWord | str] = {}
     for axis, letter in _AXES:

@@ -6,23 +6,21 @@ meets its own past self through U followed by a swap.  The density-matrix
 engine conjugates with U, and the Heisenberg engine conjugates through
 U_bar = SWAP U.
 
-What does not depend on the preparation is compiled on first use and kept:
-each block's parts (BlockSpec), and each circuit's engine inputs (Circuit):
-the density-matrix engine's (u, loop slice) pairs and local gates, an
-identity local marked not to be applied, and the HeisenbergCircuit under
-which heisenberg_model.compile_words keeps each axis's back-propagated word.
-A spec makes its Circuit on first use; the named scenarios share one
-Circuit per name, so a named circuit's inputs are resolved once per process
-whatever its preparation.  evaluate_db and evaluate_heisenberg run a spec's circuit on N
-preparations at once, and are the only route from a spec to numbers; run_db
-and run_heisenberg are the one-point case, on spec.prep.  verdict is the one
-cross-engine rule, and compare is verdict on run_db and run_heisenberg.
+What does not depend on the preparation depends on the circuit's blocks
+and local gates alone, so compile_circuit compiles it once per distinct
+circuit per process, on first use, into the Circuit both engines read;
+spec.circuit looks it up by value.  evaluate_db and evaluate_heisenberg run
+a spec's circuit on N preparations at once, and are the only route from a
+spec to numbers; run_db and run_heisenberg are the one-point case, on
+spec.prep.  verdict is the one cross-engine rule, and compare is verdict on
+run_db and run_heisenberg.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +30,7 @@ from .heisenberg_model import (
     HeisenbergBatch,
     HeisenbergCircuit,
     HeisenbergResult,
+    NotCliffordError,
     TimeDistribution,
 )
 from .db_model import DBBatch, DBRun
@@ -68,11 +67,8 @@ class ScenarioError(CtcsimError, ValueError):
 class BlockSpec(Record):
     """One wormhole block: a gate name ("<g>_swap" composes a swap after g) or a 4x4 matrix.
 
-    u, the interaction U, is resolved once as a complex matrix, and blocks
-    with bitwise-equal u are equal.  transfer, U's Pauli transfer matrix
-    (checked unitary), is compiled on first use and kept with the block, as
-    is what each engine reads of it: loop, U's loop slice, and clifford, the
-    table of U_bar = SWAP @ U.
+    u, the interaction U, is resolved once as a read-only complex matrix,
+    and blocks with bitwise-equal u are equal.
     """
 
     _fields = ("gate",)
@@ -90,55 +86,34 @@ class BlockSpec(Record):
             mat, follow_swap = np.array(gate, dtype=complex), False
         if mat.shape != (4, 4):
             raise ScenarioError(f"block gate {gate!r} is not a two-qubit gate")
-        vars(self)["u"] = qlinalg.SWAP @ mat if follow_swap else mat
+        u = qlinalg.SWAP @ mat if follow_swap else mat
+        u.flags.writeable = False
+        vars(self).update(u=u, _key=u.tobytes())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, BlockSpec) and self.u.tobytes() == other.u.tobytes()
+        return isinstance(other, BlockSpec) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.u.tobytes())
-
-    @functools.cached_property
-    def transfer(self) -> np.ndarray:
-        return db_model.interaction_transfer(self.u)
-
-    @functools.cached_property
-    def loop(self) -> np.ndarray:
-        return db_model.loop_slice(self.transfer)
-
-    @functools.cached_property
-    def clifford(self) -> Clifford:
-        # SWAP swaps U's two output qubits: R_bar[k, l] = R[l, k]
-        return tableau_from_transfer(qlinalg.SWAP @ self.u, self.transfer.swapaxes(0, 1))
+        return hash(self._key)
 
 
 class Circuit(Record):
-    """A circuit's blocks and local gates, with what each engine reads of
-    them resolved on first use and kept.
+    """What both engines read of one circuit, as compile_circuit gives it.
 
-    db_blocks holds each block's (u, loop) and db_locals each local gate's
-    matrix, or None for an identity, which the density-matrix chain does not
-    apply (read off the local's Clifford table, as apply_local skips it).
-    heisenberg is the HeisenbergCircuit that compile_words keys its words on.
+    db_blocks holds each block's (u, loop slice) and db_locals each local
+    gate's matrix, or None for an identity, which the density-matrix chain
+    does not apply (read off the local's Clifford table, as apply_local
+    skips it).  words holds each axis's back-propagated word or the status
+    that stops it, or, if a block is not Clifford, the NotCliffordError
+    that only the Heisenberg engine raises.
     """
 
-    _fields = ("blocks", "local_gates")
+    _fields = ("db_blocks", "db_locals", "words")
 
-    def __init__(self, blocks: tuple[BlockSpec, ...], local_gates: tuple[str, ...]) -> None:
-        vars(self).update(blocks=blocks, local_gates=local_gates)
-
-    @functools.cached_property
-    def db_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        return tuple((b.u, b.loop) for b in self.blocks)
-
-    @functools.cached_property
-    def db_locals(self) -> tuple[np.ndarray | None, ...]:
-        return tuple(None if clifford.is_identity else matrix
-                     for matrix, clifford in (_LOCALS[n.lower()] for n in self.local_gates))
-
-    @functools.cached_property
-    def heisenberg(self) -> HeisenbergCircuit:
-        return heisenberg_circuit(self)
+    def __init__(self, db_blocks: tuple[tuple[np.ndarray, np.ndarray], ...],
+                 db_locals: tuple[np.ndarray | None, ...],
+                 words: Mapping | NotCliffordError) -> None:
+        vars(self).update(db_blocks=db_blocks, db_locals=db_locals, words=words)
 
 
 # The overlap every spec has unless given one; the class is immutable.
@@ -159,10 +134,10 @@ class CircuitSpec(ValueRecord):
             if name.lower() not in _LOCALS:
                 raise ScenarioError(f"unknown local gate {name!r}")
 
-    @functools.cached_property
+    @property
     def circuit(self) -> Circuit:
-        """The spec's blocks and local gates, with their engine inputs."""
-        return Circuit(self.blocks, self.local_gates)
+        """The compiled circuit of the spec's blocks and local gates."""
+        return compile_circuit(self.blocks, self.local_gates)
 
 
 def local_matrix(name: str) -> np.ndarray:
@@ -173,22 +148,44 @@ def local_clifford(name: str) -> Clifford:
     return _LOCALS[name.lower()][1]
 
 
-def heisenberg_circuit(spec: CircuitSpec | Circuit) -> HeisenbergCircuit:
-    return HeisenbergCircuit(
-        blocks=tuple(b.clifford for b in spec.blocks),
-        local_gates=tuple(local_clifford(n) for n in spec.local_gates),
-    )
+def heisenberg_circuit(blocks: tuple[BlockSpec, ...], local_gates: tuple[str, ...],
+                       transfers: Mapping[BlockSpec, np.ndarray]) -> HeisenbergCircuit:
+    """The circuit the Heisenberg engine reads: the table of U_bar = SWAP @ U
+    of each distinct block, read off U's transfer matrix R in transfers with
+    its two output qubits swapped (R_bar[k, l] = R[l, k]), and each local
+    gate's table."""
+    tables = {block: tableau_from_transfer(qlinalg.SWAP @ block.u, r.swapaxes(0, 1))
+              for block, r in transfers.items()}
+    return HeisenbergCircuit(tuple(tables[b] for b in blocks),
+                             tuple(local_clifford(n) for n in local_gates))
+
+
+@functools.cache
+def compile_circuit(blocks: tuple[BlockSpec, ...], local_gates: tuple[str, ...]) -> Circuit:
+    """The circuit's one compile, kept for the process and keyed by value.
+
+    Each distinct block builds U's Pauli transfer matrix once, checking U
+    unitary; its loop slice and its Clifford table are read off that matrix.
+    """
+    transfers = {block: db_model.interaction_transfer(block.u) for block in dict.fromkeys(blocks)}
+    try:
+        words = heisenberg_model.compile_words(heisenberg_circuit(blocks, local_gates, transfers))
+    except NotCliffordError as exc:
+        words = exc.with_traceback(None)
+    loops = {block: db_model.loop_slice(r) for block, r in transfers.items()}
+    return Circuit(tuple((b.u, loops[b]) for b in blocks),
+                   tuple(None if clifford.is_identity else matrix
+                         for matrix, clifford in (_LOCALS[n.lower()] for n in local_gates)),
+                   words)
 
 
 DEFAULT_PREP = PureStateParams.from_alpha2(0.75, 0.0)
 
-# One Circuit per name, at module level, so each named circuit's tables and
-# engine inputs are compiled once per process.
-_CNOT = BlockSpec("cnot_swap")
+# Each name's blocks and local gates.
 _NAMED = {
-    "cz": Circuit((BlockSpec("cz_swap"),), ("i2", "i2")),
-    "cnot": Circuit((_CNOT,), ("i2", "i2")),
-    "chained_cnot_hadamard": Circuit((_CNOT, _CNOT), ("i2", "h", "h")),
+    "cz": ((BlockSpec("cz_swap"),), ("i2", "i2")),
+    "cnot": ((BlockSpec("cnot_swap"),), ("i2", "i2")),
+    "chained_cnot_hadamard": ((BlockSpec("cnot_swap"),) * 2, ("i2", "h", "h")),
 }
 
 
@@ -201,11 +198,8 @@ def named_scenario(name: str, prep: PureStateParams | None = None,
     """A paper scenario by stable public name: cz, cnot, chained_cnot_hadamard."""
     if name not in _NAMED:
         raise ScenarioError(f"unknown scenario {name!r}; known: {', '.join(_NAMED)}")
-    circuit = _NAMED[name]
-    spec = CircuitSpec(prep if prep is not None else DEFAULT_PREP, circuit.blocks,
-                       circuit.local_gates, overlap if overlap is not None else _ORTHOGONAL)
-    vars(spec)["circuit"] = circuit  # cached ahead: every spec of a name shares its Circuit
-    return spec
+    return CircuitSpec(prep if prep is not None else DEFAULT_PREP, *_NAMED[name],
+                       overlap if overlap is not None else _ORTHOGONAL)
 
 
 def evaluate_db(spec: CircuitSpec, preps: Preparations) -> DBBatch:
@@ -216,8 +210,10 @@ def evaluate_db(spec: CircuitSpec, preps: Preparations) -> DBBatch:
 
 def evaluate_heisenberg(spec: CircuitSpec, preps: Preparations) -> HeisenbergBatch:
     """The words of spec's circuit on each preparation; spec.prep is not read."""
-    return heisenberg_model.evaluate_words(
-        heisenberg_model.compile_words(spec.circuit.heisenberg), preps, spec.overlap)
+    words = spec.circuit.words
+    if isinstance(words, NotCliffordError):  # a new one: raising the kept one grows its traceback
+        raise NotCliffordError(*words.args)
+    return heisenberg_model.evaluate_words(words, preps, spec.overlap)
 
 
 def run_db(spec: CircuitSpec) -> DBRun:

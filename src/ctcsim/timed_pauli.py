@@ -24,7 +24,6 @@ read of (power of i, letters).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from collections.abc import Mapping
@@ -245,21 +244,16 @@ class Clifford(ValueRecord):
     table[i] is (ipow, letters), the image of the i-th Pauli string with one
     letter per qubit; strings count in base 4 over (I, X, Y, Z), first
     (upper) qubit most significant.  Images of Pauli strings are hermitian,
-    so ipow is 0 or 2.  Tables come only from tableau_from_transfer.
+    so ipow is 0 or 2.  is_identity says whether every string is its own
+    image.  Tables come only from tableau_from_transfer.
     """
 
     _fields = ("table",)
 
     def __init__(self, table: tuple[tuple[int, tuple[PauliLetter, ...]], ...]) -> None:
-        vars(self).update(table=table)
-
-    def __hash__(self) -> int:
-        # a circuit's hash (the key of compile_words) visits every table
-        return self._table_hash
-
-    @functools.cached_property
-    def _table_hash(self) -> int:
-        return hash(self.table)
+        strings = itertools.product(_L, repeat=len(table[0][1]))
+        vars(self).update(table=table, is_identity=all(
+            ipow == 0 and image == string for (ipow, image), string in zip(table, strings)))
 
     def conj(self, *letters: PauliLetter) -> tuple[int, tuple[PauliLetter, ...]]:
         """Image (ipow, letters) of the Pauli string given one letter per qubit."""
@@ -267,13 +261,6 @@ class Clifford(ValueRecord):
         for letter in letters:
             i = 4 * i + PAULI_INDEX[letter]
         return self.table[i]
-
-    @functools.cached_property
-    def is_identity(self) -> bool:
-        """Whether every Pauli string is its own image."""
-        qubits = len(self.table[0][1])
-        return all(ipow == 0 and image == string for (ipow, image), string
-                   in zip(self.table, itertools.product(_L, repeat=qubits)))
 
 
 def tableau_from_unitary(u: np.ndarray) -> Clifford:

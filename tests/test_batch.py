@@ -1,10 +1,10 @@
 """Compile once, evaluate the whole grid.
 
-A sweep compiles its circuit once, whatever the grid size, and run and
-compare, its one-point cases, do the same: one loop slice per block, and one
-back-propagation per block and axis.  The words of a circuit are compiled
-once per process, whatever the preparation or overlap, so repeated compares
-back-propagate only on a circuit's first use.  An N-point
+A circuit is compiled once per process, whatever the grid size, preparation
+or overlap, by scenario.compile_circuit, keyed by the circuit's value: one
+transfer matrix per distinct block, and one back-propagation per block and
+axis.  So a sweep, its one-point cases run and compare, and repeated
+compares compile only on a circuit's first use.  An N-point
 evaluation gives the records of N one-point evaluations, bit for bit, and
 its density-matrix components agree with the plain-iteration oracle.
 """
@@ -28,10 +28,12 @@ AXES = 3
 
 
 class TestCompileOnce:
-    # Config blocks are fresh per parse, so nothing is cached between runs:
-    # the named scenarios' module-level blocks would compile once per process.
+    # The fixture empties the compile cache, so a test's first command
+    # compiles its circuit.  Both configs' blocks are cnot_swap: one distinct
+    # block, whose transfer matrix serves every block of the circuit.
     CNOT = "prep.alpha2 = 0.75\nblock = cnot_swap\n"
     CIRCUITS = pytest.mark.parametrize("circuit, blocks", [("cnot", 1), ("chained", 2)])
+    DISTINCT = 1
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -47,7 +49,7 @@ class TestCompileOnce:
 
         counted(heisenberg_model, "backpropagate_block")
         counted(db_model, "interaction_transfer")
-        heisenberg_model.compile_words.cache_clear()  # words from earlier tests
+        scenario.compile_circuit.cache_clear()  # circuits from earlier tests
         return calls
 
     def config(self, tmp_path, circuit):
@@ -64,7 +66,8 @@ class TestCompileOnce:
         assert cli.main(["sweep", "--config", self.config(tmp_path, circuit), "alpha2", "0", "1",
                          str(steps), "--model", "both", "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * steps
-        assert calls == {"backpropagate_block": blocks * AXES, "interaction_transfer": blocks}
+        assert calls == {"backpropagate_block": blocks * AXES,
+                         "interaction_transfer": self.DISTINCT}
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @CIRCUITS
@@ -73,7 +76,8 @@ class TestCompileOnce:
         assert cli.main([command, "--config", self.config(tmp_path, circuit),
                          "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2
-        assert calls == {"backpropagate_block": blocks * AXES, "interaction_transfer": blocks}
+        assert calls == {"backpropagate_block": blocks * AXES,
+                         "interaction_transfer": self.DISTINCT}
 
     def test_repeated_compares_back_propagate_once_per_circuit(self, calls, rng):
         # 150 compares, the three named scenarios in turn, each at its own
@@ -88,17 +92,14 @@ class TestCompileOnce:
 
     def test_repeated_compares_resolve_each_circuits_inputs_once(self, calls, rng,
                                                                  monkeypatch):
-        # fresh named circuits, so their first use falls in this test: the
-        # HeisenbergCircuit is built once per circuit, and every compare of a
-        # circuit hands the chain the same (u, loop) pairs and local gates
-        monkeypatch.setattr(scenario, "_NAMED", {
-            name: scenario.Circuit(c.blocks, c.local_gates) for name, c in scenario._NAMED.items()})
+        # the HeisenbergCircuit is built once per circuit, and every compare
+        # of a circuit hands the chain the same (u, loop) pairs and local gates
         built, chains = [], []
         heisenberg_circuit, solve_chain_batch = scenario.heisenberg_circuit, db_model.solve_chain_batch
 
-        def building(spec):
-            built.append(spec.local_gates)
-            return heisenberg_circuit(spec)
+        def building(blocks, local_gates, transfers):
+            built.append(local_gates)
+            return heisenberg_circuit(blocks, local_gates, transfers)
 
         def chaining(blocks, local_gates, preps):
             chains.append((blocks, local_gates))
@@ -117,24 +118,37 @@ class TestCompileOnce:
     @CIRCUITS
     def test_config_parsed_anew_compiles_once_per_command(self, tmp_path, calls, capsys,
                                                           monkeypatch, circuit, blocks):
-        # each command parses the config into new blocks and compiles them
-        # once, whatever an earlier command compiled; the words of an equal
-        # circuit are compiled once per process
+        # each command parses the config into new blocks, which equal the
+        # blocks of the first command's: only that command compiles
         tables, built = [], []
         tableau_from_transfer, heisenberg_circuit = (scenario.tableau_from_transfer,
                                                      scenario.heisenberg_circuit)
         monkeypatch.setattr(scenario, "tableau_from_transfer", lambda u, transfer: (
             tables.append(u) or tableau_from_transfer(u, transfer)))
         monkeypatch.setattr(scenario, "heisenberg_circuit",
-                            lambda spec: built.append(spec) or heisenberg_circuit(spec))
+                            lambda *args: built.append(args) or heisenberg_circuit(*args))
         config = self.config(tmp_path, circuit)
         commands = [["run"], ["compare"], ["sweep", "--model", "both", "alpha2", "0", "1", "5"]]
-        for n, command in enumerate(commands * 2, start=1):
+        for command in commands * 2:
             assert cli.main([*command, "--config", config, "--format", "csv"]) == 0
             capsys.readouterr()
-            assert (calls["interaction_transfer"], len(tables), len(built)) == (n * blocks,
-                                                                                n * blocks, n)
+            assert (calls["interaction_transfer"], len(tables), len(built)) == (self.DISTINCT,
+                                                                                self.DISTINCT, 1)
         assert calls["backpropagate_block"] == blocks * AXES
+
+    def test_every_command_finds_the_one_compile_of_its_circuit(self, calls, capsys):
+        # cnot's spec, which load_spec copies with the flags applied, and the
+        # two-block config's, parsed anew by each command: after the first
+        # command of each, run, compare and sweep only look their circuit up
+        config = ["--config", str(CONFIGS / "chained.cfg")]
+        commands = [["run"], ["compare"], ["sweep", "alpha2", "0", "1", "5", "--model", "both"]]
+        for command in commands * 2:
+            for argv in ([command[0], "cnot", *command[1:]], [*command, *config]):
+                assert cli.main([*argv, "--format", "csv"]) == 0
+        capsys.readouterr()
+        info = scenario.compile_circuit.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert calls == {"backpropagate_block": 3 * AXES, "interaction_transfer": 2}
 
     def test_cached_words_serve_every_overlap(self):
         # one circuit under orthogonal, gaussian, then orthogonal overlap:
@@ -142,26 +156,29 @@ class TestCompileOnce:
         preps = Preparations(np.linspace(0, 1, 5), 0.7)
         overlaps = [TimeDistribution.orthogonal(), TimeDistribution.gaussian(0.5, 1.0),
                     TimeDistribution.orthogonal()]
-        heisenberg_model.compile_words.cache_clear()
+        scenario.compile_circuit.cache_clear()
         got = [scenario.evaluate_heisenberg(scenario.named_scenario("cz", overlap=t), preps)
                for t in overlaps]
-        info = heisenberg_model.compile_words.cache_info()
+        info = scenario.compile_circuit.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         assert got[1].statuses == {"x": ["unsupported"] * 5, "y": ["unsupported"] * 5,
                                    "z": ["ok"] * 5}
         for t, batch in zip(overlaps, got):
-            heisenberg_model.compile_words.cache_clear()
+            scenario.compile_circuit.cache_clear()
             fresh = scenario.evaluate_heisenberg(scenario.named_scenario("cz", overlap=t), preps)
             assert batch.statuses == fresh.statuses
             for axis, values in batch.values.items():
                 np.testing.assert_array_equal(values, fresh.values[axis])
 
     def test_compiled_words_are_read_only(self):
-        circuit = scenario.heisenberg_circuit(scenario.named_scenario("cnot"))
-        words = heisenberg_model.compile_words(circuit)
+        # and so is every array the compiled circuit holds
+        circuit = scenario.named_scenario("chained_cnot_hadamard").circuit
         with pytest.raises(TypeError):
-            words["x"] = "singular"
-        assert heisenberg_model.compile_words(circuit) is words
+            circuit.words["x"] = "singular"
+        arrays = [*(a for pair in circuit.db_blocks for a in pair),
+                  *(m for m in circuit.db_locals if m is not None)]
+        assert len(arrays) == 6 and not any(a.flags.writeable for a in arrays)
+        assert scenario.named_scenario("chained_cnot_hadamard").circuit.words is circuit.words
 
 
 LOCALS = ("i2", "h", "s", "x", "y", "z")

@@ -619,3 +619,12 @@ def test_start_up_generates_no_dataclass_code():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['ctcsim.cli']\n", "")
+
+
+def test_start_up_compiles_no_circuit():
+    # circuits compile on first use, so none is compiled before a command runs
+    code = ("import ctcsim.cli; ctcsim.cli.build_parser(); "
+            "print(ctcsim.cli.scenario.compile_circuit.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")

@@ -403,11 +403,11 @@ def identity_skip_stacks():
     yield Preparations(alpha2, theta)
 
 
-def mixed_locals_circuit():
-    """The two-block cnot_swap config circuit with locals x i2 s."""
+def mixed_locals_spec():
+    """The two-block cnot_swap config spec with locals x i2 s."""
     cfg = cli.parse_config_text("prep.alpha2 = 0.3\nblock = cnot_swap\nblock = cnot_swap\n"
                                 "locals = x i2 s\n")
-    return cli.spec_from_config(cfg).circuit
+    return cli.spec_from_config(cfg)
 
 
 class TestIdentityLocalSkipped:
@@ -416,10 +416,10 @@ class TestIdentityLocalSkipped:
 
     @pytest.mark.parametrize("name", [*scenario.scenario_names(), "config x i2 s"])
     def test_same_bits_as_conjugating_by_i2(self, name):
-        circuit = (mixed_locals_circuit() if name.startswith("config")
-                   else scenario.named_scenario(name).circuit)
+        spec = mixed_locals_spec() if name.startswith("config") else scenario.named_scenario(name)
+        circuit = spec.circuit
         assert any(g is None for g in circuit.db_locals)
-        every = [scenario.local_matrix(n) for n in circuit.local_gates]
+        every = [scenario.local_matrix(n) for n in spec.local_gates]
         for preps in identity_skip_stacks():
             got = db_model.solve_chain_batch(circuit.db_blocks, circuit.db_locals, preps)
             want = solve_chain_batch_every_local(circuit.db_blocks, every, preps)
@@ -429,7 +429,7 @@ class TestIdentityLocalSkipped:
                 assert g.tobytes() == w.tobytes(), (field, preps.alpha2, preps.theta)
 
     def test_only_identity_locals_are_skipped(self):
-        assert [g is None for g in mixed_locals_circuit().db_locals] == [False, True, False]
+        assert [g is None for g in mixed_locals_spec().circuit.db_locals] == [False, True, False]
         circuit = scenario.named_scenario("chained_cnot_hadamard").circuit
         assert [g is None for g in circuit.db_locals] == [True, False, False]
 

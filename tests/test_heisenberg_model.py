@@ -464,7 +464,7 @@ class TestUnitarity:
 
     @pytest.mark.parametrize("name", scenario.scenario_names())
     def test_named_circuits_keep_products(self, name):
-        words = compile_words(scenario.heisenberg_circuit(scenario.named_scenario(name)))
+        words = scenario.named_scenario(name).circuit.words
         assert resolved(words)
         assert conjugation_defects(words) == []
 

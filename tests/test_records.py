@@ -72,11 +72,12 @@ def instances():
         "BlockResult": (backpropagate_block(CNOT_TABLEAU, TimedPauliWord.single(0, _L.Z)),
                         ("upper_in", "status", "labels_resolved", "measured", "lower_seq",
                          "cycle_start", "cycle_period")),
-        "HeisenbergCircuit": (spec.circuit.heisenberg, ("blocks", "local_gates")),
+        "HeisenbergCircuit": (HeisenbergCircuit((CNOT_TABLEAU,), (LOCAL_I, LOCAL_I)),
+                              ("blocks", "local_gates")),
         "HeisenbergResult": (report.heisenberg, ("components", "statuses")),
         "HeisenbergBatch": (heis, ("values", "statuses")),
-        "BlockSpec": (spec.blocks[0], ("gate", "u", "loop", "clifford")),
-        "Circuit": (spec.circuit, ("blocks", "local_gates", "db_blocks", "heisenberg")),
+        "BlockSpec": (spec.blocks[0], ("gate", "u")),
+        "Circuit": (spec.circuit, ("db_blocks", "db_locals", "words")),
         "CircuitSpec": (spec, ("prep", "blocks", "local_gates", "overlap", "circuit")),
         "ComparisonReport": (report, ("db", "heisenberg", "trace_distance",
                                       "max_component_delta", "flags")),
@@ -192,17 +193,19 @@ def test_every_value_record_type_is_paired():
 def test_identity_records_compare_by_identity():
     spec = scenario.named_scenario("cnot")
     preps = Preparations(np.array([0.3]), 0.2)
+    circuit = spec.circuit
     twins = [
         (Preparations(np.array([0.3]), 0.2), preps),
         (scenario.evaluate_db(spec, preps), scenario.evaluate_db(spec, preps)),
         (scenario.evaluate_heisenberg(spec, preps), scenario.evaluate_heisenberg(spec, preps)),
-        (Circuit(spec.blocks, spec.local_gates), Circuit(spec.blocks, spec.local_gates)),
+        (Circuit(*circuit._values()), Circuit(*circuit._values())),
     ]
     for a, b in twins:
         assert a == a and a != b
         assert hash(a) == hash(a) and len({a, b}) == 2
-    # the named scenarios share one Circuit per name
-    assert scenario.named_scenario("cnot").circuit is spec.circuit
+    # one Circuit per circuit value: a named scenario's, and a spec's of equal parts
+    assert scenario.named_scenario("cnot").circuit is circuit
+    assert CircuitSpec(spec.prep, (BlockSpec("cnot_swap"),), ("i2", "i2")).circuit is circuit
 
 
 def test_block_specs_compare_by_the_bytes_of_u():
@@ -215,6 +218,15 @@ def test_block_specs_compare_by_the_bytes_of_u():
     negative_zero[0, 1] = -0.0
     assert BlockSpec(np.eye(4)) != BlockSpec(negative_zero)
     assert np.array_equal(BlockSpec(np.eye(4)).u, BlockSpec(negative_zero).u)
+
+
+def test_block_interaction_is_read_only():
+    # a block is the key of the process-wide compile cache, so u cannot change
+    block = BlockSpec("cnot_swap")
+    before = hash(block)
+    with pytest.raises(ValueError, match="read-only"):
+        block.u[0, 0] = 2
+    assert hash(block) == before and block == BlockSpec(SWAP @ CNOT)
 
 
 def test_pure_state_params_repr():

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from ctcsim import cli, scenario
+from ctcsim import cli, db_model, scenario
 from ctcsim.db_model import DBRun, solve_fixed_point
 from ctcsim.heisenberg_model import TimeDistribution
 from ctcsim.qlinalg import CNOT, CZ, PAULI_BY_NAME, PureStateParams, QlinalgError, SWAP
@@ -50,12 +50,13 @@ class TestNamedScenarios:
         assert config.overlap == TimeDistribution.orthogonal()
 
     def test_named_specs_share_their_circuit(self):
-        # one Circuit per name, so its resolved inputs serve every preparation;
-        # a spec built from the same parts has its own
+        # one Circuit per circuit value, so its compile serves every
+        # preparation, and a spec built from equal parts shares it too
         a = named_scenario("cnot", PureStateParams.from_alpha2(0.3))
         b = named_scenario("cnot", PureStateParams.from_alpha2(0.6, 1.0))
         assert a.circuit is b.circuit
-        assert spec_with(a.blocks, a.local_gates, a.prep).circuit is not a.circuit
+        assert spec_with([BlockSpec(SWAP @ CNOT)], ["i2", "i2"], a.prep).circuit is a.circuit
+        assert spec_with(a.blocks, ["i2", "h"], a.prep).circuit is not a.circuit
         assert a == spec_with(a.blocks, a.local_gates, a.prep)
 
     def test_cz_scenario_reproduces_output_coherence(self, rng):
@@ -145,7 +146,9 @@ class TestTables:
         # named gate as U_bar and passes U = SWAP U_bar as an anonymous matrix
         named = BlockSpec(gate)
         block = named if convention == "with_swap" else BlockSpec(SWAP @ named.u)
-        assert_table_matches_dense(block.clifford, SWAP @ block.u, 2)
+        transfers = {block: db_model.interaction_transfer(block.u)}
+        table = scenario.heisenberg_circuit((block,), ("i2", "i2"), transfers).blocks[0]
+        assert_table_matches_dense(table, SWAP @ block.u, 2)
 
     @pytest.mark.parametrize("name", LOCAL_NAMES)
     def test_local_table_matches_dense(self, name):
@@ -154,6 +157,9 @@ class TestTables:
 
 class TestCompileOnce:
     def test_config_sweep_compiles_each_block_once(self, tmp_path, monkeypatch, capsys):
+        # each distinct block once: two cnot_swap blocks are one, and a
+        # second circuit compiles only the block the first did not have
+        scenario.compile_circuit.cache_clear()
         calls = []
 
         def counted(u, transfer, _real=scenario.tableau_from_transfer):
@@ -166,7 +172,12 @@ class TestCompileOnce:
                        "locals = i2 h h\n")
         assert cli.main(["sweep", "--config", str(cfg), "alpha2", "0", "1", "5"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 2
-        assert len(calls) == 2
+        assert len(calls) == 1
+        cfg.write_text("prep.alpha2 = 0.75\nblock = cnot_swap\nblock = cz_swap\n"
+                       "locals = i2 h h\n")
+        assert cli.main(["sweep", "--config", str(cfg), "alpha2", "0", "1", "5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 2
+        assert len(calls) == 3
 
     def test_table_is_compiled_on_first_use(self):
         # a controlled phase of pi/4 is unitary but not Clifford: the
