@@ -29,9 +29,9 @@ The whole circuit lives in the back-propagated words; the prepared state and
 the temporal profile enter only at the final expectation.  So evaluation has
 two steps: compile_words back-propagates each axis, and evaluate_words takes
 the closed-form letter expectations of N preparations at once.
-scenario.compile_circuit keeps each distinct circuit's words for the
-process; heisenberg_bloch, the entry point on a bare HeisenbergCircuit, runs
-both steps for one state on every call.
+scenario.compile_circuit keeps each circuit's words with its compile;
+heisenberg_bloch, the entry point on a bare HeisenbergCircuit, runs both
+steps for one state on every call.
 """
 
 from __future__ import annotations

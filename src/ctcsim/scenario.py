@@ -7,13 +7,12 @@ engine conjugates with U, and the Heisenberg engine conjugates through
 U_bar = SWAP U.
 
 What does not depend on the preparation depends on the circuit's blocks
-and local gates alone, so compile_circuit compiles it once per distinct
-circuit per process, on first use, into the Circuit both engines read;
-spec.circuit looks it up by value.  evaluate_db and evaluate_heisenberg run
-a spec's circuit on N preparations at once, and are the only route from a
-spec to numbers; run_db and run_heisenberg are the one-point case, on
-spec.prep.  verdict is the one cross-engine rule, and compare is verdict on
-run_db and run_heisenberg.
+and local gates alone, so compile_circuit compiles it on first use into the
+Circuit both engines read, and keeps it; spec.circuit looks it up by value.
+evaluate_db and evaluate_heisenberg run a spec's circuit on N preparations
+at once, and are the only route from a spec to numbers; run_db and
+run_heisenberg are the one-point case, on spec.prep.  verdict is the one
+cross-engine rule, and compare is verdict on run_db and run_heisenberg.
 """
 
 from __future__ import annotations
@@ -160,9 +159,12 @@ def heisenberg_circuit(blocks: tuple[BlockSpec, ...], local_gates: tuple[str, ..
                              tuple(local_clifford(n) for n in local_gates))
 
 
-@functools.cache
+# A compiled circuit holds a few kB; the bound keeps a caller that compiles
+# many one-off circuits, as conjecture-check does, from keeping them all.
+@functools.lru_cache(maxsize=1024)
 def compile_circuit(blocks: tuple[BlockSpec, ...], local_gates: tuple[str, ...]) -> Circuit:
-    """The circuit's one compile, kept for the process and keyed by value.
+    """The circuit's one compile, keyed by value and kept while it is among
+    the 1,024 most recently used.
 
     Each distinct block builds U's Pauli transfer matrix once, checking U
     unitary; its loop slice and its Clifford table are read off that matrix.

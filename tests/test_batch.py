@@ -150,6 +150,10 @@ class TestCompileOnce:
         assert (info.misses, info.currsize) == (2, 2)
         assert calls == {"backpropagate_block": 3 * AXES, "interaction_transfer": 2}
 
+    def test_cache_keeps_a_bounded_number_of_circuits(self):
+        # the one-off circuits a long conjecture-check compiles do not pile up
+        assert scenario.compile_circuit.cache_info().maxsize == 1024
+
     def test_cached_words_serve_every_overlap(self):
         # one circuit under orthogonal, gaussian, then orthogonal overlap:
         # each evaluation equals one from freshly compiled words

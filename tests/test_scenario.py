@@ -157,8 +157,8 @@ class TestTables:
 
 class TestCompileOnce:
     def test_config_sweep_compiles_each_block_once(self, tmp_path, monkeypatch, capsys):
-        # each distinct block once: two cnot_swap blocks are one, and a
-        # second circuit compiles only the block the first did not have
+        # each distinct block of a circuit once: two cnot_swap blocks are
+        # one, and a second circuit compiles both of its blocks
         scenario.compile_circuit.cache_clear()
         calls = []
 
