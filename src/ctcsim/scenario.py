@@ -183,7 +183,6 @@ def compile_circuit(blocks: tuple[BlockSpec, ...], local_gates: tuple[str, ...])
 
 DEFAULT_PREP = PureStateParams.from_alpha2(0.75, 0.0)
 
-# Each name's blocks and local gates.
 _NAMED = {
     "cz": ((BlockSpec("cz_swap"),), ("i2", "i2")),
     "cnot": ((BlockSpec("cnot_swap"),), ("i2", "i2")),
