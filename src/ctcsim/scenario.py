@@ -67,13 +67,13 @@ class BlockSpec(Record):
     """One wormhole block: a gate name ("<g>_swap" composes a swap after g) or a 4x4 matrix.
 
     u, the interaction U, is resolved once as a read-only complex matrix,
-    and blocks with bitwise-equal u are equal.
+    and blocks with bitwise-equal u are equal.  A matrix gate is kept as u
+    itself, a copy, so a block does not change when the caller's array does.
     """
 
     _fields = ("gate",)
 
     def __init__(self, gate: str | np.ndarray) -> None:
-        vars(self)["gate"] = gate
         if isinstance(gate, str):
             key = gate.lower()
             follow_swap = key.endswith("_swap") and key != "swap"
@@ -81,13 +81,13 @@ class BlockSpec(Record):
                 mat = standard_gate(key[:-5] if follow_swap else key)
             except QlinalgError:  # name the value given, not the stripped name
                 raise QlinalgError(f"unknown gate name {gate!r}") from None
-        else:  # an anonymous matrix is its own gate; a copy, so u cannot change
+        else:  # an anonymous matrix is its own gate
             mat, follow_swap = np.array(gate, dtype=complex), False
         if mat.shape != (4, 4):
             raise ScenarioError(f"block gate {gate!r} is not a two-qubit gate")
         u = qlinalg.SWAP @ mat if follow_swap else mat
         u.flags.writeable = False
-        vars(self).update(u=u, _key=u.tobytes())
+        vars(self).update(gate=gate if isinstance(gate, str) else u, u=u, _key=u.tobytes())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BlockSpec) and self._key == other._key
