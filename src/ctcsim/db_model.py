@@ -20,14 +20,16 @@ The direct solve runs on stacks of states: solve_chain_batch threads N
 preparations through a chain in one pass, with every check applied to
 every state.  The conjugations by the local gates and by U are two flat
 products each (qlinalg.conjugate), the fixed points one stacked
-least-squares call and the density checks closed forms; only the printed
-residual takes one eigensolve per state, inside one numpy call.  A local
-gate given as None is the identity and is not applied, which saves the
-three numpy calls a conjugation of a one-state stack makes; the outputs are
-bit for bit those of conjugating by I2 (tests/test_db_model.py pins them
-against that chain).  solve_chain and solve_fixed_point(method="eigen") are
-its one-state case for direct callers, and apply every local gate they are
-given.  The iteration stays scalar, as the independent oracle.
+least-squares call and each density check one product, whose Pauli traces
+are the solve's loop inputs and, at the end, the outputs' Bloch vectors;
+only the printed residual takes one eigensolve per state, inside one numpy
+call.  A local gate given as None is the identity and is not applied,
+which saves the three numpy calls a conjugation of a one-state stack makes;
+the outputs are bit for bit those of conjugating by I2
+(tests/test_db_model.py pins them against that chain).  solve_chain and
+solve_fixed_point(method="eigen") are its one-state case for direct
+callers, and apply every local gate they are given.  The iteration stays
+scalar, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .qlinalg import (
     I2,
     Mat2,
     Mat4,
-    PAULI_READOUT,
     Preparations,
     PureStateParams,
     Record,
@@ -60,7 +61,6 @@ from .qlinalg import (
     partial_trace_first,
     partial_trace_second,
     pauli_transfer,
-    real_parts,
     tensor,
 )
 
@@ -155,15 +155,16 @@ def _spectral_norm_herm(m: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(hermitian_eigenvalues(m)), axis=-1)
 
 
-def _bloch_affine(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bloch_affine(loop: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The loop map as r -> M r + c on Bloch coordinates (it is trace preserving).
 
-    With a = (1, r_in) the trapped qubit's coordinates leave as
-    sum_ij loop[i, l, j] a_i b_j for b = (1, r), so M[l, j] = sum_i loop[i, l, j] a_i
-    and c[l] = sum_i loop[i, l, 0] a_i.  rho_in may be one state or a stack,
-    and the sum runs over i in order for every row alike.
+    a holds the input's Pauli traces Tr[s_i rho_in], i = 0..3, as
+    assert_density returns them: a = (1, r_in).  The trapped qubit's
+    coordinates leave as sum_ij loop[i, l, j] a_i b_j for b = (1, r), so
+    M[l, j] = sum_i loop[i, l, j] a_i and c[l] = sum_i loop[i, l, 0] a_i.
+    a may be one state's or a stack's, and the sum runs over i in order for
+    every row alike.
     """
-    a = real_parts(rho_in) @ PAULI_READOUT  # Tr[s_i rho_in], i = 0..3
     # affine[..., l, j] = ((0.0 + a_0 loop[0, l, j]) + a_1 loop[1, l, j]) + ...
     affine = np.add.reduce(a[..., :, None, None] * loop, axis=-3, initial=0.0)
     return affine[..., 1:], affine[..., 0]
@@ -181,14 +182,15 @@ def _stacked_lstsq(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return least_squares(a, c, DEGENERACY_TOL)
 
 
-def _solve_eigen(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Direct solve of (I - M) r = c for each state of a stack.
+def _solve_eigen(loop: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct solve of (I - M) r = c for each state of a stack, given the
+    Pauli traces of the loop inputs.
 
     The least-squares solve returns the minimum-norm solution on rank
     deficiency, which is the maximum-entropy fixed point for a qubit
     (entropy decreases with |r|).
     """
-    m, c = _bloch_affine(loop, rho_in)
+    m, c = _bloch_affine(loop, traces)
     a = _I3 - m
     r, rank, svals = _stacked_lstsq(a, c)
     # gelsd gives the singular values in descending order
@@ -259,9 +261,7 @@ def solve_fixed_point(u: Mat4, rho_in: DensityMatrix, method: str = "both", *,
         raise ValueError(f"unknown method {method!r}")
     loop = loop_transfer(u)
     rho_in = np.asarray(rho_in)[None]
-    assert_density(rho_in)
-
-    rho, degenerate = _solve_eigen(loop, rho_in)
+    rho, degenerate = _solve_eigen(loop, assert_density(rho_in))
     iterations = 0
     if method != "eigen":
         rho_iter, iterations, _ = _solve_iterate(u, rho_in[0], tol, max_iters)
@@ -287,25 +287,30 @@ def solve_chain_batch(blocks: Sequence[tuple[Mat4, np.ndarray]],
     with the current states as the loop inputs, then each state is replaced
     by its block output.  Every check runs on every state: the states
     entering each block are checked as density matrices whether or not a
-    local gate was applied to them.
+    local gate was applied to them, and the check's Pauli traces are the
+    solve's input.  The residual and the degeneracy flag start from the
+    first block's; a circuit with no block has zeros.
     """
     if len(local_gates) != len(blocks) + 1:
         raise ValueError(
             f"need {len(blocks) + 1} local gates for {len(blocks)} blocks, got {len(local_gates)}")
     rho = preps.density()
-    residual = np.zeros(len(preps))
-    degenerate = np.zeros(len(preps), dtype=bool)
+    residual = degenerate = None
     for gate_before, (u, loop) in zip(local_gates, blocks):
         if gate_before is not None:
             rho = conjugate(gate_before, rho)
-        assert_density(rho)
-        fixed, block_degenerate = _solve_eigen(loop, rho)
+        fixed, block_degenerate = _solve_eigen(loop, assert_density(rho))
         block_residual, rho = _close_loop(u, rho, fixed, ATOL_SOLVER)
-        residual = np.maximum(residual, block_residual)
-        degenerate |= block_degenerate
+        if residual is None:
+            residual, degenerate = block_residual, block_degenerate
+        else:
+            residual = np.maximum(residual, block_residual)
+            degenerate = degenerate | block_degenerate
+    if residual is None:
+        residual, degenerate = np.zeros(len(preps)), np.zeros(len(preps), dtype=bool)
     if local_gates[-1] is not None:
         rho = conjugate(local_gates[-1], rho)
-    return DBBatch(rho, bloch_coordinates(rho), residual, degenerate)
+    return DBBatch(rho, bloch_coordinates(assert_density(rho)), residual, degenerate)
 
 
 def solve_chain(blocks: Sequence[Mat4], local_gates: Sequence[Mat2],

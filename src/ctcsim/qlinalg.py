@@ -5,10 +5,12 @@ states, gates, tensor products, partial traces and distance measures.
 The state helpers also take stacks of them, one per prepared state, and
 check each member.  A stacked helper makes a fixed number of numpy calls
 per stack, not a BLAS or LAPACK call per member, so on a stack of one the
-number of calls, not the arithmetic, is its cost.  The density checks read
-the entries in closed form, and a linear reading of a 2x2 (its Pauli
-traces, the matrix of a Bloch vector) is one product with a matrix of 0s
-and +-1s over the entries' real parts (see real_parts).
+number of calls, not the arithmetic, is its cost.  A linear reading of a
+2x2 is one product with a fixed matrix over the entries' real parts (see
+real_parts): assert_density reads the checked state's Pauli traces and
+everything its checks need from one such product, and returns the traces,
+which bloch_coordinates and the density-matrix solve read instead of the
+state; density_from_bloch builds a state from its Bloch vector the same way.
 tests/test_qlinalg.py pins each closed form against the dense definition or
 the form it replaces, bit for bit where its bits reach the output.  This
 module is the numeric oracle the symbolic engine is checked against, so it
@@ -164,6 +166,27 @@ def real_parts(m: np.ndarray) -> np.ndarray:
 PAULI_READOUT = real_parts(PAULIS).T.copy()
 _BLOCH_READOUT = PAULI_READOUT[:, 1:].copy()
 _IDENTITY_PARTS = real_parts(I2).copy()
+# What assert_density reads of a 2x2, in one product with its real parts
+# (rows R00 I00 R01 I01 R10 I10 R11 I11): the four Pauli traces (PAULI_READOUT);
+# five (real, imaginary) pairs, Tr rho, the entries of rho - rho^dag on and
+# above the diagonal and rho[1, 0]; and half the difference and half the sum of the
+# real diagonal.  Each column takes at most two entries, with coefficients
+# +-1, 2 or +-1/2, so each sum is exact up to one rounding, as PAULI_READOUT's
+# are.  _DENSITY_SHIFT, added next, takes 1 off Tr rho and turns every -0.0
+# into +0.0, as the Pauli traces summed from +0.0 have it.
+_DENSITY_READOUT = np.column_stack([PAULI_READOUT, np.array([
+    # Tr rho, (rho - rho^dag)01, 00, 11, rho10, (R00 - R11) / 2, (R00 + R11) / 2
+    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.5, 0.5],   # R00
+    [0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0.0, 0.0],   # I00
+    [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0.0, 0.0],   # R01
+    [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0.0, 0.0],   # I01
+    [0, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0.0, 0.0],  # R10
+    [0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0.0, 0.0],   # I10
+    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -0.5, 0.5],  # R11
+    [0, 1, 0, 0, 0, 0, 0, 2, 0, 0, 0.0, 0.0],   # I11
+])])
+_DENSITY_SHIFT = np.zeros(16)
+_DENSITY_SHIFT[4] = -1.0
 
 
 class PureStateParams(ValueRecord):
@@ -364,6 +387,11 @@ def all_at_most(x: np.ndarray, bound: float) -> bool:
     return np.maximum.reduce(x, axis=None, initial=-math.inf) <= bound
 
 
+def all_at_least(x: np.ndarray, bound: float) -> bool:
+    """(x >= bound).all() in one reduction: NaN is not at least bound."""
+    return np.minimum.reduce(x, axis=None, initial=math.inf) >= bound
+
+
 def any_above(x: np.ndarray, bound: float) -> bool:
     """(x > bound).any() in one reduction: NaN is not above bound."""
     return np.fmax.reduce(x, axis=None, initial=-math.inf) > bound
@@ -375,26 +403,34 @@ def _check_each(bad: np.ndarray, values: np.ndarray, message: str) -> None:
         raise QlinalgError(message.format(values[bad].flat[0].item()))
 
 
-def _lowest_eigenvalue(rho: np.ndarray, trace: np.ndarray) -> np.ndarray:
-    """The smaller eigenvalue of each hermitian 2x2 in a stack, in closed form
-    from the diagonal and the lower off-diagonal entry, the triangle eigvalsh
-    reads; trace is each diagonal's sum, a + d."""
-    return trace / 2 - np.hypot((rho[..., 0, 0].real - rho[..., 1, 1].real) / 2,
-                                np.abs(rho[..., 1, 0]))
-
-
 @np.errstate(invalid="ignore", over="ignore")  # inf, NaN and overflow fail the checks
 def _density_deviations(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermiticity and trace deviations and the lowest eigenvalue of each 2x2."""
-    herm_dev = np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    trace = rho[..., 0, 0] + rho[..., 1, 1]
-    return herm_dev, np.abs(trace - 1.0), _lowest_eigenvalue(rho, trace.real)
+    """What assert_density reads of each 2x2 in a stack, from one product: the
+    Pauli traces (..., 4); the deviations (..., 4), |Tr rho - 1| and the moduli
+    of the entries of rho - rho^dag; and the lowest eigenvalue, in closed form
+    from the diagonal and the lower off-diagonal entry, the triangle eigvalsh
+    reads.  A non-finite entry makes every column of the product nan or inf.
+    """
+    out = real_parts(rho) @ _DENSITY_READOUT
+    out += _DENSITY_SHIFT
+    moduli = np.abs(out[..., 4:14].view(complex))
+    low = out[..., 15] - np.hypot(out[..., 14], moduli[..., 4])
+    return out[..., :4], moduli[..., :4], low
 
 
-def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> None:
+@np.errstate(invalid="ignore", over="ignore")
+def _hermiticity_deviation(rho: np.ndarray) -> np.ndarray:
+    """max |rho - rho^dag| over the entries of each 2x2, entry by entry: the
+    product's bits on finite entries, and nan or inf on the others as the
+    entries' differences give it, where the product reads nan from 0 * inf."""
+    return np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
+
+
+def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> np.ndarray:
     """Check hermiticity, unit trace and positivity of a 2x2 matrix, or of
     each in a stack (..., 2, 2); the first matrix that fails the first
-    failing check is reported.
+    failing check is reported.  Returns the Pauli traces Tr[sigma_k rho],
+    k = 0..3, of each, (..., 4), which the checks read off the same product.
 
     Asymmetry beyond tolerance is an error rather than being symmetrized away:
     a lopsided matrix here means an engine bug upstream.
@@ -402,21 +438,23 @@ def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> None:
     rho = np.asarray(rho)
     if rho.shape[-2:] != (2, 2):
         raise QlinalgError(f"density matrix must be 2x2, got {rho.shape}")
-    herm_dev, tr_dev, low = _density_deviations(rho)
-    if all_at_most(np.maximum(np.maximum(herm_dev, tr_dev), -low), atol):  # NaN fails
-        return
+    traces, deviations, low = _density_deviations(rho)
+    if all_at_most(deviations, atol) and all_at_least(low, -atol):  # NaN fails
+        return traces
+    # The hermiticity deviation again, entry by entry: the product's bits on
+    # finite entries, the entries' nan or inf on others.  Every matrix that
+    # passes it is finite, so the later checks read exact values.
+    herm_dev, trace_dev = _hermiticity_deviation(rho), deviations[..., 0]
     _check_each(~(herm_dev <= atol), herm_dev, "density matrix not hermitian (deviation {:.3e})")
-    _check_each(~(tr_dev <= atol), tr_dev, "density matrix trace deviates from 1 by {:.3e}")
+    _check_each(~(trace_dev <= atol), trace_dev, "density matrix trace deviates from 1 by {:.3e}")
     _check_each(~(low >= -atol), low, "density matrix has negative eigenvalue {:.3e}")
 
 
-def bloch_coordinates(rho: np.ndarray) -> np.ndarray:
-    """(Tr[X rho], Tr[Y rho], Tr[Z rho]) of a valid density matrix, or (..., 3)
-    for a stack, each checked as a density matrix with a Bloch norm of at most 1."""
-    rho = np.asarray(rho)
-    assert_density(rho)
-    r = real_parts(rho) @ _BLOCH_READOUT
-    r += 0.0  # -0.0 -> 0.0: the trace of the Pauli product adds exact zeros too
+def bloch_coordinates(traces: np.ndarray) -> np.ndarray:
+    """(Tr[X rho], Tr[Y rho], Tr[Z rho]) of a density matrix, from the Pauli
+    traces assert_density returns for it, or (..., 3) for a stack; each is
+    checked to have a Bloch norm of at most 1."""
+    r = traces[..., 1:].copy()
     norm = np.sqrt(np.add.reduce(r * r, axis=-1))
     if not all_at_most(norm, 1.0 + BLOCH_ATOL):
         _check_each(~(norm <= 1.0 + BLOCH_ATOL), norm, "Bloch vector norm {!r} exceeds 1")

@@ -12,15 +12,19 @@ from ctcsim.qlinalg import (
     ATOL_SOLVER,
     I2,
     PAULI_BY_NAME,
+    PAULI_READOUT,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     PAULIS,
     BlochVector,
     PureStateParams,
+    QlinalgError,
+    all_at_most,
     assert_density,
     bloch_coordinates,
     conjugate,
+    real_parts,
 )
 from ctcsim.timed_pauli import TimedPauliWord
 
@@ -55,7 +59,7 @@ def state_prep_unitary(p: PureStateParams) -> np.ndarray:
 
 def bloch_from_density(rho: np.ndarray) -> BlochVector:
     """The checked Bloch vector of one density matrix."""
-    return BlochVector(*bloch_coordinates(rho).tolist())
+    return BlochVector(*bloch_coordinates(assert_density(rho)).tolist())
 
 
 def pt_first_loops(m: np.ndarray) -> np.ndarray:
@@ -154,7 +158,8 @@ def density_from_bloch_sum(r: np.ndarray) -> np.ndarray:
 
 
 def bloch_coordinates_entries(rho: np.ndarray) -> np.ndarray:
-    """The coordinates qlinalg.bloch_coordinates reads, entry by entry."""
+    """The coordinates qlinalg.bloch_coordinates reads off a density matrix's
+    Pauli traces, entry by entry."""
     r = np.empty((*rho.shape[:-2], 3))
     r[..., 0] = rho[..., 1, 0].real + rho[..., 0, 1].real
     r[..., 1] = rho[..., 1, 0].imag - rho[..., 0, 1].imag
@@ -201,13 +206,51 @@ def solve_chain_batch_every_local(blocks, local_gates, preps) -> DBBatch:
     degenerate = np.zeros(len(preps), dtype=bool)
     for gate_before, (u, loop) in zip(local_gates, blocks):
         rho = conjugate(gate_before, rho)
-        assert_density(rho)
-        fixed, block_degenerate = _solve_eigen(loop, rho)
+        fixed, block_degenerate = _solve_eigen(loop, assert_density(rho))
         block_residual, rho = _close_loop(u, rho, fixed, ATOL_SOLVER)
         residual = np.maximum(residual, block_residual)
         degenerate |= block_degenerate
     rho = conjugate(local_gates[-1], rho)
-    return DBBatch(rho, bloch_coordinates(rho), residual, degenerate)
+    return DBBatch(rho, bloch_coordinates(assert_density(rho)), residual, degenerate)
+
+
+def pauli_traces_readout(rho: np.ndarray) -> np.ndarray:
+    """The Pauli traces qlinalg.assert_density returns, as the readout product
+    db_model._bloch_affine and qlinalg.bloch_coordinates each made of the
+    state they were given, from +0.0 as bloch_coordinates summed them."""
+    return real_parts(rho) @ PAULI_READOUT + 0.0
+
+
+def lowest_eigenvalue_closed_form(rho: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """The smaller eigenvalue of each hermitian 2x2 in a stack, in closed form
+    from the diagonal and the lower off-diagonal entry; trace is each
+    diagonal's sum, a + d."""
+    return trace / 2 - np.hypot((rho[..., 0, 0].real - rho[..., 1, 1].real) / 2,
+                                np.abs(rho[..., 1, 0]))
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def density_deviations_entries(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hermiticity and trace deviations and the lowest eigenvalue of each
+    2x2, elementwise, as qlinalg computed them before one product read them."""
+    herm_dev = np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    trace = rho[..., 0, 0] + rho[..., 1, 1]
+    return herm_dev, np.abs(trace - 1.0), lowest_eigenvalue_closed_form(rho, trace.real)
+
+
+def assert_density_entries(rho: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+    """qlinalg.assert_density on density_deviations_entries, returning
+    pauli_traces_readout: the checks, their order and their messages."""
+    rho = np.asarray(rho)
+    herm_dev, tr_dev, low = density_deviations_entries(rho)
+    if not all_at_most(np.maximum(np.maximum(herm_dev, tr_dev), -low), atol):
+        for bad, values, message in (
+                (~(herm_dev <= atol), herm_dev, "density matrix not hermitian (deviation {:.3e})"),
+                (~(tr_dev <= atol), tr_dev, "density matrix trace deviates from 1 by {:.3e}"),
+                (~(low >= -atol), low, "density matrix has negative eigenvalue {:.3e}")):
+            if bad.any():
+                raise QlinalgError(message.format(values[bad].flat[0].item()))
+    return pauli_traces_readout(rho)
 
 
 class PoisonedEigensolve:

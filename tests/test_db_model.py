@@ -31,6 +31,7 @@ from ctcsim.qlinalg import (
     PureStateParams,
     QlinalgError,
     SWAP,
+    assert_density,
     trace_distance,
 )
 from helpers import (
@@ -38,6 +39,7 @@ from helpers import (
     bloch_affine_sum,
     bloch_from_density,
     ctc_map_oracle,
+    pauli_traces_readout,
     random_density,
     random_params,
     random_unitary,
@@ -119,14 +121,15 @@ class TestBlochAffine:
             u, rho_in = random_unitary(rng, 4), random_density(rng)
             want_c = coords(ctc_map_oracle(u, rho_in, I2 / 2))
             want_m = np.column_stack([coords(ctc_map_oracle(u, rho_in, s / 2)) for s in paulis])
-            m, c = _bloch_affine(loop_transfer(u), rho_in)
+            m, c = _bloch_affine(loop_transfer(u), assert_density(rho_in))
             assert np.max(np.abs(c - want_c)) < 1e-14
             assert np.max(np.abs(m - want_m)) < 1e-14
 
     @pytest.mark.parametrize("n", [0, 1, 101])
     def test_matches_the_python_sum(self, n):
-        """One broadcast product reduced from +0.0 against the Python sum over
-        i it replaces, bit for bit, with signed zeros in both inputs."""
+        """One broadcast product reduced from +0.0, on the Pauli traces of the
+        readout product, against the einsum traces and the Python sum over i
+        it replaces, bit for bit, with signed zeros in both inputs."""
         rng = np.random.default_rng(n)
         rho = np.array([random_density(rng) for _ in range(n)]).reshape(n, 2, 2)
         noise = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
@@ -139,7 +142,8 @@ class TestBlochAffine:
         loops.append(-loops[0])  # -0.0 where the cnot loop has 0.0
         for loop in loops:
             for rho_in in (*stacks, *(s[0] for s in stacks if n)):
-                for got, want in zip(_bloch_affine(loop, rho_in), bloch_affine_sum(loop, rho_in)):
+                got = _bloch_affine(loop, pauli_traces_readout(rho_in))
+                for got, want in zip(got, bloch_affine_sum(loop, rho_in)):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -185,38 +189,40 @@ class TestStackedSolve:
 
     def test_random_clifford_blocks(self):
         rng = np.random.default_rng(7)
-        rho = Preparations(rng.uniform(0, 1, 200), rng.uniform(0, 2 * np.pi, 200)).density()
+        traces = assert_density(
+            Preparations(rng.uniform(0, 1, 200), rng.uniform(0, 2 * np.pi, 200)).density())
         deficient = 0
         for _ in range(40):
-            m, c = _bloch_affine(loop_transfer(SWAP @ cli._random_clifford(rng)), rho)
+            m, c = _bloch_affine(loop_transfer(SWAP @ cli._random_clifford(rng)), traces)
             deficient += (assert_same_bits(np.eye(3) - m, c) < 3).sum()
         assert deficient > 0
 
     def test_non_clifford_block(self, rng):
-        rho = np.array([random_density(rng) for _ in range(200)])
-        m, c = _bloch_affine(loop_transfer(random_unitary(rng, 4)), rho)
+        traces = assert_density(np.array([random_density(rng) for _ in range(200)]))
+        m, c = _bloch_affine(loop_transfer(random_unitary(rng, 4)), traces)
         assert (assert_same_bits(np.eye(3) - m, c) == 3).all()
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_empty_and_single_stacks(self, n):
-        rho = Preparations(np.full(n, 0.3), 0.4).density()
+        traces = assert_density(Preparations(np.full(n, 0.3), 0.4).density())
         for u in (U_CNOT_SWAP, I4):
-            m, c = _bloch_affine(loop_transfer(u), rho)
+            m, c = _bloch_affine(loop_transfer(u), traces)
             assert_same_bits(np.eye(3) - m, c)
 
     def test_singular_values_descend(self):
         # the degeneracy test reads the extremes as svals[..., 0] and [..., 2]
         rng = np.random.default_rng(11)
-        rho = Preparations(rng.uniform(0, 1, 200), rng.uniform(0, 2 * np.pi, 200)).density()
+        traces = assert_density(
+            Preparations(rng.uniform(0, 1, 200), rng.uniform(0, 2 * np.pi, 200)).density())
         for u in (U_CNOT_SWAP, U_CZ_SWAP, I4, random_unitary(rng, 4),
                   *(SWAP @ cli._random_clifford(rng) for _ in range(20))):
-            m, c = _bloch_affine(loop_transfer(u), rho)
+            m, c = _bloch_affine(loop_transfer(u), traces)
             a = np.eye(3) - m
             rank, svals = _stacked_lstsq(a, c)[1:]
             assert (np.diff(svals, axis=-1) <= 0).all()
             old = (rank < 3) | (svals.min(axis=-1)
                                 < DEGENERACY_TOL * np.maximum(svals.max(axis=-1), 1.0))
-            assert np.array_equal(_solve_eigen(loop_transfer(u), rho)[1], old)
+            assert np.array_equal(_solve_eigen(loop_transfer(u), traces)[1], old)
 
     def test_spectral_norm_matches_eigvalsh(self, rng):
         g = rng.normal(size=(101, 2, 2)) + 1j * rng.normal(size=(101, 2, 2))
@@ -225,13 +231,13 @@ class TestStackedSolve:
             assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == want.tobytes()
 
     def test_lapack_failure_is_an_engine_error(self):
-        rho = Preparations(np.linspace(0, 1, 3), 0.0).density()
+        traces = assert_density(Preparations(np.linspace(0, 1, 3), 0.0).density())
         with pytest.raises(FixedPointError, match="did not converge"):
-            _solve_eigen(np.full((4, 3, 4), np.nan), rho)
+            _solve_eigen(np.full((4, 3, 4), np.nan), traces)
 
     def test_lapack_failure_exits_1_through_the_cli(self, monkeypatch, capfd):
-        def poisoned(loop, rho_in):
-            m, c = _bloch_affine(loop, rho_in)
+        def poisoned(loop, traces):
+            m, c = _bloch_affine(loop, traces)
             return np.full_like(m, np.nan), c
 
         monkeypatch.setattr(db_model, "_bloch_affine", poisoned)

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcsim import cli, qlinalg
 from ctcsim.qlinalg import (
@@ -24,7 +26,8 @@ from ctcsim.qlinalg import (
     QlinalgError,
     SWAP,
     _density_deviations,
-    _lowest_eigenvalue,
+    _hermiticity_deviation,
+    all_at_least,
     all_at_most,
     any_above,
     assert_density,
@@ -36,17 +39,21 @@ from ctcsim.qlinalg import (
     partial_trace_first,
     partial_trace_second,
     pauli_transfer,
+    real_parts,
     standard_gate,
     tensor,
     trace_distance,
 )
 from helpers import (
     PoisonedEigensolve,
+    assert_density_entries,
     bloch_coordinates_entries,
     bloch_from_density,
+    density_deviations_entries,
     density_from_bloch_sum,
     partial_trace_first_einsum,
     partial_trace_second_einsum,
+    pauli_traces_readout,
     preparation_fields,
     pt_first_loops,
     pt_second_loops,
@@ -60,6 +67,34 @@ from helpers import (
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
+
+SPECIAL_PARTS = [0.0, -0.0, 0.5, -1.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def two_by_twos(draw) -> np.ndarray:
+    """A 2x2 complex matrix: a prepared state mixed with I/2 by a weight in
+    [0, 1.5] (past 1 an eigenvalue is negative), with up to three of its eight
+    real parts replaced by a finite, huge, NaN or infinite value."""
+    weight = draw(st.floats(0.0, 1.5))
+    prep = Preparations(draw(st.floats(0.0, 1.0)), draw(st.floats(-7.0, 7.0)))
+    parts = real_parts(weight * prep.density()[0] + (1.0 - weight) * I2 / 2).copy()
+    for k in draw(st.sets(st.integers(0, 7), max_size=3)):
+        parts[k] = draw(st.one_of(st.floats(), st.sampled_from(SPECIAL_PARTS)))
+    return parts.view(complex).reshape(2, 2)
+
+
+# one matrix alone, or a stack of up to five
+DENSITY_CANDIDATES = st.one_of(
+    two_by_twos(), st.lists(two_by_twos(), max_size=5).map(lambda ms: np.array(ms).reshape(-1, 2, 2)))
+
+
+def check_outcome(check, rho: np.ndarray) -> np.ndarray | str:
+    """What check returns for rho, or the message of the QlinalgError it raises."""
+    try:
+        return check(rho)
+    except QlinalgError as exc:
+        return str(exc)
 
 
 class TestPureStateParams:
@@ -233,7 +268,7 @@ class TestDensityValidation:
         with pytest.raises(QlinalgError, match="hermitian"):
             assert_density(np.array([I2 / 2, np.full((2, 2), np.nan)]))
         with pytest.raises(QlinalgError, match="hermitian"):
-            bloch_coordinates(np.full((2, 2), np.nan))
+            bloch_from_density(np.full((2, 2), np.nan))
         with pytest.raises(QlinalgError, match="not unitary"):
             assert_unitary(np.full((4, 4), np.nan))
         assert capfd.readouterr() == ("", "")
@@ -244,7 +279,7 @@ class TestDensityValidation:
         with pytest.raises(QlinalgError, match="hermitian"):
             assert_density(inf)
         with pytest.raises(QlinalgError, match="hermitian"):
-            bloch_coordinates(inf)
+            bloch_from_density(inf)
         with pytest.raises(QlinalgError, match="not unitary"):
             assert_unitary(inf)
         assert capfd.readouterr() == ("", "")
@@ -255,6 +290,26 @@ class TestDensityValidation:
             assert_unitary(np.full((4, 4), 1e200))
         with pytest.raises(QlinalgError, match="trace"):
             assert_density(np.diag([1e308, 1e308]).astype(complex))
+        assert capfd.readouterr() == ("", "")
+
+    def test_infinite_entry_reports_the_elementwise_deviation(self):
+        # rho00 - conj(rho00) is (inf - inf) + i(inf + inf), of modulus inf; a
+        # product over all eight real parts would read nan there (0 * inf)
+        rho = np.array([[complex(math.inf, math.inf), 0], [0, 0.5]])
+        with pytest.raises(QlinalgError, match=r"not hermitian \(deviation inf\)"):
+            assert_density(rho)
+
+    def test_checks_as_the_elementwise_forms_do(self, capfd):
+        @given(DENSITY_CANDIDATES)
+        @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+        def check(rho):
+            got, want = check_outcome(assert_density, rho), check_outcome(assert_density_entries, rho)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert isinstance(got, np.ndarray) and same_bits(got, want)
+
+        check()
         assert capfd.readouterr() == ("", "")
 
     def test_conjugation_preserves_density(self, rng):
@@ -339,13 +394,13 @@ class TestStackedKernels:
         for name, gate in LOCAL_GATES.items():
             rho = conjugate(gate, grid)
             dense = np.trace(PAULIS[1:] @ rho[..., None, :, :], axis1=-2, axis2=-1).real
-            assert same_bits(bloch_coordinates(rho), dense), name
+            assert same_bits(bloch_coordinates(assert_density(rho)), dense), name
 
     def test_bloch_coordinates_of_a_grid_of_grids(self):
         rho = Preparations(np.repeat([0.0, 0.25, 1.0], 7),
                            np.tile(np.linspace(-np.pi, np.pi, 7), 3)).density().reshape(3, 7, 2, 2)
         dense = np.trace(PAULIS[1:] @ rho[..., None, :, :], axis1=-2, axis2=-1).real
-        assert same_bits(bloch_coordinates(rho), dense)
+        assert same_bits(bloch_coordinates(assert_density(rho)), dense)
 
     @pytest.mark.parametrize("n", REWRITE_SIZES)
     def test_partial_traces_match_einsum(self, n):
@@ -382,7 +437,7 @@ class TestStackedKernels:
         grid = prepared_grid(n)
         for gate in LOCAL_GATES.values():
             rho = conjugate(gate, grid)
-            assert same_bits(bloch_coordinates(rho), bloch_coordinates_entries(rho))
+            assert same_bits(bloch_coordinates(assert_density(rho)), bloch_coordinates_entries(rho))
 
     @pytest.mark.parametrize("n", REWRITE_SIZES)
     def test_preparations_match_the_unstacked_forms(self, n):
@@ -406,13 +461,14 @@ class TestStackedKernels:
         mixed = np.array([random_density(rng) for _ in range(2000)])
         for rho in (mixed, prepared_grid(5000), conjugate(HADAMARD, prepared_grid(101)),
                     mixed - np.eye(2) / 4, I2 / 2, np.diag([1.5, -0.5]).astype(complex)):
-            trace = rho[..., 0, 0].real + rho[..., 1, 1].real
-            gap = np.abs(_lowest_eigenvalue(rho, trace) - np.linalg.eigvalsh(rho)[..., 0])
+            low = _density_deviations(rho)[2]
+            gap = np.abs(low - np.linalg.eigvalsh(rho)[..., 0])
             assert gap.max() <= 1e-15
 
 
 class TestReductions:
-    """all_at_most and any_above against the two-call forms they replace."""
+    """all_at_most, all_at_least and any_above against the two-call forms
+    they replace."""
 
     CASES = [np.array([]), np.array([0.5]), np.array([2.0]), np.array([np.nan]),
              np.array([0.5, np.nan]), np.array([2.0, np.nan]), np.array([-np.inf, 1.0]),
@@ -422,6 +478,7 @@ class TestReductions:
     def test_match_all_and_any(self, x):
         for bound in (-1.0, 0.0, 1.0, 1.5):
             assert bool(all_at_most(x, bound)) == bool((x <= bound).all())
+            assert bool(all_at_least(x, bound)) == bool((x >= bound).all())
             assert bool(any_above(x, bound)) == bool((x > bound).any())
 
 
@@ -501,8 +558,31 @@ class TestStackSizeIndependence:
         for m in self.matrices(rng):
             alone = [d[0] for d in _density_deviations(m[None])]
             for pos, stack in self.stacks(rng, m):
-                got = [d[pos] for d in _density_deviations(stack)]
-                assert same_bits(np.array(got), np.array(alone))
+                for got, want in zip(_density_deviations(stack), alone):
+                    assert same_bits(got[pos], want)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 101])
+    def test_one_product_matches_the_elementwise_forms(self, rng, n):
+        # the Pauli traces, the hermiticity and trace deviations and the lowest
+        # eigenvalue that one product reads, against the forms it replaced
+        matrices = np.array(self.matrices(rng))
+        for start in range(0, len(matrices) - n + 1, n) if n else [0]:
+            stack = matrices[start:start + n]
+            traces, deviations, low = _density_deviations(stack)
+            herm_dev = np.maximum.reduce(deviations[..., 1:], axis=-1)
+            got = (herm_dev, deviations[..., 0], low)
+            for g, want in zip(got, density_deviations_entries(stack)):
+                assert same_bits(g, want)
+            assert same_bits(_hermiticity_deviation(stack), herm_dev)
+            assert same_bits(traces, pauli_traces_readout(stack))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 101])
+    def test_pauli_traces_sum_from_positive_zero(self, rng, n):
+        # with +-0.0 in the entries, as the readout summed from +0.0
+        noise = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        for stack in (with_signed_zeros(rng, noise, 0.6), with_signed_zeros(rng, prepared_grid(n)),
+                      np.full((n, 2, 2), complex(-0.0, -0.0))):
+            assert same_bits(_density_deviations(stack)[0], pauli_traces_readout(stack))
 
     def test_bloch_norm(self, rng, monkeypatch):
         seen = []
@@ -514,11 +594,11 @@ class TestStackSizeIndependence:
 
         monkeypatch.setattr(qlinalg, "all_at_most", recording)
         for m in self.matrices(rng)[:100]:
-            r_alone = bloch_coordinates(m[None])
+            r_alone = bloch_coordinates(assert_density(m[None]))
             (norm_alone,) = seen
             for pos, stack in self.stacks(rng, m):
                 seen.clear()
-                r = bloch_coordinates(stack)
+                r = bloch_coordinates(assert_density(stack))
                 assert same_bits(r[pos], r_alone[0])
                 assert same_bits(seen[0][pos], norm_alone[0])
             seen.clear()

@@ -93,6 +93,18 @@ class TestConventions:
         assert BlockSpec("cnot_swap") != BlockSpec("cz_swap")
         assert BlockSpec(SWAP @ CNOT) != SWAP @ CNOT
 
+    def test_anonymous_block_keeps_its_own_read_only_copy(self):
+        # the caller's array is copied once, into u, which is also the gate
+        g = SWAP @ CNOT
+        b = BlockSpec(g)
+        before = hash(b)
+        g[0, 0] = 5
+        assert b.gate is b.u and not b.gate.flags.writeable
+        assert np.array_equal(b.gate, SWAP @ CNOT) and hash(b) == before
+        with pytest.raises(ValueError, match="read-only"):
+            b.gate[0, 0] = 5
+        assert BlockSpec("cnot_swap").gate == "cnot_swap"
+
     def test_anonymous_block_spec_compares_and_hashes(self):
         prep = PureStateParams.from_alpha2(0.3, 0.2)
         specs = [spec_with([BlockSpec(SWAP @ CZ)], ["i2", "h"], prep) for _ in range(2)]
@@ -236,6 +248,21 @@ class TestCompare:
             assert "agree" in report.flags or "singular" in report.flags
             if gate == "cz_swap":
                 assert report.agree, report.flags
+
+    def test_circuit_without_a_block(self):
+        # no fixed point is solved: zero residual, no degeneracy, and the local
+        # gate's output, with the bits it has always had
+        spec = CircuitSpec(PureStateParams.from_alpha2(0.3, 0.4), (), ("h",))
+        want = (-0.4000000000000001, 0.657467717356937, 0.6385422465533964)
+        report = compare(spec)
+        assert report.flags == ("agree",)
+        assert (report.db.residual, report.db.degenerate) == (0.0, False)
+        assert report.db.bloch.as_tuple() == want
+        circuit = spec.circuit
+        batch = db_model.solve_chain_batch(circuit.db_blocks, circuit.db_locals, spec.prep.batch)
+        assert batch.residual.tobytes() == np.zeros(1).tobytes()
+        assert batch.degenerate.dtype == bool and not batch.degenerate.any()
+        assert tuple(batch.bloch[0].tolist()) == want
 
     def test_balanced_cnot_is_singular(self):
         report = compare(named_scenario("cnot", PureStateParams.from_alpha2(0.5, 0.0)))
