@@ -167,13 +167,14 @@ PAULI_READOUT = real_parts(PAULIS).T.copy()
 _BLOCH_READOUT = PAULI_READOUT[:, 1:].copy()
 _IDENTITY_PARTS = real_parts(I2).copy()
 # What assert_density reads of a 2x2, in one product with its real parts
-# (rows R00 I00 R01 I01 R10 I10 R11 I11): the four Pauli traces (PAULI_READOUT);
-# five (real, imaginary) pairs, Tr rho, the entries of rho - rho^dag on and
-# above the diagonal and rho[1, 0]; and half the difference and half the sum of the
-# real diagonal.  Each column takes at most two entries, with coefficients
-# +-1, 2 or +-1/2, so each sum is exact up to one rounding, as PAULI_READOUT's
-# are.  _DENSITY_SHIFT, added next, takes 1 off Tr rho and turns every -0.0
-# into +0.0, as the Pauli traces summed from +0.0 have it.
+# (rows R00 I00 R01 I01 R10 I10 R11 I11): the four Pauli traces
+# (PAULI_READOUT); five (real, imaginary) pairs, Tr rho, the entries of
+# rho - rho^dag on and above the diagonal and rho[1, 0]; and half the
+# difference and half the sum of the real diagonal.  Each column takes at
+# most two entries, with coefficients +-1, 2 or +-1/2, so each sum is exact
+# up to one rounding, as PAULI_READOUT's are.  _DENSITY_SHIFT, added next,
+# takes 1 off Tr rho and turns every -0.0 into +0.0, as the Pauli traces
+# summed from +0.0 have it.
 _DENSITY_READOUT = np.column_stack([PAULI_READOUT, np.array([
     # Tr rho, (rho - rho^dag)01, 00, 11, rho10, (R00 - R11) / 2, (R00 + R11) / 2
     [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.5, 0.5],   # R00
@@ -407,23 +408,16 @@ def _check_each(bad: np.ndarray, values: np.ndarray, message: str) -> None:
 def _density_deviations(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What assert_density reads of each 2x2 in a stack, from one product: the
     Pauli traces (..., 4); the deviations (..., 4), |Tr rho - 1| and the moduli
-    of the entries of rho - rho^dag; and the lowest eigenvalue, in closed form
-    from the diagonal and the lower off-diagonal entry, the triangle eigvalsh
-    reads.  A non-finite entry makes every column of the product nan or inf.
+    of the entries of rho - rho^dag on and above the diagonal; and the lowest
+    eigenvalue, in closed form from the diagonal and the lower off-diagonal
+    entry, the triangle eigvalsh reads.  A non-finite entry makes every
+    column of the product nan or inf.
     """
     out = real_parts(rho) @ _DENSITY_READOUT
     out += _DENSITY_SHIFT
     moduli = np.abs(out[..., 4:14].view(complex))
     low = out[..., 15] - np.hypot(out[..., 14], moduli[..., 4])
     return out[..., :4], moduli[..., :4], low
-
-
-@np.errstate(invalid="ignore", over="ignore")
-def _hermiticity_deviation(rho: np.ndarray) -> np.ndarray:
-    """max |rho - rho^dag| over the entries of each 2x2, entry by entry: the
-    product's bits on finite entries, and nan or inf on the others as the
-    entries' differences give it, where the product reads nan from 0 * inf."""
-    return np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
 
 
 def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> np.ndarray:
@@ -442,9 +436,12 @@ def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> np.ndarray:
     if all_at_most(deviations, atol) and all_at_least(low, -atol):  # NaN fails
         return traces
     # The hermiticity deviation again, entry by entry: the product's bits on
-    # finite entries, the entries' nan or inf on others.  Every matrix that
-    # passes it is finite, so the later checks read exact values.
-    herm_dev, trace_dev = _hermiticity_deviation(rho), deviations[..., 0]
+    # finite entries, and on others the nan or inf of the entries'
+    # differences, where the product reads nan from 0 * inf.  Every matrix
+    # that passes it is finite, so the later checks read exact values.
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm_dev = np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    trace_dev = deviations[..., 0]
     _check_each(~(herm_dev <= atol), herm_dev, "density matrix not hermitian (deviation {:.3e})")
     _check_each(~(trace_dev <= atol), trace_dev, "density matrix trace deviates from 1 by {:.3e}")
     _check_each(~(low >= -atol), low, "density matrix has negative eigenvalue {:.3e}")

@@ -26,7 +26,6 @@ from ctcsim.qlinalg import (
     QlinalgError,
     SWAP,
     _density_deviations,
-    _hermiticity_deviation,
     all_at_least,
     all_at_most,
     any_above,
@@ -573,7 +572,6 @@ class TestStackSizeIndependence:
             got = (herm_dev, deviations[..., 0], low)
             for g, want in zip(got, density_deviations_entries(stack)):
                 assert same_bits(g, want)
-            assert same_bits(_hermiticity_deviation(stack), herm_dev)
             assert same_bits(traces, pauli_traces_readout(stack))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 101])
