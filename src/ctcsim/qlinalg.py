@@ -441,9 +441,9 @@ def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> np.ndarray:
     # that passes it is finite, so the later checks read exact values.
     with np.errstate(invalid="ignore", over="ignore"):
         herm_dev = np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    trace_dev = deviations[..., 0]
+    tr_dev = deviations[..., 0]
     _check_each(~(herm_dev <= atol), herm_dev, "density matrix not hermitian (deviation {:.3e})")
-    _check_each(~(trace_dev <= atol), trace_dev, "density matrix trace deviates from 1 by {:.3e}")
+    _check_each(~(tr_dev <= atol), tr_dev, "density matrix trace deviates from 1 by {:.3e}")
     _check_each(~(low >= -atol), low, "density matrix has negative eigenvalue {:.3e}")
 
 
@@ -451,7 +451,7 @@ def bloch_coordinates(traces: np.ndarray) -> np.ndarray:
     """(Tr[X rho], Tr[Y rho], Tr[Z rho]) of a density matrix, from the Pauli
     traces assert_density returns for it, or (..., 3) for a stack; each is
     checked to have a Bloch norm of at most 1."""
-    r = traces[..., 1:].copy()
+    r = traces[..., 1:].copy()  # its own array, not a view of the check's whole product
     norm = np.sqrt(np.add.reduce(r * r, axis=-1))
     if not all_at_most(norm, 1.0 + BLOCH_ATOL):
         _check_each(~(norm <= 1.0 + BLOCH_ATOL), norm, "Bloch vector norm {!r} exceeds 1")
