@@ -112,6 +112,10 @@ class TimeDistribution(ValueRecord):
         return TimeDistribution("gaussian", d=d, tau=tau)
 
 
+# The overlap a circuit has unless given one; the class is immutable.
+ORTHOGONAL = TimeDistribution.orthogonal()
+
+
 class BlockResult(NamedTuple):
     """Solved self-consistent evolution through one wormhole block.
 
@@ -398,12 +402,10 @@ def evaluate_words(words: Mapping[str, TimedPauliWord | str], preps: Preparation
 
 
 def heisenberg_bloch(circuit: HeisenbergCircuit, p: PureStateParams,
-                     t: TimeDistribution | None = None) -> HeisenbergResult:
+                     t: TimeDistribution = ORTHOGONAL) -> HeisenbergResult:
     """Evaluate all three observables through the circuit.
 
     Components that hit a singular tail, a divergent phase, or an unsupported
     overlap are reported by status instead of a number.
     """
-    if t is None:
-        t = TimeDistribution.orthogonal()
     return evaluate_words(compile_words(circuit), p.batch, t)[0]

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import db_model, heisenberg_model, qlinalg
 from .heisenberg_model import (
+    ORTHOGONAL,
     HeisenbergBatch,
     HeisenbergCircuit,
     HeisenbergResult,
@@ -115,15 +116,11 @@ class Circuit(Record):
         vars(self).update(db_blocks=db_blocks, db_locals=db_locals, words=words)
 
 
-# The overlap every spec has unless given one; the class is immutable.
-_ORTHOGONAL = TimeDistribution.orthogonal()
-
-
 class CircuitSpec(ValueRecord):
     _fields = ("prep", "blocks", "local_gates", "overlap")
 
     def __init__(self, prep: PureStateParams, blocks: tuple[BlockSpec, ...],
-                 local_gates: tuple[str, ...], overlap: TimeDistribution = _ORTHOGONAL) -> None:
+                 local_gates: tuple[str, ...], overlap: TimeDistribution = ORTHOGONAL) -> None:
         vars(self).update(prep=prep, blocks=blocks, local_gates=local_gates, overlap=overlap)
         if len(local_gates) != len(blocks) + 1:
             raise ScenarioError(
@@ -139,14 +136,6 @@ class CircuitSpec(ValueRecord):
         return compile_circuit(self.blocks, self.local_gates)
 
 
-def local_matrix(name: str) -> np.ndarray:
-    return _LOCALS[name.lower()][0].copy()
-
-
-def local_clifford(name: str) -> Clifford:
-    return _LOCALS[name.lower()][1]
-
-
 def heisenberg_circuit(blocks: tuple[BlockSpec, ...], local_gates: tuple[str, ...],
                        transfers: Mapping[BlockSpec, np.ndarray]) -> HeisenbergCircuit:
     """The circuit the Heisenberg engine reads: the table of U_bar = SWAP @ U
@@ -156,7 +145,7 @@ def heisenberg_circuit(blocks: tuple[BlockSpec, ...], local_gates: tuple[str, ..
     tables = {block: tableau_from_transfer(qlinalg.SWAP @ block.u, r.swapaxes(0, 1))
               for block, r in transfers.items()}
     return HeisenbergCircuit(tuple(tables[b] for b in blocks),
-                             tuple(local_clifford(n) for n in local_gates))
+                             tuple(_LOCALS[n.lower()][1] for n in local_gates))
 
 
 # A compiled circuit holds a few kB; the bound keeps a caller that compiles
@@ -200,7 +189,7 @@ def named_scenario(name: str, prep: PureStateParams | None = None,
     if name not in _NAMED:
         raise ScenarioError(f"unknown scenario {name!r}; known: {', '.join(_NAMED)}")
     return CircuitSpec(prep if prep is not None else DEFAULT_PREP, *_NAMED[name],
-                       overlap if overlap is not None else _ORTHOGONAL)
+                       overlap if overlap is not None else ORTHOGONAL)
 
 
 def evaluate_db(spec: CircuitSpec, preps: Preparations) -> DBBatch:
@@ -235,10 +224,6 @@ class ComparisonReport(NamedTuple):
     @property
     def bloch_db(self) -> BlochVector:
         return self.db.bloch
-
-    @property
-    def agree(self) -> bool:
-        return "agree" in self.flags
 
 
 def verdict(db_run: DBRun, heis: HeisenbergResult) -> ComparisonReport:

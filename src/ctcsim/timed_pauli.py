@@ -75,8 +75,6 @@ for _x, _y, _z in ((_L.X, _L.Y, _L.Z), (_L.Y, _L.Z, _L.X), (_L.Z, _L.X, _L.Y)):
     _MUL_TABLE[(_x, _y)] = (1, _z)   # XY = iZ and cyclic
     _MUL_TABLE[(_y, _x)] = (3, _z)   # YX = -iZ and cyclic
 
-_IPOW_TO_PHASE = (1 + 0j, 1j, -1 + 0j, -1j)
-
 
 def letter_mul_ipow(a: PauliLetter, b: PauliLetter) -> tuple[int, PauliLetter]:
     """Product of two Pauli letters as (power of i, letter)."""
@@ -123,11 +121,6 @@ class TimedPauliWord(ValueRecord):
         items = {k: v for k, v in letters.items() if v is not _L.I}
         if tail is not None:
             start, letter = tail
-            if letter is _L.I:
-                raise ValueError("tail letter must not be identity")
-            bad = [k for k in items if k >= start]
-            if bad:
-                raise ValueError(f"head labels {bad} overlap the tail region")
             while items.get(start - 1) is letter:
                 start -= 1
                 del items[start]
@@ -140,18 +133,10 @@ class TimedPauliWord(ValueRecord):
         return TimedPauliWord.build(ipow, {label: letter})
 
     @staticmethod
-    def identity() -> "TimedPauliWord":
-        return TimedPauliWord()
-
-    @staticmethod
     def tail_word(start: int, letter: PauliLetter, ipow: int = 0) -> "TimedPauliWord":
         return TimedPauliWord.build(ipow, {}, (start, letter))
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def phase(self) -> complex:
-        return _IPOW_TO_PHASE[self.ipow]
 
     @property
     def is_hermitian(self) -> bool:
@@ -181,11 +166,6 @@ class TimedPauliWord(ValueRecord):
         if self.head:
             return self.head[0][0]
         return self.tail[0] if self.tail is not None else None
-
-    # -- algebra -----------------------------------------------------------
-
-    def __mul__(self, other: "TimedPauliWord") -> "TimedPauliWord":
-        return word_mul(self, other)
 
     def __str__(self) -> str:
         return word_to_str(self)

@@ -7,9 +7,11 @@ QR-sampled unitaries.  Keep it dumb.
 
 import numpy as np
 
+from ctcsim import scenario
 from ctcsim.db_model import DBBatch, _close_loop, _solve_eigen
 from ctcsim.qlinalg import (
     ATOL_SOLVER,
+    HADAMARD,
     I2,
     PAULI_BY_NAME,
     PAULI_READOUT,
@@ -17,7 +19,9 @@ from ctcsim.qlinalg import (
     PAULI_Y,
     PAULI_Z,
     PAULIS,
+    PHASE_S,
     BlochVector,
+    Preparations,
     PureStateParams,
     QlinalgError,
     all_at_most,
@@ -26,7 +30,70 @@ from ctcsim.qlinalg import (
     conjugate,
     real_parts,
 )
-from ctcsim.timed_pauli import TimedPauliWord
+from ctcsim.timed_pauli import Clifford, TimedPauliWord
+
+
+def local_gate(name: str) -> tuple[np.ndarray, Clifford]:
+    """A local gate name's read-only matrix, as the density-matrix engine
+    applies it, and its table, as the Heisenberg engine reads it."""
+    return scenario._LOCALS[name.lower()]
+
+
+# -- frames: the same circuit and states seen through a one-qubit Clifford V --
+
+
+def bloch_rotation(v: np.ndarray) -> np.ndarray:
+    """R_V[i, j] = Tr[sigma_i V sigma_j V^dag] / 2: the Bloch vector of
+    V rho V^dag is R_V r.  A Clifford's R_V is a signed permutation, and its
+    entries are rounded to exactly that."""
+    paulis = PAULIS[1:]
+    r = np.einsum("iab,bc,jcd,da->ij", paulis, v, paulis, v.conj().T).real / 2
+    assert np.allclose(r, np.rint(r), atol=1e-12), "V is not a Clifford"
+    return np.rint(r) + 0.0  # no -0.0, so equal rotations have equal bytes
+
+
+def one_qubit_cliffords() -> list[np.ndarray]:
+    """The 24 one-qubit Cliffords modulo phase, closed from H and S
+    breadth first and told apart by their Bloch rotations."""
+    found = {bloch_rotation(I2).tobytes(): I2}
+    frontier = [I2]
+    while frontier:
+        new = []
+        for v in frontier:
+            for g in (HADAMARD, PHASE_S):
+                w = g @ v
+                key = bloch_rotation(w).tobytes()
+                if key not in found:
+                    found[key] = w
+                    new.append(w)
+        frontier = new
+    return list(found.values())
+
+
+def local_image(v: np.ndarray, name: str) -> str | None:
+    """The name of the local gate V L V^dag, up to phase, of the local L
+    called name, or None if it has no name."""
+    target = v @ local_gate(name)[0] @ v.conj().T
+    for image, (matrix, _) in scenario._LOCALS.items():
+        if abs(abs(np.trace(matrix.conj().T @ target)) - 2) < 1e-12:
+            return image
+    return None
+
+
+def rotate_frame(v: np.ndarray, spec: scenario.CircuitSpec,
+                 preps: Preparations) -> tuple[scenario.CircuitSpec, Preparations] | None:
+    """spec and preps seen through V, or None if a local gate has no named
+    image there: each block's u becomes (V x V) u (V x V)^dag, each local
+    its named image, and each preparation's Bloch vector r becomes R_V r,
+    read back as alpha2 = (1 + z) / 2 and theta = atan2(-y, x) / 2."""
+    locals_ = tuple(local_image(v, name) for name in spec.local_gates)
+    if None in locals_:
+        return None
+    vv = np.kron(v, v)
+    blocks = tuple(scenario.BlockSpec(vv @ b.u @ vv.conj().T) for b in spec.blocks)
+    x, y, z = bloch_rotation(v) @ preps.pauli_expectations[:, 1:].T
+    rotated = Preparations(np.clip((1.0 + z) / 2, 0.0, 1.0), np.arctan2(-y, x) / 2)
+    return spec._replace(blocks=blocks, local_gates=locals_), rotated
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -98,7 +165,7 @@ def word_to_dense(w: TimedPauliWord, n_labels: int) -> np.ndarray:
     op = np.array([[1.0 + 0j]])
     for s in slots:
         op = np.kron(op, s)
-    return w.phase * op
+    return 1j ** w.ipow * op
 
 
 def gaussian_overlap_quadrature(d: float, tau: float, half_width: float = 14.0,

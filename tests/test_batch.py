@@ -21,7 +21,7 @@ from ctcsim.db_model import FixedPointError, solve_fixed_point
 from ctcsim.heisenberg_model import TimeDistribution
 from ctcsim.qlinalg import SWAP, Preparations, PureStateParams
 from ctcsim.scenario import BlockSpec, CircuitSpec
-from helpers import bloch_from_density, random_params
+from helpers import bloch_from_density, local_gate, random_params
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 AXES = 3
@@ -212,10 +212,10 @@ def iterate_chain(spec, p):
     """The chain's output Bloch vector by plain iteration, block by block."""
     rho = p.density()
     for gate, block in zip(spec.local_gates, spec.blocks):
-        g = scenario.local_matrix(gate)
+        g = local_gate(gate)[0]
         rho = solve_fixed_point(block.u, g @ rho @ g.conj().T, method="iterate",
                                 max_iters=5_000).output
-    g = scenario.local_matrix(spec.local_gates[-1])
+    g = local_gate(spec.local_gates[-1])[0]
     return bloch_from_density(g @ rho @ g.conj().T).as_tuple()
 
 

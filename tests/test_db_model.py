@@ -39,6 +39,7 @@ from helpers import (
     bloch_affine_sum,
     bloch_from_density,
     ctc_map_oracle,
+    local_gate,
     pauli_traces_readout,
     random_density,
     random_params,
@@ -425,7 +426,7 @@ class TestIdentityLocalSkipped:
         spec = mixed_locals_spec() if name.startswith("config") else scenario.named_scenario(name)
         circuit = spec.circuit
         assert any(g is None for g in circuit.db_locals)
-        every = [scenario.local_matrix(n) for n in spec.local_gates]
+        every = [local_gate(n)[0] for n in spec.local_gates]
         for preps in identity_skip_stacks():
             got = db_model.solve_chain_batch(circuit.db_blocks, circuit.db_locals, preps)
             want = solve_chain_batch_every_local(circuit.db_blocks, every, preps)

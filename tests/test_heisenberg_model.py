@@ -92,8 +92,8 @@ class TestBackpropagateBlock:
             backpropagate_block(CZ_TABLEAU, W.single(-1, L.X))
 
     def test_empty_word_closes_immediately(self):
-        res = backpropagate_block(CNOT_TABLEAU, W.identity())
-        assert res.upper_in == W.identity()
+        res = backpropagate_block(CNOT_TABLEAU, W())
+        assert res.upper_in == W()
         assert res.status == "closed"
 
     def test_consistency_of_all_paper_blocks(self):
@@ -213,7 +213,7 @@ class TestEvaluateExpectation:
         assert value is None and status == "singular"
 
     def test_empty_word(self):
-        assert evaluate_expectation(W.identity(), PureStateParams.from_alpha2(1.0), ORTHO) == (1.0, "ok")
+        assert evaluate_expectation(W(), PureStateParams.from_alpha2(1.0), ORTHO) == (1.0, "ok")
 
     def test_gaussian_zero_shift_restores_unity(self):
         w = word_from_str("Z Z'")
@@ -438,7 +438,7 @@ def conjugation_defects(words) -> list[str]:
                for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
                if word_mul(words[a], words[b]) != word_mul(i, words[c])]
     defects += [f"B({a}) B({a}) != 1" for a in "xyz"
-                if word_mul(words[a], words[a]) != W.identity()]
+                if word_mul(words[a], words[a]) != W()]
     defects += [f"B({a}) is not hermitian" for a in "xyz" if not words[a].is_hermitian]
     return defects
 

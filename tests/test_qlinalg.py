@@ -96,6 +96,31 @@ def check_outcome(check, rho: np.ndarray) -> np.ndarray | str:
         return str(exc)
 
 
+HALF_MAX = sys.float_info.max / 2
+EDGE_ALPHA2 = (0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0), 0.5,
+               math.nan, math.inf, -math.inf)
+EDGE_THETA = (0.0, -0.0, HALF_MAX, -HALF_MAX, math.nextafter(HALF_MAX, math.inf),
+              -math.nextafter(HALF_MAX, math.inf), sys.float_info.max, math.nan, math.inf,
+              -math.inf)
+
+
+def refusal(make) -> str | None:
+    try:
+        make()
+    except QlinalgError as exc:
+        return str(exc)
+    return None
+
+
+def assert_refused_alike(pairs: list[tuple[float, float]]) -> None:
+    """Preparations checks its pairs at once, and lets PureStateParams raise
+    for the first pair it refuses: it must refuse exactly when some pair's
+    PureStateParams does, with the first such pair's message."""
+    scalar = [refusal(lambda a=a, t=t: PureStateParams(alpha2=a, theta=t)) for a, t in pairs]
+    alpha2, theta = zip(*pairs)
+    assert refusal(lambda: Preparations(alpha2, theta)) == next(filter(None, scalar), None)
+
+
 class TestPureStateParams:
     def test_kept_as_given(self):
         p = PureStateParams(alpha2=0.3, theta=0.2)
@@ -120,6 +145,18 @@ class TestPureStateParams:
     def test_non_finite_amplitude_rejected(self):
         with pytest.raises(QlinalgError, match="finite"):
             PureStateParams.from_alpha2(np.nan)
+
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from(EDGE_ALPHA2), st.floats()),
+                              st.one_of(st.sampled_from(EDGE_THETA), st.floats())),
+                    min_size=1, max_size=3))
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_preparations_refuse_as_the_scalar_check_does(self, pairs):
+        assert_refused_alike(pairs)
+
+    @pytest.mark.parametrize("alpha2", EDGE_ALPHA2)
+    def test_edge_pairs_refused_alike(self, alpha2):
+        for theta in EDGE_THETA:
+            assert_refused_alike([(alpha2, theta)])
 
     def test_bloch_matches_density(self, rng):
         for _ in range(50):

@@ -98,7 +98,7 @@ class TestWordMul:
 
     def test_same_label_squares_away(self):
         x0 = W.single(0, L.X)
-        assert word_mul(x0, x0) == W.identity()
+        assert word_mul(x0, x0) == W()
 
     def test_same_label_phase(self):
         got = word_mul(W.single(0, L.X), W.single(0, L.Z))
@@ -117,8 +117,8 @@ class TestWordMul:
 
     def test_identity_element(self):
         w = W.build(2, {0: L.X, 3: L.Z}, (5, L.Y))
-        assert word_mul(w, W.identity()) == w
-        assert word_mul(W.identity(), w) == w
+        assert word_mul(w, W()) == w
+        assert word_mul(W(), w) == w
 
     @given(words(tail_letter=L.Z), words(tail_letter=L.Z), words(tail_letter=L.Z))
     @settings(max_examples=300)
@@ -160,6 +160,17 @@ class TestCanonicalization:
     def test_head_cannot_overlap_tail(self):
         with pytest.raises(ValueError):
             W.build(0, {3: L.X}, (2, L.Z))
+
+    @pytest.mark.parametrize("letters, tail, message", [
+        ({}, (2, L.I), "tail letter must not be identity"),
+        ({0: L.X, 1: L.I}, (3, L.I), "tail letter must not be identity"),
+        ({2: L.X}, (2, L.Z), "head labels must precede the tail start"),
+        # absorption runs first: X' joins the tail, and X'' still overlaps it
+        ({1: L.X, 2: L.X}, (2, L.X), "head labels must precede the tail start"),
+    ])
+    def test_build_refuses_what_init_refuses(self, letters, tail, message):
+        with pytest.raises(ValueError, match=message):
+            W.build(0, letters, tail)
 
     def test_structural_equality(self):
         assert W.build(0, {0: L.Z, 1: L.X}) == W.build(0, {1: L.X, 0: L.Z})
@@ -302,7 +313,7 @@ class TestNotation:
     def test_render_fixtures(self):
         assert word_to_str(W.build(0, {0: L.Z, 1: L.X, 2: L.Z})) == "Z X' Z''"
         assert word_to_str(W.tail_word(1, L.X)) == "X' X'' X'''..."
-        assert word_to_str(W.identity()) == "1"
+        assert word_to_str(W()) == "1"
         assert word_to_str(W.single(0, L.Y, ipow=2)) == "-Y"
 
     @given(words())
