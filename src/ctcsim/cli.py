@@ -15,10 +15,13 @@ geometry.c.  Each block line names one interaction gate; repeated block
 lines keep their order.
 
 Every command but geometry and conjecture-check prints records: rows of the
-RECORD_FIELDS strings, as csv, key=value records or an aligned table.  A
-number is printed by repr, so float() reads it back exactly.  A value that
-cannot be evaluated is its status token, "singular", "divergent" or
-"unsupported" (never NaN), and a field an engine does not fill is empty.
+RECORD_FIELDS strings, as csv, key=value records or an aligned table.  An
+engine value (x, y, z, residual, trace_distance) is printed by fixed, with
+12 decimals, so float() reads it back within 5e-13; alpha2 and theta name
+the grid point and are printed by repr, which float() reads back exactly.
+A value that cannot be evaluated is its status token, "singular",
+"divergent" or "unsupported" (never NaN), and a field an engine does not
+fill is empty.
 """
 
 from __future__ import annotations
@@ -196,19 +199,19 @@ def records_for(name: str, preps: Preparations,
     db and heis give the N results of each engine, or None for an engine
     that did not run.  Each numeric column is formatted once.
     """
-    td = "" if trace_distance is None else repr(trace_distance)
+    td = "" if trace_distance is None else fixed([trace_distance])[0]
     alpha2, theta = _text(preps.alpha2), _text(preps.theta)
     engines = []
     if db is not None:
         flags = tuple(_join_flags(degenerate, compare_flags) for degenerate in ("", "degenerate"))
         engines.append(zip(
-            repeat(name), repeat("db"), alpha2, theta, *map(_text, db.bloch.T),
-            _text(db.residual), repeat("0"),  # the direct solve does not iterate
+            repeat(name), repeat("db"), alpha2, theta, *map(fixed, db.bloch.T.tolist()),
+            fixed(db.residual.tolist()), repeat("0"),  # the direct solve does not iterate
             [flags[degenerate] for degenerate in db.degenerate.tolist()], repeat(td)))
     if heis is not None:
         statuses = [heis.statuses[axis] for axis in ("x", "y", "z")]
         values = [[value if status == "ok" else status
-                   for value, status in zip(_text(heis.values[axis]), column)]
+                   for value, status in zip(fixed(heis.values[axis].tolist()), column)]
                   for axis, column in zip(("x", "y", "z"), statuses)]
         # one flags string per distinct (x, y, z) status triple
         flags_of = functools.cache(lambda *point: _join_flags(
@@ -216,6 +219,12 @@ def records_for(name: str, preps: Preparations,
         engines.append(zip(repeat(name), repeat("heisenberg"), alpha2, theta, *values,
                            repeat(""), repeat(""), map(flags_of, *statuses), repeat(td)))
     return [row for point in zip(*engines) for row in point]
+
+
+def fixed(values: list[float]) -> list[str]:
+    """Each value with 12 fixed decimals, the rule of every engine field; one
+    that rounds to zero prints without a sign."""
+    return [t[1:] if t == "-0.000000000000" else t for t in map("{:.12f}".format, values)]
 
 
 def _text(column: np.ndarray) -> list[str]:

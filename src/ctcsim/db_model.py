@@ -22,11 +22,11 @@ every state.  The conjugations by the local gates and by U are two flat
 products each (qlinalg.conjugate), the fixed points one stacked
 least-squares call and each density check one product, whose Pauli traces
 are the solve's loop inputs and, at the end, the outputs' Bloch vectors;
-only the printed residual takes one eigensolve per state, inside one numpy
-call.  A local gate given as None is the identity and is not applied,
-which saves the three numpy calls a conjugation of a one-state stack makes;
-the outputs are bit for bit those of conjugating by I2
-(tests/test_db_model.py pins them against that chain).  solve_chain and
+the printed residual reads each state's eigenvalues in closed form
+(qlinalg.hermitian_spectrum).  A local gate given as None is the identity
+and is not applied, which saves the three numpy calls a conjugation of a
+one-state stack makes; the outputs are bit for bit those of conjugating by
+I2 (tests/test_db_model.py pins them against that chain).  solve_chain and
 solve_fixed_point(method="eigen") are its one-state case for direct
 callers, and apply every local gate they are given.  The iteration stays
 scalar, as the independent oracle.
@@ -56,7 +56,7 @@ from .qlinalg import (
     bloch_coordinates,
     conjugate,
     density_from_bloch,
-    hermitian_eigenvalues,
+    hermitian_spectrum,
     least_squares,
     partial_trace_first,
     partial_trace_second,
@@ -152,7 +152,9 @@ def ctc_map(u: Mat4, rho_in: DensityMatrix, rho: DensityMatrix) -> DensityMatrix
 
 
 def _spectral_norm_herm(m: np.ndarray) -> np.ndarray:
-    return np.maximum.reduce(np.abs(hermitian_eigenvalues(m)), axis=-1)
+    """The largest |eigenvalue| of each hermitian 2x2, |s| + h of its s +- h."""
+    s, h = hermitian_spectrum(m)
+    return np.abs(s) + h
 
 
 def _bloch_affine(loop: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

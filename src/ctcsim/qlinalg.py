@@ -1,22 +1,24 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
 Everything here is plain double-precision numpy on 2x2 and 4x4 arrays:
-states, gates, tensor products, partial traces and distance measures.
-The state helpers also take stacks of them, one per prepared state, and
-check each member.  A stacked helper makes a fixed number of numpy calls
-per stack, not a BLAS or LAPACK call per member, so on a stack of one the
-number of calls, not the arithmetic, is its cost.  A linear reading of a
-2x2 is one product with a fixed matrix over the entries' real parts (see
-real_parts): assert_density reads the checked state's Pauli traces and
-everything its checks need from one such product, and returns the traces,
-which bloch_coordinates and the density-matrix solve read instead of the
-state; density_from_bloch builds a state from its Bloch vector the same way.
-tests/test_qlinalg.py pins each closed form against the dense definition or
-the form it replaces, bit for bit where its bits reach the output.  This
-module is the numeric oracle the symbolic engine is checked against, so it
-stays deliberately dumb -- no sparsity, no n-qubit generality.  As the
-bottom of the import graph it also holds the prepared states, the root
-of ctcsim's exceptions and the base of its record types.
+states, gates, tensor products, partial traces and distance measures.  The
+state helpers also take stacks of them, one per prepared state, and check
+each member.  A stacked helper makes a fixed number of numpy calls per
+stack, not a BLAS or LAPACK call per member, so on a stack of one the number
+of calls, not the arithmetic, is its cost.  A linear reading of a 2x2 is one
+product with a fixed matrix over the entries' real parts (see real_parts):
+assert_density reads the checked state's Pauli traces and everything its
+checks need from one such product, and returns the traces, which
+bloch_coordinates and the density-matrix solve read instead of the state;
+density_from_bloch builds a state from its Bloch vector the same way.  Every
+matrix whose eigenvalues are needed is a hermitian 2x2, so they are read in
+closed form (hermitian_spectrum), with no LAPACK call.
+tests/test_qlinalg.py pins each closed form against the dense definition,
+the form it replaces or np.linalg.eigvalsh, within a stated bound or bit for
+bit.  This module is the numeric oracle the symbolic engine is checked
+against, so it stays deliberately dumb -- no sparsity, no n-qubit
+generality.  As the bottom of the import graph it also holds the prepared
+states, the root of ctcsim's exceptions and the base of its record types.
 """
 
 from __future__ import annotations
@@ -28,14 +30,12 @@ import sys
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-# The generalized ufuncs that np.linalg.lstsq and np.linalg.eigvalsh wrap,
-# called without the wrappers, in least_squares and hermitian_eigenvalues;
-# the tests pin each against its public wrapper.  They are private names,
-# so a numpy without one fails here, at import, by name.
-for _kernel in ("lstsq", "eigvalsh_lo"):
-    if not hasattr(_umath_linalg, _kernel):
-        raise ImportError(f"ctcsim needs numpy.linalg._umath_linalg.{_kernel}, which numpy "
-                          f"{np.__version__} lacks; the tested numpy is 2.4.6")
+# The generalized ufunc that np.linalg.lstsq wraps, called without the
+# wrapper in least_squares; the tests pin it against the public wrapper.  It
+# is a private name, so a numpy without it fails here, at import, by name.
+if not hasattr(_umath_linalg, "lstsq"):
+    raise ImportError(f"ctcsim needs numpy.linalg._umath_linalg.lstsq, which numpy "
+                      f"{np.__version__} lacks; the tested numpy is 2.4.6")
 
 # Structural checks (hermiticity, trace, unitarity) use ATOL_STRUCT;
 # fixed-point solvers converge to ATOL_SOLVER.
@@ -160,9 +160,7 @@ def real_parts(m: np.ndarray) -> np.ndarray:
 # PAULI_READOUT[p, k] is real part p of sigma_k, so real_parts(m) @ PAULI_READOUT
 # is the real part of Tr[sigma_k m], and r @ PAULI_READOUT[:, 1:].T the real parts
 # of r . sigma.  Each column has at most two nonzero entries, all +-1, so both
-# products are exact up to one rounding of a two-term sum: the bits of that sum in
-# closed form, whatever order the zero terms are added in, up to the sign of a
-# zero result.
+# products are exact up to one rounding of a two-term sum.
 PAULI_READOUT = real_parts(PAULIS).T.copy()
 _BLOCH_READOUT = PAULI_READOUT[:, 1:].copy()
 _IDENTITY_PARTS = real_parts(I2).copy()
@@ -173,8 +171,7 @@ _IDENTITY_PARTS = real_parts(I2).copy()
 # difference and half the sum of the real diagonal.  Each column takes at
 # most two entries, with coefficients +-1, 2 or +-1/2, so each sum is exact
 # up to one rounding, as PAULI_READOUT's are.  _DENSITY_SHIFT, added next,
-# takes 1 off Tr rho and turns every -0.0 into +0.0, as the Pauli traces
-# summed from +0.0 have it.
+# takes 1 off Tr rho.
 _DENSITY_READOUT = np.column_stack([PAULI_READOUT, np.array([
     # Tr rho, (rho - rho^dag)01, 00, 11, rho10, (R00 - R11) / 2, (R00 + R11) / 2
     [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.5, 0.5],   # R00
@@ -278,19 +275,14 @@ class Preparations(Record):
 
     @functools.cached_property
     def pauli_expectations(self) -> np.ndarray:
-        """(N, 4) closed-form expectations of I, X, Y, Z in each state.
-
-        The Z column squares through Python's float power, which sometimes
-        rounds differently from x * x; the printed values have always been
-        computed that way.
-        """
+        """(N, 4) closed-form expectations of I, X, Y, Z in each state."""
         two_ab = 2.0 * self.alpha * self.beta
         angle = 2.0 * self.theta
         out = np.empty((len(self), 4))
         out[:, 0] = 1.0
         out[:, 1] = two_ab * np.cos(angle)
         out[:, 2] = -two_ab * np.sin(angle)
-        out[:, 3] = [a**2 - b**2 for a, b in self.amplitudes.tolist()]
+        out[:, 3] = self.alpha * self.alpha - self.beta * self.beta
         return out
 
 
@@ -351,26 +343,18 @@ def pauli_transfer(u: Mat4) -> np.ndarray:
     return np.einsum("klab,ijba->klij", PAULI_PAIRS, images).real / 4.0
 
 
-def _trace_pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """first + second, summed from +0.0 as a trace is: -0.0 + -0.0 gives +0.0,
-    the bits the partial traces have always had."""
-    out = first + second
-    out += 0.0
-    return out
-
-
 def partial_trace_first(m: np.ndarray) -> np.ndarray:
     """Trace out qubit 1 of a two-qubit operator, or of each in a stack (..., 4, 4):
     the sum of its two diagonal 2x2 blocks."""
     m = np.asarray(m)
-    return _trace_pair(m[..., :2, :2], m[..., 2:, 2:])
+    return m[..., :2, :2] + m[..., 2:, 2:]
 
 
 def partial_trace_second(m: np.ndarray) -> np.ndarray:
     """Trace out qubit 2 of a two-qubit operator, or of each in a stack (..., 4, 4):
     the sum of its even-even and odd-odd entries."""
     m = np.asarray(m)
-    return _trace_pair(m[..., ::2, ::2], m[..., 1::2, 1::2])
+    return m[..., ::2, ::2] + m[..., 1::2, 1::2]
 
 
 def assert_unitary(u: np.ndarray, atol: float = ATOL_STRUCT) -> None:
@@ -462,9 +446,8 @@ def density_from_bloch(r: BlochVector | np.ndarray) -> np.ndarray:
     """Reconstruct (I + r . sigma) / 2 from a BlochVector, whose type enforces
     |r| <= 1, or from each row of a stack of finite coordinates (..., 3).
 
-    I + r . sigma is read off in closed form, [[1 + z, x - iy], [x + iy, 1 - z]]
-    with every zero +0.0, the bits of the sum I + x X + y Y + z Z; then one
-    complex product with 0.5, as that sum was halved.
+    I + r . sigma is read off in closed form, [[1 + z, x - iy], [x + iy, 1 - z]],
+    and halved.
     """
     r = np.asarray(r.as_tuple() if isinstance(r, BlochVector) else r, dtype=float)
     parts = r @ _BLOCH_READOUT.T
@@ -483,23 +466,24 @@ def least_squares(a: np.ndarray, b: np.ndarray, rcond: float) -> tuple[np.ndarra
     return x[..., 0], rank, svals
 
 
-def _eigensolve_failed(err: str, flag: int) -> None:
-    raise EngineError("eigenvalue solve did not converge")
-
-
-@np.errstate(call=_eigensolve_failed, invalid="call",
-             over="ignore", divide="ignore", under="ignore")
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a complex hermitian matrix, or of each in a
-    stack (..., d, d), read from the lower triangle: np.linalg.eigvalsh's
-    kernel under the wrapper's error state.  A LAPACK failure raises
-    EngineError instead of numpy's LinAlgError.
+def hermitian_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues s - h and s + h of a hermitian 2x2, or of each in a
+    stack (..., 2, 2), as (s, h): s = (a + d) / 2 and
+    h = hypot((a - d) / 2, |m10|), from the real diagonal a, d and the lower
+    off-diagonal entry, the triangle eigvalsh reads.  Every step is
+    elementwise, and a matrix gives the same bits alone as in a stack.
     """
-    return _umath_linalg.eigvalsh_lo(m, signature="D->d")
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    return (a + d) / 2, np.hypot((a - d) / 2, np.abs(m[..., 1, 0]))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Half the trace norm of rho - sigma (exact via eigenvalues of the hermitian difference)."""
-    evals = hermitian_eigenvalues(np.asarray(rho) - np.asarray(sigma))
-    return float(0.5 * np.add.reduce(np.abs(evals), axis=None))
-
+    """Half the trace norm of rho - sigma, two finite 2x2 matrices whose
+    difference is hermitian.  Its eigenvalues are s - h and s + h
+    (hermitian_spectrum), so half the sum of their moduli is max(|s|, h)."""
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    ok = rho.shape == sigma.shape == (2, 2) and np.isfinite(rho) & np.isfinite(sigma)
+    if not np.logical_and.reduce(ok, axis=None):
+        raise QlinalgError("trace distance needs two finite 2x2 matrices")
+    s, h = hermitian_spectrum(rho - sigma)
+    return float(max(abs(s), h))

@@ -318,15 +318,3 @@ def assert_density_entries(rho: np.ndarray, atol: float = 1e-12) -> np.ndarray:
             if bad.any():
                 raise QlinalgError(message.format(values[bad].flat[0].item()))
     return pauli_traces_readout(rho)
-
-
-class PoisonedEigensolve:
-    """Stands in for numpy.linalg._umath_linalg: its own lstsq kernel, and an
-    eigvalsh kernel that fails as a LAPACK failure does, raising the invalid
-    flag (and answering NaN)."""
-
-    lstsq = staticmethod(np.linalg._umath_linalg.lstsq)
-
-    @staticmethod
-    def eigvalsh_lo(m, signature):
-        return np.sqrt(np.full(np.shape(m)[:-1], -1.0))

@@ -17,6 +17,8 @@ import pathlib
 import subprocess
 import sys
 
+from ctcsim.cli import fixed
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
 
@@ -68,7 +70,9 @@ def test_traced_cli_sweep_job(tmp_path):
 def test_traced_compare_job(tmp_path):
     # one line per call: name, alpha2, theta, db x y z, heisenberg x y z,
     # trace distance, flags; read here off the golden `compare` records of
-    # each named scenario at the default and at the theta preparation
+    # each named scenario at the default and at the theta preparation.  The
+    # job prints the library's values by repr; each, passed through the CLI's
+    # printing rule, is the golden field.
     cases = [(name, prep, golden) for name in ("cz", "cnot", "chained_cnot_hadamard")
              for prep, golden in (((0.75, 0.0), name), ((0.3, 0.7), name + "_theta"))]
     out, result = run_job({"kind": "compare", "calls": [[name, *prep] for name, prep, _ in cases],
@@ -78,7 +82,11 @@ def test_traced_compare_job(tmp_path):
     for line, (_, _, golden) in zip(lines, cases):
         _, db, heis = (row.split(",") for row in
                        (GOLDEN / f"compare_{golden}.txt").read_text().splitlines())
-        assert line == " ".join([db[0], *db[2:4], *db[4:7], *heis[4:7], db[10], db[9]])
+        name, alpha2, theta, *values, flags = line.split(" ")
+        printed = [value if value in ("singular", "divergent", "unsupported")
+                   else "" if value == "None" else fixed([float(value)])[0] for value in values]
+        assert [name, alpha2, theta, *printed, flags] == [
+            db[0], *db[2:4], *db[4:7], *heis[4:7], db[10], db[9]]
     assert result["trace"]["absent"] == []
     # each circuit back-propagates once per block and axis, on its first call
     recurrences = [span for span in result["trace"]["spans"] if span[1] == "heis.recurrence"]

@@ -219,14 +219,15 @@ class TestCompareCommand:
             r = scenario.compare(scenario.named_scenario(
                 name, PureStateParams(alpha2=float(alpha2), theta=float(theta))))
             statuses = r.heisenberg.statuses
-            assert [db[a] for a in "xyz"] == list(map(repr, r.db.bloch.as_tuple()))
+            # each library value, passed through the CLI's printing rule, is the field
+            assert [db[a] for a in "xyz"] == cli.fixed(list(r.db.bloch.as_tuple()))
             assert [heis[a] for a in "xyz"] == [
-                repr(r.heisenberg.components[a]) if statuses[a] == "ok" else statuses[a]
+                cli.fixed([r.heisenberg.components[a]])[0] if statuses[a] == "ok" else statuses[a]
                 for a in "xyz"]
             assert db["flags"] == ";".join(r.flags)
             unresolved = sorted(set(statuses.values()) - {"ok"})
             assert heis["flags"] == ";".join(dict.fromkeys([*unresolved, *r.flags]))
-            td = "" if r.trace_distance is None else repr(r.trace_distance)
+            td = "" if r.trace_distance is None else cli.fixed([r.trace_distance])[0]
             assert db["trace_distance"] == heis["trace_distance"] == td
 
     def test_cz_compare_agrees(self, capsys):
@@ -286,17 +287,22 @@ overlap.kind = orthogonal_limit
 
 class TestRecordsRoundTrip:
     def test_csv_round_trip(self, capsys):
-        # every number is printed by repr, so float() reads back the same
-        # float, whose repr is the same field
-        numeric = set(RECORD_FIELDS) - {"scenario", "model", "iterations", "flags"}
+        # alpha2 and theta are printed by repr, so float() reads back the same
+        # float, whose repr is the same field; an engine value is printed with
+        # 12 fixed decimals, so float() reads back a float that prints as the
+        # same field
+        engine = ("x", "y", "z", "residual", "trace_distance")
         tokens = ("", "singular", "divergent", "unsupported")
         for argv in (["run", "cnot", "--alpha2", "0.3", "--theta", "0.2", "--model", "both"],
                      ["sweep", "cnot", "alpha2", "0", "1", "11", "--theta", "0.2"],
                      ["compare", "chained_cnot_hadamard", "--alpha2", "0.3"]):
             _, out, _ = run_cli(capsys, *argv, "--format", "csv")
-            fields = [r[key] for r in csv_records(out) for key in numeric if r[key] not in tokens]
+            records = csv_records(out)
+            grid = [r[key] for r in records for key in ("alpha2", "theta")]
+            fields = [r[key] for r in records for key in engine if r[key] not in tokens]
             assert fields
-            assert [repr(float(f)) for f in fields] == fields
+            assert [repr(float(f)) for f in grid] == grid
+            assert cli.fixed([float(f) for f in fields]) == fields
 
     def test_formats_carry_the_same_fields(self, capsys):
         sweep = ["sweep", "cnot", "alpha2", "0", "1", "11", "--theta", "0.2"]

@@ -25,9 +25,9 @@ from ctcsim.qlinalg import PureStateParams
 # name: (Python line events in ctcsim, C calls), measured on Python 3.11.7
 # with numpy 2.4.6
 BOUNDS = {
-    "cz": (301, 136),
-    "cnot": (288, 134),
-    "chained_cnot_hadamard": (388, 209),
+    "cz": (299, 130),
+    "cnot": (286, 128),
+    "chained_cnot_hadamard": (382, 199),
 }
 PREPARATIONS = ((0.3, 0.7), (0.8, -1.1), (0.15, 2.5))
 PACKAGE = os.path.dirname(ctcsim.__file__) + os.sep

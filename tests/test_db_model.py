@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ctcsim import cli, db_model, qlinalg, scenario
+from ctcsim import cli, db_model, scenario
 from ctcsim.db_model import (
     DEGENERACY_TOL,
     FixedPointError,
@@ -20,7 +20,6 @@ from ctcsim.db_model import (
 from ctcsim.qlinalg import (
     CNOT,
     CZ,
-    EngineError,
     HADAMARD,
     I2,
     I4,
@@ -35,7 +34,6 @@ from ctcsim.qlinalg import (
     trace_distance,
 )
 from helpers import (
-    PoisonedEigensolve,
     bloch_affine_sum,
     bloch_from_density,
     ctc_map_oracle,
@@ -226,10 +224,12 @@ class TestStackedSolve:
             assert np.array_equal(_solve_eigen(loop_transfer(u), traces)[1], old)
 
     def test_spectral_norm_matches_eigvalsh(self, rng):
+        # |s| + h of the closed-form eigenvalues s -+ h, within 8 eps of the norm
         g = rng.normal(size=(101, 2, 2)) + 1j * rng.normal(size=(101, 2, 2))
         for m in (g + g.conj().swapaxes(-1, -2), np.zeros((0, 2, 2), complex), I2 / 2):
             got, want = _spectral_norm_herm(m), spectral_norm_eigvalsh(m)
-            assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == want.tobytes()
+            assert np.shape(got) == np.shape(want)
+            assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
 
     def test_lapack_failure_is_an_engine_error(self):
         traces = assert_density(Preparations(np.linspace(0, 1, 3), 0.0).density())
@@ -245,20 +245,6 @@ class TestStackedSolve:
         assert cli.main(["run", "cnot"]) == 1
         err = capfd.readouterr().err  # stdout holds LAPACK's own complaint
         assert err == "engine error: SVD did not converge in the fixed-point solve\n"
-
-    def test_eigensolve_failure_is_an_engine_error(self, monkeypatch):
-        monkeypatch.setattr(qlinalg, "_umath_linalg", PoisonedEigensolve)
-        with pytest.raises(EngineError, match="eigenvalue solve did not converge"):
-            _spectral_norm_herm(np.stack([I2, I2]))
-        with pytest.raises(EngineError, match="eigenvalue solve did not converge"):
-            solve_fixed_point(U_CNOT_SWAP, I2 / 2, method="eigen")
-
-    @pytest.mark.parametrize("argv", [["run", "cnot"], ["compare", "cz"],
-                                      ["sweep", "cnot", "alpha2", "0", "1", "3"]])
-    def test_eigensolve_failure_exits_1_through_the_cli(self, argv, monkeypatch, capfd):
-        monkeypatch.setattr(qlinalg, "_umath_linalg", PoisonedEigensolve)
-        assert cli.main(argv) == 1
-        assert capfd.readouterr() == ("", "engine error: eigenvalue solve did not converge\n")
 
 
 class TestSolveFixedPoint:

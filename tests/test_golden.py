@@ -1,7 +1,11 @@
 """Golden CLI corpus: refactors below the CLI must not move a single byte.
 
 Each case is an argv whose stdout is stored under tests/golden/<name>.txt.
-run, sweep and compare output must match byte for byte.  conjecture-check
+run, sweep and compare output must match byte for byte.  Every engine value
+in them (x, y, z, residual, trace_distance) is printed with 12 fixed
+decimals, so a kernel that reaches a value by another route, a last bit
+apart, prints the same bytes; alpha2 and theta are printed by repr.  Each
+file's fields are checked against that rule here too.  conjecture-check
 prints a max_delta that depends on floating-point summation order, so it is
 compared field by field: identical status, degenerate and summary fields,
 and each max_delta within 1e-12 of the stored value.
@@ -17,6 +21,7 @@ import contextlib
 import io
 import math
 import pathlib
+import re
 import sys
 
 import pytest
@@ -109,6 +114,40 @@ def cli_stdout(argv: list[str]) -> str:
 def test_cli_output_is_byte_identical(name):
     expected = (GOLDEN / f"{name}.txt").read_text()
     assert cli_stdout(CASES[name]) == expected
+
+
+ENGINE_FIELDS = ("x", "y", "z", "residual", "trace_distance")
+FIXED_FIELD = re.compile(r"-?\d+\.\d{12}")
+STATUS_TOKENS = ("", "singular", "divergent", "unsupported")
+
+
+def golden_records(name: str) -> list[dict[str, str]]:
+    """The records of a golden file, each a dict of its field strings, read
+    in the format its argv names."""
+    lines = (GOLDEN / f"{name}.txt").read_text().splitlines()
+    argv = CASES[name]
+    fmt = argv[argv.index("--format") + 1]
+    if fmt == "records":
+        return [dict(cell.split("=", 1) for cell in line.split(" ")) for line in lines]
+    header, *rows = lines
+    if fmt == "csv":
+        return [dict(zip(header.split(","), row.split(","), strict=True)) for row in rows]
+    starts = [word.start() for word in re.finditer(r"\S+", header)] + [None]
+    return [{key: row[a:b].strip() for key, a, b in zip(header.split(), starts, starts[1:])}
+            for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_fields_follow_the_printing_rule(name):
+    records = golden_records(name)
+    assert records
+    for record in records:
+        for key in ENGINE_FIELDS:
+            field = record[key]
+            assert field in STATUS_TOKENS or FIXED_FIELD.fullmatch(field), (key, field)
+            assert field != "-0.000000000000"
+        for key in ("alpha2", "theta"):
+            assert repr(float(record[key])) == record[key]
 
 
 def _fields(line: str) -> dict[str, str]:

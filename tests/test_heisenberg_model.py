@@ -254,7 +254,7 @@ class TestEvaluateExpectation:
             evaluate_expectation(W.single(0, L.X, ipow=1), PureStateParams.from_alpha2(1.0), ORTHO)
 
     @given(st.integers(0, 1), st.floats(0.02, 0.98), st.floats(0, 6.28))
-    @settings(max_examples=200)
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     def test_values_bounded(self, sign, alpha2, theta):
         p = PureStateParams.from_alpha2(alpha2, theta)
         for text in ("Z X' Z''", "Z Z'", "Z Y' X'' X'''...", "X' X'' X'''...", "Y''"):

@@ -14,7 +14,6 @@ from ctcsim.qlinalg import (
     BlochVector,
     CNOT,
     CZ,
-    EngineError,
     HADAMARD,
     I2,
     I4,
@@ -34,7 +33,7 @@ from ctcsim.qlinalg import (
     bloch_coordinates,
     conjugate,
     density_from_bloch,
-    hermitian_eigenvalues,
+    hermitian_spectrum,
     partial_trace_first,
     partial_trace_second,
     pauli_transfer,
@@ -44,7 +43,6 @@ from ctcsim.qlinalg import (
     trace_distance,
 )
 from helpers import (
-    PoisonedEigensolve,
     assert_density_entries,
     bloch_coordinates_entries,
     bloch_from_density,
@@ -440,15 +438,17 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("n", REWRITE_SIZES)
     def test_partial_traces_match_einsum(self, n):
-        # einsum sums from +0.0, so -0.0 + -0.0 gives +0.0: the all -0.0 stack
+        # equal values, up to the sign of a zero: einsum sums from +0.0, so
+        # -0.0 + -0.0 gives +0.0 where the plain sum keeps -0.0 (the all -0.0 stack)
         rng = np.random.default_rng(n)
         noise = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
         mixed = np.array([random_density(rng) for _ in range(n)]).reshape(n, 2, 2)
         stacks = (with_signed_zeros(rng, noise), np.full((n, 4, 4), complex(-0.0, -0.0)),
                   tensor(prepared_grid(n), mixed), noise.reshape(-1, 1, 4, 4))
         for m in (*stacks, *(s[0] for s in stacks if n)):
-            assert same_bits(partial_trace_first(m), partial_trace_first_einsum(m))
-            assert same_bits(partial_trace_second(m), partial_trace_second_einsum(m))
+            for got, want in ((partial_trace_first(m), partial_trace_first_einsum(m)),
+                              (partial_trace_second(m), partial_trace_second_einsum(m))):
+                assert got.shape == want.shape and np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", REWRITE_SIZES)
     def test_tensor_matches_broadcast_shape(self, n):
@@ -518,43 +518,94 @@ class TestReductions:
             assert bool(any_above(x, bound)) == bool((x > bound).any())
 
 
+# The closed-form eigenvalues s -+ h of a hermitian 2x2 (hermitian_spectrum)
+# hold to EIG_RTOL of the matrix's spectral norm, and to EIG_ATOL more for
+# subnormal entries, against the reference np.linalg.eigvalsh.
+EIG_RTOL = 8 * np.finfo(float).eps
+EIG_ATOL = 1e-321
+# Parts of the hermitian entries: signed zeros, subnormals, ordinary values
+# and huge ones, below 1e300 so that a + d cannot overflow.
+SPECTRUM_PARTS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.2e-308]),
+    st.floats(1e-300, 1e-200).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(1e200, 1e300).flatmap(lambda x: st.sampled_from([x, -x])))
+
+
+@st.composite
+def hermitian_stacks(draw) -> np.ndarray:
+    """A stack of 1, 2, 3 or 101 hermitian 2x2s, each drawn part by part."""
+    n = draw(st.sampled_from([1, 2, 3, 101]))
+    parts = np.array(draw(st.lists(st.tuples(*[SPECTRUM_PARTS] * 4), min_size=n, max_size=n)))
+    m = np.empty((n, 2, 2), dtype=complex)
+    m[:, 0, 0], m[:, 1, 1] = parts[:, 0], parts[:, 1]
+    m[:, 1, 0] = parts[:, 2] + 1j * parts[:, 3]
+    m[:, 0, 1] = m[:, 1, 0].conj()
+    return m
+
+
+def assert_spectrum_matches_eigvalsh(m: np.ndarray) -> None:
+    s, h = hermitian_spectrum(m)
+    want = np.linalg.eigvalsh(m)
+    got = np.stack([s - h, s + h], axis=-1)
+    bound = EIG_RTOL * np.max(np.abs(want), axis=-1, initial=0.0) + EIG_ATOL
+    assert got.shape == want.shape
+    assert (np.abs(got - want).max(axis=-1, initial=0.0) <= bound).all()
+
+
 class TestEigensolve:
-    """hermitian_eigenvalues binds numpy's private eigvalsh kernel; these tests
-    pin it to the public np.linalg.eigvalsh, so a numpy that renames or
-    changes the kernel fails here."""
+    """hermitian_spectrum's closed form against the public np.linalg.eigvalsh."""
+
+    @given(hermitian_stacks())
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    def test_closed_form_property(self, m):
+        # within the bound, and each matrix's (s, h) has the same bits alone as in its stack
+        assert_spectrum_matches_eigvalsh(m)
+        s, h = hermitian_spectrum(m)
+        for i in range(len(m)):
+            s_alone, h_alone = hermitian_spectrum(m[i:i + 1])
+            assert same_bits(s[i:i + 1], s_alone) and same_bits(h[i:i + 1], h_alone)
 
     @pytest.mark.parametrize("n", REWRITE_SIZES)
     def test_matches_eigvalsh(self, n):
         rng = np.random.default_rng(n)
         g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
         hermitian = g + g.conj().swapaxes(-1, -2)
-        four = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
-        stacks = (hermitian, with_signed_zeros(rng, hermitian), g, four,
-                  prepared_grid(n) - I2 / 2)
+        stacks = (hermitian, with_signed_zeros(rng, hermitian), prepared_grid(n) - I2 / 2)
         for m in (*stacks, *(s[0] for s in stacks if n)):
-            got, want = hermitian_eigenvalues(m), np.linalg.eigvalsh(m)
-            assert got.dtype == want.dtype and same_bits(got, want)
+            assert_spectrum_matches_eigvalsh(m)
 
     def test_trace_distance_matches_eigvalsh(self, rng):
-        for _ in range(200):
-            rho, sigma = random_density(rng), random_density(rng)
-            assert trace_distance(rho, sigma) == trace_distance_eigvalsh(rho, sigma)
+        # two density matrices are at most 1 apart, so the bound is absolute
         grid = prepared_grid(101)
-        for rho, sigma in zip(grid, conjugate(HADAMARD, grid)):
-            assert trace_distance(rho, sigma) == trace_distance_eigvalsh(rho, sigma)
+        pairs = [*((random_density(rng), random_density(rng)) for _ in range(200)),
+                 *zip(grid, conjugate(HADAMARD, grid))]
+        for rho, sigma in pairs:
+            gap = trace_distance(rho, sigma) - trace_distance_eigvalsh(rho, sigma)
+            assert abs(gap) <= EIG_RTOL
 
-    def test_failure_is_an_engine_error(self, monkeypatch):
-        monkeypatch.setattr(qlinalg, "_umath_linalg", PoisonedEigensolve)
-        with pytest.raises(EngineError, match="eigenvalue solve did not converge"):
-            hermitian_eigenvalues(np.stack([I2, I2]))
-        with pytest.raises(EngineError, match="eigenvalue solve did not converge"):
-            trace_distance(I2 / 2, I2 / 2)
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 2, 2), (2,), (2, 3)])
+    def test_trace_distance_refuses_a_shape(self, shape):
+        other = np.zeros(shape, complex)
+        for pair in ((other, I2 / 2), (I2 / 2, other), (other, other)):
+            with pytest.raises(QlinalgError, match="two finite 2x2 matrices"):
+                trace_distance(*pair)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_trace_distance_refuses_a_non_finite_entry(self, value):
+        # any entry, the upper off-diagonal one too, which the closed form does not read
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            rho = I2 / 2
+            rho[i, j] = value
+            for pair in ((rho, I2 / 2), (I2 / 2, rho), (rho, rho)):
+                with pytest.raises(QlinalgError, match="finite"):
+                    trace_distance(*pair)
 
 
 class TestPrivateKernels:
     SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-    @pytest.mark.parametrize("kernel", ["lstsq", "eigvalsh_lo"])
+    @pytest.mark.parametrize("kernel", ["lstsq"])
     def test_missing_kernel_is_one_import_error(self, kernel):
         code = f"from numpy.linalg import _umath_linalg; del _umath_linalg.{kernel}; import ctcsim"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
