@@ -111,7 +111,7 @@ class DBBatch(Record):
 
     def __getitem__(self, n: int) -> DBRun:
         return DBRun(self.output[n], BlochVector(*self.bloch[n].tolist()),
-                     self.residual[n].item(), self.degenerate[n].item())
+                     self.residual.item(n), self.degenerate.item(n))
 
 
 def interaction_transfer(u: Mat4) -> np.ndarray:

@@ -176,7 +176,7 @@ class HeisenbergBatch(Record):
     def __getitem__(self, n: int) -> HeisenbergResult:
         statuses = {axis: s[n] for axis, s in self.statuses.items()}
         return HeisenbergResult(
-            {axis: v[n].item() if statuses[axis] == "ok" else None
+            {axis: v.item(n) if statuses[axis] == "ok" else None
              for axis, v in self.values.items()}, statuses)
 
 

@@ -287,15 +287,20 @@ class Preparations(Record):
 
 
 class BlochVector(ValueRecord):
+    """A point of the Bloch ball: three finite coordinates of norm at most 1,
+    up to BLOCH_ATOL.  A NaN or infinite coordinate makes the norm NaN or
+    infinite, which is refused too."""
+
     _fields = ("rx", "ry", "rz")
 
     def __init__(self, rx: float, ry: float, rz: float) -> None:
         vars(self).update(rx=rx, ry=ry, rz=rz)
-        if self.norm() > 1.0 + BLOCH_ATOL:
-            raise QlinalgError(f"Bloch vector norm {self.norm()!r} exceeds 1")
+        norm = self.norm()
+        if not norm <= 1.0 + BLOCH_ATOL:  # NaN fails too
+            raise QlinalgError(f"Bloch vector norm {norm!r} exceeds 1")
 
     def norm(self) -> float:
-        return math.sqrt(self.rx**2 + self.ry**2 + self.rz**2)
+        return math.hypot(self.rx, self.ry, self.rz)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.rx, self.ry, self.rz)
@@ -480,7 +485,11 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of rho - sigma, two finite 2x2 matrices whose
     difference is hermitian.  Its eigenvalues are s - h and s + h
-    (hermitian_spectrum), so half the sum of their moduli is max(|s|, h)."""
+    (hermitian_spectrum), so half the sum of their moduli is max(|s|, h).
+
+    This is the dense oracle: scenario.verdict reads the same distance off
+    two Bloch vectors, and the tests compare its value against this one.
+    """
     rho, sigma = np.asarray(rho), np.asarray(sigma)
     ok = rho.shape == sigma.shape == (2, 2) and np.isfinite(rho) & np.isfinite(sigma)
     if not np.logical_and.reduce(ok, axis=None):

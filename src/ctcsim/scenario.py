@@ -232,6 +232,15 @@ def verdict(db_run: DBRun, heis: HeisenbergResult) -> ComparisonReport:
     agree requires every Bloch component within COMPARISON_ATOL and neither a
     singular Heisenberg component nor a degenerate fixed point; diverge marks
     a clean numeric disagreement.
+
+    The trace distance is read off the two Bloch vectors r and r' alone.
+    With d = r - r', rho - sigma = (d . sigma) / 2 is traceless and squares
+    to |d|^2 I / 4, so its eigenvalues are +-|d| / 2, and T, half the sum of
+    their moduli, is |d| / 2 (math.hypot, which neither overflows nor
+    underflows).  No matrix is built and no spectrum read.
+    qlinalg.trace_distance, the dense oracle, gives the same value from the
+    two matrices, and tests/test_scenario.py pins the two against each
+    other.  Both vectors are BlochVectors, so finite and in the ball.
     """
     flags: list[str] = []
     if db_run.degenerate:
@@ -239,9 +248,11 @@ def verdict(db_run: DBRun, heis: HeisenbergResult) -> ComparisonReport:
     if not heis.all_ok:
         flags.append("singular")
         return ComparisonReport(db_run, heis, None, None, tuple(flags))
-    hb = heis.bloch()
-    delta = max(abs(a - b) for a, b in zip(db_run.bloch.as_tuple(), hb.as_tuple()))
-    tdist = qlinalg.trace_distance(db_run.output, qlinalg.density_from_bloch(hb))
+    r, c = db_run.bloch, heis.components
+    hb = BlochVector(c["x"], c["y"], c["z"])  # heis.bloch(), its all_ok known true
+    d = (r.rx - hb.rx, r.ry - hb.ry, r.rz - hb.rz)
+    delta = max(map(abs, d))
+    tdist = 0.5 * math.hypot(*d)
     if delta < COMPARISON_ATOL and not db_run.degenerate:
         flags.append("agree")
     elif delta >= COMPARISON_ATOL:

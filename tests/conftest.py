@@ -1,7 +1,19 @@
 import gc
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
+
+
+def pytest_configure(config):
+    """Keep hypothesis's own caches (its constants and character tables),
+    which it writes from collection on, in a directory that lives as long as
+    the session, not in a .hypothesis/ of the working directory."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    config.add_cleanup(lambda: set_hypothesis_home_dir(None))
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture

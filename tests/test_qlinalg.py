@@ -263,6 +263,17 @@ class TestBlochAndMetrics:
         with pytest.raises(QlinalgError):
             BlochVector(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("coordinates", [
+        (math.nan, 0.0, 0.0), (0.0, 0.0, math.nan), (math.inf, math.nan, 0.0),
+        (0.0, -math.inf, 0.0), (1e200, 0.0, 0.0)])
+    def test_non_finite_or_huge_vector_rejected(self, coordinates):
+        # a NaN norm is not above 1 either, and 1e200 ** 2 overflows a float
+        with pytest.raises(QlinalgError, match="Bloch vector norm"):
+            BlochVector(*coordinates)
+
+    def test_boundary_vector_accepted(self):
+        assert BlochVector(1.0 + qlinalg.BLOCH_ATOL, 0.0, 0.0).norm() == 1.0 + qlinalg.BLOCH_ATOL
+
     def test_trace_distance_orthogonal(self):
         rho0 = np.outer(KET0, KET0)
         rho1 = np.outer(KET1, KET1)

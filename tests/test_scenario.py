@@ -5,10 +5,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from ctcsim import cli, db_model, scenario
+from ctcsim import cli, db_model, qlinalg, scenario
 from ctcsim.db_model import DBRun, solve_fixed_point
-from ctcsim.heisenberg_model import TimeDistribution
-from ctcsim.qlinalg import CNOT, CZ, PAULI_BY_NAME, PureStateParams, QlinalgError, SWAP
+from ctcsim.heisenberg_model import HeisenbergResult, TimeDistribution
+from ctcsim.qlinalg import (
+    BlochVector, CNOT, CZ, PAULI_BY_NAME, PureStateParams, QlinalgError, SWAP, density_from_bloch)
 from ctcsim.scenario import (
     BlockSpec,
     CircuitSpec,
@@ -390,6 +391,87 @@ def test_compare_corpus_is_byte_identical():
     assert len(got) == len(expected) == 60
     for g, e in zip(got, expected):
         assert g == e
+
+
+# -- the verdict's Bloch-vector trace distance against the dense oracle -------
+
+
+def random_circuit_specs(seed: int, per_depth: int) -> list[CircuitSpec]:
+    """per_depth seeded one-block and two-block circuits of random Cliffords
+    (cli._random_clifford, as conjecture-check draws them), each with random
+    local gates and a random preparation."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for depth in (1, 2):
+        for _ in range(per_depth):
+            blocks = [BlockSpec(SWAP @ cli._random_clifford(rng)) for _ in range(depth)]
+            local_names = [LOCAL_NAMES[i] for i in rng.integers(len(LOCAL_NAMES), size=depth + 1)]
+            specs.append(spec_with(blocks, local_names, PureStateParams.from_alpha2(
+                float(rng.uniform(0.0, 1.0)), float(rng.uniform(-math.pi, math.pi)))))
+    return specs
+
+
+def assert_verdict_matches_the_dense_oracle(report: scenario.ComparisonReport,
+                                            slack: float = 0.0) -> None:
+    """The trace distance is within 1e-15 + slack of the dense oracle's, the
+    density-matrix engine's output against the Heisenberg Bloch vector's
+    state; delta is the largest Bloch-component gap, and agree and diverge
+    follow it against COMPARISON_ATOL, agree only on a non-degenerate fixed
+    point.  A singular Heisenberg component leaves both numbers out."""
+    assert ("degenerate" in report.flags) == report.db.degenerate
+    if not report.heisenberg.all_ok:
+        assert report.trace_distance is report.max_component_delta is None
+        assert "singular" in report.flags
+        return
+    hb = report.heisenberg.bloch()
+    dense = qlinalg.trace_distance(report.db.output, density_from_bloch(hb))
+    assert abs(report.trace_distance - dense) <= 1e-15 + slack
+    gaps = [abs(a - b) for a, b in zip(report.db.bloch.as_tuple(), hb.as_tuple())]
+    assert report.max_component_delta == max(gaps)
+    close = report.max_component_delta < scenario.COMPARISON_ATOL
+    assert ("agree" in report.flags) == (close and not report.db.degenerate)
+    assert ("diverge" in report.flags) == (not close)
+
+
+@pytest.mark.parametrize("gap, degenerate, flags", [
+    (scenario.COMPARISON_ATOL, False, ("diverge",)),
+    (math.nextafter(scenario.COMPARISON_ATOL, 0.0), False, ("agree",)),
+    (math.nextafter(scenario.COMPARISON_ATOL, 0.0), True, ("degenerate",)),
+    (0.6, True, ("degenerate", "diverge")),
+])
+def test_verdict_on_either_side_of_the_tolerance(gap, degenerate, flags):
+    # a gap of exactly COMPARISON_ATOL diverges; the distance is half the gap
+    r_db = BlochVector(gap, 0.0, 0.0)
+    db = DBRun(density_from_bloch(r_db), r_db, 0.0, degenerate)
+    heis = HeisenbergResult({"x": 0.0, "y": 0.0, "z": 0.0}, dict.fromkeys("xyz", "ok"))
+    r = scenario.verdict(db, heis)
+    assert r.flags == flags
+    assert r.max_component_delta == gap and r.trace_distance == gap / 2
+    assert_verdict_matches_the_dense_oracle(r)
+
+
+def test_verdict_matches_the_dense_oracle_on_the_corpus():
+    flags = set()
+    for name, alpha2, theta in corpus_preparations():
+        r = compare(named_scenario(name, PureStateParams.from_alpha2(alpha2, theta)))
+        assert_verdict_matches_the_dense_oracle(r)
+        flags.update(r.flags)
+    assert flags == {"agree", "diverge", "singular", "degenerate"}
+
+
+def test_verdict_matches_the_dense_oracle_on_random_circuits():
+    # The dense oracle also reads the output's own departure from a state:
+    # half its trace's deviation from 1, and the lower triangle of a matrix
+    # that is hermitian only to rounding.  The Bloch vector reads neither.
+    # Those reach 1.3e-15 on these circuits, and explain all of the gap.
+    flags = set()
+    for spec in random_circuit_specs(seed=2007, per_depth=200):
+        r = compare(spec)
+        out = r.db.output
+        slack = abs(out.trace().real - 1.0) / 2 + np.max(np.abs(out - out.conj().T))
+        assert_verdict_matches_the_dense_oracle(r, slack)
+        flags.update(r.flags)
+    assert flags == {"agree", "diverge", "singular", "degenerate"}
 
 
 if __name__ == "__main__":
