@@ -289,7 +289,9 @@ class Preparations(Record):
 class BlochVector(ValueRecord):
     """A point of the Bloch ball: three finite coordinates of norm at most 1,
     up to BLOCH_ATOL.  A NaN or infinite coordinate makes the norm NaN or
-    infinite, which is refused too."""
+    infinite, which is refused too.  The norm is taken with the operations
+    bloch_coordinates uses on a stack, in the same order, so a row that
+    passed that check passes this one."""
 
     _fields = ("rx", "ry", "rz")
 
@@ -300,7 +302,7 @@ class BlochVector(ValueRecord):
             raise QlinalgError(f"Bloch vector norm {norm!r} exceeds 1")
 
     def norm(self) -> float:
-        return math.hypot(self.rx, self.ry, self.rz)
+        return math.sqrt(self.rx * self.rx + self.ry * self.ry + self.rz * self.rz)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.rx, self.ry, self.rz)

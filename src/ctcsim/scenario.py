@@ -248,8 +248,7 @@ def verdict(db_run: DBRun, heis: HeisenbergResult) -> ComparisonReport:
     if not heis.all_ok:
         flags.append("singular")
         return ComparisonReport(db_run, heis, None, None, tuple(flags))
-    r, c = db_run.bloch, heis.components
-    hb = BlochVector(c["x"], c["y"], c["z"])  # heis.bloch(), its all_ok known true
+    r, hb = db_run.bloch, heis.bloch()
     d = (r.rx - hb.rx, r.ry - hb.ry, r.rz - hb.rz)
     delta = max(map(abs, d))
     tdist = 0.5 * math.hypot(*d)

@@ -1,4 +1,5 @@
 import gc
+import os
 import tempfile
 
 import numpy as np
@@ -9,7 +10,11 @@ from hypothesis.configuration import set_hypothesis_home_dir
 def pytest_configure(config):
     """Keep hypothesis's own caches (its constants and character tables),
     which it writes from collection on, in a directory that lives as long as
-    the session, not in a .hypothesis/ of the working directory."""
+    the session, not in a .hypothesis/ of the working directory.  Where
+    HYPOTHESIS_STORAGE_DIRECTORY is set, hypothesis uses that directory and
+    this hook leaves it alone: an explicit home would override it."""
+    if os.environ.get("HYPOTHESIS_STORAGE_DIRECTORY"):
+        return
     home = tempfile.TemporaryDirectory(prefix="hypothesis-")
     config.add_cleanup(home.cleanup)
     config.add_cleanup(lambda: set_hypothesis_home_dir(None))

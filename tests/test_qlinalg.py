@@ -267,7 +267,7 @@ class TestBlochAndMetrics:
         (math.nan, 0.0, 0.0), (0.0, 0.0, math.nan), (math.inf, math.nan, 0.0),
         (0.0, -math.inf, 0.0), (1e200, 0.0, 0.0)])
     def test_non_finite_or_huge_vector_rejected(self, coordinates):
-        # a NaN norm is not above 1 either, and 1e200 ** 2 overflows a float
+        # a NaN norm is not above 1 either, and 1e200 * 1e200 is inf
         with pytest.raises(QlinalgError, match="Bloch vector norm"):
             BlochVector(*coordinates)
 
