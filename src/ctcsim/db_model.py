@@ -8,28 +8,26 @@ Given a solution, the free qubit leaves in Tr_2[U (rho_in x rho) U^dag].
 Because rho depends on rho_in, the composed input -> output map is a
 nonlinear (and generally non-unitary) function of the input state.
 
-Two solvers cross-check each other: plain iteration of the loop map from
-the maximally mixed state, and a direct linear solve of the Bloch-space
-action, read off the gate's Pauli transfer matrix (as is the Heisenberg
-tableau) and checked by one dense trip around the loop.  When the fixed
-subspace has dimension > 1 the solvers return the maximum-entropy fixed
-point (minimum Bloch norm) and flag the degeneracy rather than silently
-picking a representative.
+A qubit's state is its Pauli traces a = (1, r), r its Bloch vector, and
+both maps are bilinear in (a_in, (1, r)), with coefficients read off U's
+Pauli transfer matrix (as is the Heisenberg tableau): block_slices holds the
+two slices they read, checked once against the dense trip around the loop.
+Two solvers cross-check each other: plain iteration of the dense loop map
+from the maximally mixed state, and a direct linear solve of the
+Bloch-space action.  When the fixed subspace has dimension > 1 the solvers
+return the maximum-entropy fixed point (minimum Bloch norm) and flag the
+degeneracy rather than silently picking a representative.
 
 The direct solve runs on stacks of states: solve_chain_batch threads N
-preparations through a chain in one pass, with every check applied to
-every state.  The conjugations by the local gates and by U are two flat
-products each (qlinalg.conjugate), the fixed points one stacked
-least-squares call and each density check one product, whose Pauli traces
-are the solve's loop inputs and, at the end, the outputs' Bloch vectors;
-the printed residual reads each state's eigenvalues in closed form
-(qlinalg.hermitian_spectrum).  A local gate given as None is the identity
-and is not applied, which saves the three numpy calls a conjugation of a
-one-state stack makes; the outputs are bit for bit those of conjugating by
-I2 (tests/test_db_model.py pins them against that chain).  solve_chain and
-solve_fixed_point(method="eigen") are its one-state case for direct
-callers, and apply every local gate they are given.  The iteration stays
-scalar, as the independent oracle.
+preparations through a chain in one pass, as their (N, 4) Pauli traces from
+Preparations.pauli_expectations to the output, with every check applied to
+every state.  A local gate acts by its real 4x4 transfer matrix (None, an
+identity, is not applied); a block is one affine build, one stacked
+least-squares call and one contraction with the output slice.  Density
+matrices are built once, from the outputs' Bloch vectors.  solve_chain and
+solve_fixed_point are its one-state case for direct callers, and apply
+every local gate they are given.  The iteration stays scalar and dense, as
+the independent oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +38,10 @@ import numpy as np
 
 from .qlinalg import (
     ATOL_SOLVER,
+    ATOL_STRUCT,
     BLOCH_ATOL,
+    PAULI_PAIRS,
+    PAULIS,
     BlochVector,
     DensityMatrix,
     EngineError,
@@ -116,7 +117,7 @@ class DBBatch(Record):
 
 def interaction_transfer(u: Mat4) -> np.ndarray:
     """The Pauli transfer matrix R of the interaction U, U checked to be a
-    two-qubit unitary first: a block's one compile, from which loop_slice
+    two-qubit unitary first: a block's one compile, from which block_slices
     and timed_pauli.tableau_from_transfer each read what their engine needs."""
     if np.shape(u) != (4, 4):
         raise ValueError("interaction must be a two-qubit gate")
@@ -124,31 +125,42 @@ def interaction_transfer(u: Mat4) -> np.ndarray:
     return pauli_transfer(u)
 
 
-def loop_slice(transfer: np.ndarray) -> np.ndarray:
-    """The slice of U's Pauli transfer matrix R that the loop map reads.
+def block_slices(u: Mat4, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two slices of U's Pauli transfer matrix R that a block reads, read-only.
 
-    loop[i, l, j] = R[0l, ij] for l = x, y, z: the trapped qubit's l
-    coordinate after U acts on s_i x s_j, held with i first so that
-    _bloch_affine sums over it in whole contiguous (l, j) blocks.  Read-only.
+    loop[i, l, j] = R[0l, ij] for l = x, y, z is the trapped qubit's l
+    coordinate after U acts on s_i x s_j, and out[i, k, j] = R[k0, ij] for
+    k = 0..3 the free qubit's k-th Pauli trace; both are held with i first
+    so that _bloch_affine sums over it in whole contiguous blocks.  Both are
+    checked once against the dense loop trip, the Pauli traces of the two
+    partial traces of U (s_i x s_j) U^dag over 4, within ATOL_STRUCT.
     """
     loop = np.ascontiguousarray(transfer[0, 1:].transpose(1, 0, 2))
-    loop.flags.writeable = False
-    return loop
+    out = np.ascontiguousarray(transfer[:, 0].transpose(1, 0, 2))
+    images = conjugate(u, PAULI_PAIRS)
+    halves = np.stack([partial_trace_first(images), partial_trace_second(images)])
+    dense = np.einsum("kab,mijba->mikj", PAULIS, halves).real / 4
+    dev = np.max([np.max(np.abs(loop - dense[0, :, 1:])), np.max(np.abs(out - dense[1]))])
+    if not dev <= ATOL_STRUCT:  # NaN fails too
+        raise FixedPointError(f"transfer slices miss the dense loop trip by {dev:.3e}",
+                              residual=dev.item())
+    loop.flags.writeable = out.flags.writeable = False
+    return loop, out
 
 
-def loop_transfer(u: Mat4) -> np.ndarray:
-    """The loop slice of the interaction U, checked unitary."""
-    return loop_slice(interaction_transfer(u))
-
-
-def _joint(u: Mat4, rho_in: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """U (rho_in x rho) U^dag, for single states or stacks of them."""
-    return conjugate(u, tensor(rho_in, rho))
+def local_transfer(g: Mat2) -> np.ndarray:
+    """The real 4x4 transfer matrix T[k, i] = Tr[s_k g s_i g^dag] / 2 of the
+    one-qubit gate g, checked unitary, read-only: g rho g^dag has the Pauli
+    traces T a of rho's a."""
+    assert_unitary(g)
+    t = np.ascontiguousarray(pauli_transfer(tensor(g, I2))[:, 0, :, 0])
+    t.flags.writeable = False
+    return t
 
 
 def ctc_map(u: Mat4, rho_in: DensityMatrix, rho: DensityMatrix) -> DensityMatrix:
     """One trip around the loop: Tr_1[U (rho_in x rho) U^dag]."""
-    return partial_trace_first(_joint(u, rho_in, rho))
+    return partial_trace_first(conjugate(u, tensor(rho_in, rho)))
 
 
 def _spectral_norm_herm(m: np.ndarray) -> np.ndarray:
@@ -157,18 +169,18 @@ def _spectral_norm_herm(m: np.ndarray) -> np.ndarray:
     return np.abs(s) + h
 
 
-def _bloch_affine(loop: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The loop map as r -> M r + c on Bloch coordinates (it is trace preserving).
+def _bloch_affine(coeffs: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block slice as the affine map r -> M r + c on Bloch coordinates.
 
-    a holds the input's Pauli traces Tr[s_i rho_in], i = 0..3, as
-    assert_density returns them: a = (1, r_in).  The trapped qubit's
-    coordinates leave as sum_ij loop[i, l, j] a_i b_j for b = (1, r), so
-    M[l, j] = sum_i loop[i, l, j] a_i and c[l] = sum_i loop[i, l, 0] a_i.
-    a may be one state's or a stack's, and the sum runs over i in order for
-    every row alike.
+    a holds the input's Pauli traces Tr[s_i rho_in], i = 0..3, a = (1, r_in).
+    A slice of block_slices maps a state b = (1, r) to the coordinates
+    sum_ij coeffs[i, l, j] a_i b_j, so M[l, j] = sum_i coeffs[i, l, j] a_i and
+    c[l] = sum_i coeffs[i, l, 0] a_i: the loop map (the loop slice, which is
+    trace preserving) or the block output (the output slice).  a may be one
+    state's or a stack's, and the sum runs over i in order for every row alike.
     """
-    # affine[..., l, j] = ((0.0 + a_0 loop[0, l, j]) + a_1 loop[1, l, j]) + ...
-    affine = np.add.reduce(a[..., :, None, None] * loop, axis=-3, initial=0.0)
+    # affine[..., l, j] = ((0.0 + a_0 coeffs[0, l, j]) + a_1 coeffs[1, l, j]) + ...
+    affine = np.add.reduce(a[..., :, None, None] * coeffs, axis=-3, initial=0.0)
     return affine[..., 1:], affine[..., 0]
 
 
@@ -184,24 +196,30 @@ def _stacked_lstsq(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return least_squares(a, c, DEGENERACY_TOL)
 
 
-def _solve_eigen(loop: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _residuals(a: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """|a r - c| / 2 for each row of a stack, a = I - M: the spectral norm of
+    what one trip around the loop moves the matrix of the state r by."""
+    miss = (a @ r[..., None])[..., 0] - c
+    return 0.5 * np.sqrt(np.add.reduce(miss * miss, axis=-1))
+
+
+def _solve_system(m: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     """Direct solve of (I - M) r = c for each state of a stack, given the
-    Pauli traces of the loop inputs.
+    loop map r -> M r + c: the fixed points' Bloch vectors, the degeneracy
+    flags and the residuals.
 
     The least-squares solve returns the minimum-norm solution on rank
     deficiency, which is the maximum-entropy fixed point for a qubit
     (entropy decreases with |r|).
     """
-    m, c = _bloch_affine(loop, traces)
     a = _I3 - m
     r, rank, svals = _stacked_lstsq(a, c)
     # gelsd gives the singular values in descending order
     degenerate = (rank < 3) | (svals[..., 2] < DEGENERACY_TOL * np.maximum(svals[..., 0], 1.0))
-    miss = (a @ r[..., None])[..., 0] - c
-    gap = np.sqrt(np.add.reduce(miss * miss, axis=-1))
-    if any_above(gap, 1e-8):
+    residual = _residuals(a, c, r)
+    if any_above(residual, 0.5e-8):  # |a r - c| > 1e-8
         raise FixedPointError("consistency equation admits no solution (numerical)",
-                              residual=gap[np.argmax(gap > 1e-8)].item())
+                              residual=residual[np.argmax(residual > 0.5e-8)].item())
     norm = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])  # as np.linalg.norm of one row
     if any_above(norm, 1.0):
         if any_above(norm, 1.0 + BLOCH_ATOL):
@@ -210,21 +228,26 @@ def _solve_eigen(loop: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, np.n
                                   residual=worst - 1.0)
         spill = norm > 1.0  # float spill just past the sphere
         r[spill] = r[spill] / norm[spill, None]
-    return density_from_bloch(r), degenerate
+        residual = _residuals(a, c, r)
+    return r, degenerate, residual
 
 
-def _close_loop(u: Mat4, rho_in: np.ndarray, rho: np.ndarray,
-                tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Check each fixed point by one dense trip around the loop; return the
-    residuals and the outputs, which the same trip gives."""
-    joint = _joint(u, rho_in, rho)
-    residual = _spectral_norm_herm(partial_trace_first(joint) - rho)
+def _solve_eigen(loop: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_solve_system on the loop map of the inputs whose Pauli traces are
+    traces: a chain block's solve."""
+    return _solve_system(*_bloch_affine(loop, traces))
+
+
+def _block_output(out: np.ndarray, traces: np.ndarray, r: np.ndarray,
+                  residual: np.ndarray, tol: float) -> np.ndarray:
+    """The Pauli traces of a block's outputs, from those of its inputs and
+    its fixed points r, once every residual is checked to be within tol."""
     if any_above(residual, tol):
         worst = residual[np.argmax(residual > tol)].item()
         raise FixedPointError(f"returned state misses the fixed point by {worst:.3e}",
                               residual=worst)
-    assert_density(rho, atol=1e-9)
-    return residual, partial_trace_second(joint)
+    m, c = _bloch_affine(out, traces)
+    return c + (m @ r[..., None])[..., 0]
 
 
 def _solve_iterate(u: Mat4, rho_in: DensityMatrix, tol: float,
@@ -258,51 +281,55 @@ def solve_fixed_point(u: Mat4, rho_in: DensityMatrix, method: str = "both", *,
 
     The degeneracy flag is always computed from the linear action, whatever
     the method; a degenerate subspace yields the maximum-entropy member.
+    The output and the residual are read off the returned fixed point.
     """
     if method not in ("iterate", "eigen", "both"):
         raise ValueError(f"unknown method {method!r}")
-    loop = loop_transfer(u)
-    rho_in = np.asarray(rho_in)[None]
-    rho, degenerate = _solve_eigen(loop, assert_density(rho_in))
+    loop, out = block_slices(u, interaction_transfer(u))
+    traces = assert_density(np.asarray(rho_in)[None])
+    m, c = _bloch_affine(loop, traces)
+    r, degenerate, residual = _solve_system(m, c)
+    fixed = density_from_bloch(r[0])
     iterations = 0
     if method != "eigen":
-        rho_iter, iterations, _ = _solve_iterate(u, rho_in[0], tol, max_iters)
-        gap = float(_spectral_norm_herm(rho_iter - rho[0]))
+        rho_iter, iterations, _ = _solve_iterate(u, rho_in, tol, max_iters)
+        gap = float(_spectral_norm_herm(rho_iter - fixed))
         if method == "both" and gap > 1e-8 and not degenerate[0]:
             raise FixedPointError(
                 f"iterate and eigen solvers disagree by {gap:.3e} on a "
                 "non-degenerate fixed point", residual=gap)
         if method == "iterate":
-            rho = rho_iter[None]
-    residual, out = _close_loop(u, rho_in, rho, tol)
-    return DBSolution(fixed_point=rho[0], output=out[0], iterations=iterations,
+            fixed, r = rho_iter, assert_density(rho_iter[None], atol=1e-9)[:, 1:]
+            residual = _residuals(_I3 - m, c, r)
+    output = density_from_bloch(_block_output(out, traces, r, residual, tol)[0, 1:])
+    return DBSolution(fixed_point=fixed, output=output, iterations=iterations,
                       residual=residual[0].item(), degenerate=degenerate[0].item())
 
 
-def solve_chain_batch(blocks: Sequence[tuple[Mat4, np.ndarray]],
-                      local_gates: Sequence[Mat2 | None], preps: Preparations) -> DBBatch:
+def solve_chain_batch(blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+                      local_gates: Sequence[np.ndarray | None], preps: Preparations) -> DBBatch:
     """Thread N prepared pure states through consecutive wormhole blocks.
 
-    blocks holds each interaction U with its loop_transfer(U); local_gates
-    interleaves the blocks (before, between, after), None standing for an
-    identity that is not applied.  Each block is solved by the direct solve
-    with the current states as the loop inputs, then each state is replaced
-    by its block output.  Every check runs on every state: the states
-    entering each block are checked as density matrices whether or not a
-    local gate was applied to them, and the check's Pauli traces are the
-    solve's input.  The residual and the degeneracy flag start from the
-    first block's; a circuit with no block has zeros.
+    blocks holds each block's block_slices; local_gates interleaves the
+    blocks (before, between, after) as local_transfer matrices, None
+    standing for an identity that is not applied.  The states are their
+    Pauli traces throughout.  Every check runs on every state: each block
+    input, whether or not a local gate was applied to it, and each output,
+    before its density matrix is built, must lie in the Bloch ball to
+    within BLOCH_BALL (bloch_coordinates).  The residual and the degeneracy
+    flag start from the first block's; a circuit with no block has zeros.
     """
     if len(local_gates) != len(blocks) + 1:
         raise ValueError(
             f"need {len(blocks) + 1} local gates for {len(blocks)} blocks, got {len(local_gates)}")
-    rho = preps.density()
+    a = preps.pauli_expectations
     residual = degenerate = None
-    for gate_before, (u, loop) in zip(local_gates, blocks):
-        if gate_before is not None:
-            rho = conjugate(gate_before, rho)
-        fixed, block_degenerate = _solve_eigen(loop, assert_density(rho))
-        block_residual, rho = _close_loop(u, rho, fixed, ATOL_SOLVER)
+    for transfer, (loop, out) in zip(local_gates, blocks):
+        if transfer is not None:
+            a = a @ transfer.T
+        bloch_coordinates(a)
+        r, block_degenerate, block_residual = _solve_eigen(loop, a)
+        a = _block_output(out, a, r, block_residual, ATOL_SOLVER)
         if residual is None:
             residual, degenerate = block_residual, block_degenerate
         else:
@@ -311,15 +338,16 @@ def solve_chain_batch(blocks: Sequence[tuple[Mat4, np.ndarray]],
     if residual is None:
         residual, degenerate = np.zeros(len(preps)), np.zeros(len(preps), dtype=bool)
     if local_gates[-1] is not None:
-        rho = conjugate(local_gates[-1], rho)
-    return DBBatch(rho, bloch_coordinates(assert_density(rho)), residual, degenerate)
+        a = a @ local_gates[-1].T
+    r = bloch_coordinates(a)
+    return DBBatch(density_from_bloch(r), r, residual, degenerate)
 
 
 def solve_chain(blocks: Sequence[Mat4], local_gates: Sequence[Mat2],
                 p: PureStateParams) -> DBRun:
     """solve_chain_batch on the one state p."""
-    return solve_chain_batch([(u, loop_transfer(u)) for u in blocks], local_gates,
-                             p.batch)[0]
+    return solve_chain_batch([block_slices(u, interaction_transfer(u)) for u in blocks],
+                             [local_transfer(g) for g in local_gates], p.batch)[0]
 
 
 def run_chain(blocks: Sequence[Mat4], local_gates: Sequence[Mat2],

@@ -3,8 +3,8 @@
 Only this module wires a CircuitSpec into the two engines.  Each block is
 one interaction U, given by name or as an anonymous 4x4 matrix: the qubit
 meets its own past self through U followed by a swap.  The density-matrix
-engine conjugates with U, and the Heisenberg engine conjugates through
-U_bar = SWAP U.
+engine reads U's Pauli transfer matrix, and the Heisenberg engine conjugates
+through U_bar = SWAP U.
 
 What does not depend on the preparation depends on the circuit's blocks
 and local gates alone, so compile_circuit compiles it on first use into the
@@ -50,8 +50,9 @@ from .timed_pauli import LOCAL_TABLES, Clifford, tableau_from_transfer
 # the disagreement budget.
 COMPARISON_ATOL = 1e-9
 
-# One entry per local gate name: the matrix the density-matrix engine
-# applies, shared read-only, and the table the Heisenberg engine reads.
+# One entry per local gate name: its matrix, shared read-only, whose
+# transfer matrix the density-matrix engine applies, and the table the
+# Heisenberg engine reads.
 _LOCALS: dict[str, tuple[np.ndarray, Clifford]] = {
     name: (standard_gate(gate), LOCAL_TABLES[gate])
     for name, gate in (("i2", "I2"), ("i", "I2"), ("h", "H"),
@@ -100,12 +101,12 @@ class BlockSpec(Record):
 class Circuit(Record):
     """What both engines read of one circuit, as compile_circuit gives it.
 
-    db_blocks holds each block's (u, loop slice) and db_locals each local
-    gate's matrix, or None for an identity, which the density-matrix chain
-    does not apply (read off the local's Clifford table, as apply_local
-    skips it).  words holds each axis's back-propagated word or the status
-    that stops it, or, if a block is not Clifford, the NotCliffordError
-    that only the Heisenberg engine raises.
+    db_blocks holds each block's loop and output slices and db_locals each
+    local gate's transfer matrix, or None for an identity, which the
+    density-matrix chain does not apply (read off the local's Clifford
+    table, as apply_local skips it).  words holds each axis's
+    back-propagated word or the status that stops it, or, if a block is not
+    Clifford, the NotCliffordError that only the Heisenberg engine raises.
     """
 
     _fields = ("db_blocks", "db_locals", "words")
@@ -156,16 +157,16 @@ def compile_circuit(blocks: tuple[BlockSpec, ...], local_gates: tuple[str, ...])
     the 1,024 most recently used.
 
     Each distinct block builds U's Pauli transfer matrix once, checking U
-    unitary; its loop slice and its Clifford table are read off that matrix.
+    unitary; its two slices and its Clifford table are read off that matrix.
     """
     transfers = {block: db_model.interaction_transfer(block.u) for block in dict.fromkeys(blocks)}
     try:
         words = heisenberg_model.compile_words(heisenberg_circuit(blocks, local_gates, transfers))
     except NotCliffordError as exc:
         words = exc.with_traceback(None)
-    loops = {block: db_model.loop_slice(r) for block, r in transfers.items()}
-    return Circuit(tuple((b.u, loops[b]) for b in blocks),
-                   tuple(None if clifford.is_identity else matrix
+    slices = {block: db_model.block_slices(block.u, r) for block, r in transfers.items()}
+    return Circuit(tuple(slices[b] for b in blocks),
+                   tuple(None if clifford.is_identity else db_model.local_transfer(matrix)
                          for matrix, clifford in (_LOCALS[n.lower()] for n in local_gates)),
                    words)
 

@@ -8,13 +8,19 @@ QR-sampled unitaries.  Keep it dumb.
 import numpy as np
 
 from ctcsim import scenario
-from ctcsim.db_model import DBBatch, _close_loop, _solve_eigen
+from ctcsim.db_model import (
+    DBBatch,
+    FixedPointError,
+    _solve_eigen,
+    _spectral_norm_herm,
+    block_slices,
+    interaction_transfer,
+)
 from ctcsim.qlinalg import (
     ATOL_SOLVER,
     HADAMARD,
     I2,
     PAULI_BY_NAME,
-    PAULI_READOUT,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -23,12 +29,13 @@ from ctcsim.qlinalg import (
     BlochVector,
     Preparations,
     PureStateParams,
-    QlinalgError,
-    all_at_most,
     assert_density,
     bloch_coordinates,
     conjugate,
-    real_parts,
+    density_from_bloch,
+    partial_trace_first,
+    partial_trace_second,
+    tensor,
 )
 from ctcsim.timed_pauli import Clifford, TimedPauliWord
 
@@ -192,9 +199,8 @@ def with_signed_zeros(rng: np.random.Generator, z: np.ndarray, share: float = 0.
 # -- the forms the stacked kernels replaced, kept as bit-for-bit oracles -----
 
 
-def bloch_affine_sum(loop: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """db_model._bloch_affine as an einsum trace and a Python sum over i."""
-    a = np.einsum("iab,...ba->...i", PAULIS, rho_in).real
+def bloch_affine_sum(loop: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """db_model._bloch_affine as a Python sum over i."""
     affine = sum(a[..., i, None, None] * loop[i] for i in range(4))
     return affine[..., 1:], affine[..., 0]
 
@@ -265,56 +271,35 @@ def trace_distance_eigvalsh(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(evals)))
 
 
-def solve_chain_batch_every_local(blocks, local_gates, preps) -> DBBatch:
-    """db_model.solve_chain_batch as it was before an identity local could be
-    skipped: every local gate, I2 included, is conjugated in."""
+# -- the chain on 2x2 matrices, the reference of the chain on Pauli traces --
+
+
+def loop_transfer(u: np.ndarray) -> np.ndarray:
+    """The loop slice of the interaction U, checked unitary."""
+    return block_slices(u, interaction_transfer(u))[0]
+
+
+def solve_chain_dense(blocks, local_gates, preps) -> DBBatch:
+    """db_model.solve_chain_batch on 2x2 matrices, as it ran before it ran on
+    Pauli traces: blocks holds each interaction U and local_gates each local
+    gate's matrix.  Each state is checked as a density matrix and its Pauli
+    traces solved for the fixed point, and one dense trip around the loop
+    gives the residual and the block output."""
     rho = preps.density()
     residual = np.zeros(len(preps))
     degenerate = np.zeros(len(preps), dtype=bool)
-    for gate_before, (u, loop) in zip(local_gates, blocks):
+    for gate_before, u in zip(local_gates, blocks):
         rho = conjugate(gate_before, rho)
-        fixed, block_degenerate = _solve_eigen(loop, assert_density(rho))
-        block_residual, rho = _close_loop(u, rho, fixed, ATOL_SOLVER)
+        r, block_degenerate, _ = _solve_eigen(loop_transfer(u), assert_density(rho))
+        fixed = density_from_bloch(r)
+        joint = conjugate(u, tensor(rho, fixed))
+        block_residual = _spectral_norm_herm(partial_trace_first(joint) - fixed)
+        if (block_residual > ATOL_SOLVER).any():
+            raise FixedPointError("returned state misses the fixed point",
+                                  residual=block_residual.max())
+        assert_density(fixed, atol=1e-9)
+        rho = partial_trace_second(joint)
         residual = np.maximum(residual, block_residual)
         degenerate |= block_degenerate
     rho = conjugate(local_gates[-1], rho)
     return DBBatch(rho, bloch_coordinates(assert_density(rho)), residual, degenerate)
-
-
-def pauli_traces_readout(rho: np.ndarray) -> np.ndarray:
-    """The Pauli traces qlinalg.assert_density returns, as the readout product
-    db_model._bloch_affine and qlinalg.bloch_coordinates each made of the
-    state they were given, from +0.0 as bloch_coordinates summed them."""
-    return real_parts(rho) @ PAULI_READOUT + 0.0
-
-
-def lowest_eigenvalue_closed_form(rho: np.ndarray, trace: np.ndarray) -> np.ndarray:
-    """The smaller eigenvalue of each hermitian 2x2 in a stack, in closed form
-    from the diagonal and the lower off-diagonal entry; trace is each
-    diagonal's sum, a + d."""
-    return trace / 2 - np.hypot((rho[..., 0, 0].real - rho[..., 1, 1].real) / 2,
-                                np.abs(rho[..., 1, 0]))
-
-
-@np.errstate(invalid="ignore", over="ignore")
-def density_deviations_entries(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The hermiticity and trace deviations and the lowest eigenvalue of each
-    2x2, elementwise, as qlinalg computed them before one product read them."""
-    herm_dev = np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    trace = rho[..., 0, 0] + rho[..., 1, 1]
-    return herm_dev, np.abs(trace - 1.0), lowest_eigenvalue_closed_form(rho, trace.real)
-
-
-def assert_density_entries(rho: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """qlinalg.assert_density on density_deviations_entries, returning
-    pauli_traces_readout: the checks, their order and their messages."""
-    rho = np.asarray(rho)
-    herm_dev, tr_dev, low = density_deviations_entries(rho)
-    if not all_at_most(np.maximum(np.maximum(herm_dev, tr_dev), -low), atol):
-        for bad, values, message in (
-                (~(herm_dev <= atol), herm_dev, "density matrix not hermitian (deviation {:.3e})"),
-                (~(tr_dev <= atol), tr_dev, "density matrix trace deviates from 1 by {:.3e}"),
-                (~(low >= -atol), low, "density matrix has negative eigenvalue {:.3e}")):
-            if bad.any():
-                raise QlinalgError(message.format(values[bad].flat[0].item()))
-    return pauli_traces_readout(rho)

@@ -25,9 +25,9 @@ from ctcsim.qlinalg import PureStateParams
 # name: (Python line events in ctcsim, C calls), measured on Python 3.11.7
 # with numpy 2.4.6
 BOUNDS = {
-    "cz": (284, 119),
-    "cnot": (271, 117),
-    "chained_cnot_hadamard": (367, 188),
+    "cz": (230, 75),
+    "cnot": (217, 73),
+    "chained_cnot_hadamard": (260, 88),
 }
 PREPARATIONS = ((0.3, 0.7), (0.8, -1.1), (0.15, 2.5))
 PACKAGE = os.path.dirname(ctcsim.__file__) + os.sep

@@ -12,7 +12,6 @@ from ctcsim.db_model import (
     _spectral_norm_herm,
     _stacked_lstsq,
     ctc_map,
-    loop_transfer,
     run_chain,
     solve_chain,
     solve_fixed_point,
@@ -20,17 +19,21 @@ from ctcsim.db_model import (
 from ctcsim.qlinalg import (
     CNOT,
     CZ,
+    CtcsimError,
+    EngineError,
     HADAMARD,
     I2,
     I4,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PAULIS,
     Preparations,
     PureStateParams,
     QlinalgError,
     SWAP,
     assert_density,
+    density_from_bloch,
     trace_distance,
 )
 from helpers import (
@@ -38,11 +41,11 @@ from helpers import (
     bloch_from_density,
     ctc_map_oracle,
     local_gate,
-    pauli_traces_readout,
+    loop_transfer,
     random_density,
     random_params,
     random_unitary,
-    solve_chain_batch_every_local,
+    solve_chain_dense,
     spectral_norm_eigvalsh,
     with_signed_zeros,
 )
@@ -126,9 +129,8 @@ class TestBlochAffine:
 
     @pytest.mark.parametrize("n", [0, 1, 101])
     def test_matches_the_python_sum(self, n):
-        """One broadcast product reduced from +0.0, on the Pauli traces of the
-        readout product, against the einsum traces and the Python sum over i
-        it replaces, bit for bit, with signed zeros in both inputs."""
+        """One broadcast product reduced from +0.0 against the Python sum over
+        i it replaces, bit for bit, with signed zeros in both inputs."""
         rng = np.random.default_rng(n)
         rho = np.array([random_density(rng) for _ in range(n)]).reshape(n, 2, 2)
         noise = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
@@ -141,8 +143,8 @@ class TestBlochAffine:
         loops.append(-loops[0])  # -0.0 where the cnot loop has 0.0
         for loop in loops:
             for rho_in in (*stacks, *(s[0] for s in stacks if n)):
-                got = _bloch_affine(loop, pauli_traces_readout(rho_in))
-                for got, want in zip(got, bloch_affine_sum(loop, rho_in)):
+                a = np.einsum("iab,...ba->...i", PAULIS, rho_in).real
+                for got, want in zip(_bloch_affine(loop, a), bloch_affine_sum(loop, a)):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -231,6 +233,18 @@ class TestStackedSolve:
             assert np.shape(got) == np.shape(want)
             assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
 
+    def test_spilled_fixed_point_is_checked_where_it_lands(self, monkeypatch):
+        # a solve 5e-10 past the sphere is pulled back onto it, and the residual
+        # is that of the state it lands on: zero at cnot's pure fixed points
+        def past_the_sphere(a, c, _real=_stacked_lstsq):
+            r, rank, svals = _real(a, c)
+            return r * (1 + 5e-10), rank, svals
+
+        monkeypatch.setattr(db_model, "_stacked_lstsq", past_the_sphere)
+        for alpha2 in (0.0, 1.0):
+            spec = scenario.named_scenario("cnot", PureStateParams.from_alpha2(alpha2))
+            assert scenario.run_db(spec).residual == 0.0
+
     def test_lapack_failure_is_an_engine_error(self):
         traces = assert_density(Preparations(np.linspace(0, 1, 3), 0.0).density())
         with pytest.raises(FixedPointError, match="did not converge"):
@@ -291,6 +305,15 @@ class TestSolveFixedPoint:
             u = gates[rng.integers(len(gates))]
             sol = solve_fixed_point(u, random_params(rng).density(), method="eigen")
             assert sol.residual < 1e-10
+
+    def test_residual_is_the_dense_loop_trips(self, rng):
+        # |(I - M) r - c| / 2 read off the transfer slices, against the spectral
+        # norm of ctc_map(fixed) - fixed, on iterates that stop near tol
+        for _ in range(20):
+            u, p = random_unitary(rng, 4), random_params(rng)
+            sol = solve_fixed_point(u, p.density(), method="iterate", tol=1e-9)
+            moved = ctc_map(u, p.density(), sol.fixed_point) - sol.fixed_point
+            assert abs(sol.residual - _spectral_norm_herm(moved)) <= 16 * np.finfo(float).eps
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -354,10 +377,12 @@ class TestRunChain:
         assert np.max(np.abs(rho - p.density())) < 1e-10
 
     def test_single_block_consistent_with_direct_solve(self):
+        # the chain reads the preparation's closed-form Pauli traces, the
+        # direct solve those of its density matrix: they differ in last bits
         p = PureStateParams.from_alpha2(0.8, 0.5)
         chained = run_chain([U_CNOT_SWAP], [I2, I2], p)
         direct = solve_fixed_point(U_CNOT_SWAP, p.density()).output
-        assert np.array_equal(chained, direct)
+        assert np.max(np.abs(chained - direct)) <= 1e-15
 
     def test_local_gate_count_validated(self):
         p = PureStateParams.from_alpha2(0.5)
@@ -373,11 +398,13 @@ class TestRunChain:
         for gate, u in zip(locals_, blocks):
             sols.append(solve_fixed_point(u, gate @ rho @ gate.conj().T, method="eigen"))
             rho = sols[-1].output
+        # to 1e-15, not bit for bit: as above, and the chain applies each
+        # local by its transfer matrix, the steps here by a dense conjugation
         assert [s.degenerate for s in sols] == [False, True]
         assert run.degenerate
-        assert run.residual == max(s.residual for s in sols)
-        assert np.array_equal(run.output, PAULI_X @ rho @ PAULI_X.conj().T)
-        assert run.bloch == bloch_from_density(run.output)
+        assert abs(run.residual - max(s.residual for s in sols)) <= 1e-15
+        assert np.max(np.abs(run.output - PAULI_X @ rho @ PAULI_X.conj().T)) <= 1e-15
+        assert np.array_equal(run.output, density_from_bloch(run.bloch))  # built from it
 
 
 # Stacks that reach the signed zeros: alpha2 at 0, 1 and 1e-300 with theta
@@ -405,17 +432,17 @@ def mixed_locals_spec():
 
 class TestIdentityLocalSkipped:
     """The chain does not apply an identity local (None); its every output
-    bit is that of the chain that conjugates by I2."""
+    bit is that of the chain that applies I2's transfer matrix."""
 
     @pytest.mark.parametrize("name", [*scenario.scenario_names(), "config x i2 s"])
     def test_same_bits_as_conjugating_by_i2(self, name):
         spec = mixed_locals_spec() if name.startswith("config") else scenario.named_scenario(name)
         circuit = spec.circuit
         assert any(g is None for g in circuit.db_locals)
-        every = [local_gate(n)[0] for n in spec.local_gates]
+        every = [db_model.local_transfer(I2) if g is None else g for g in circuit.db_locals]
         for preps in identity_skip_stacks():
             got = db_model.solve_chain_batch(circuit.db_blocks, circuit.db_locals, preps)
-            want = solve_chain_batch_every_local(circuit.db_blocks, every, preps)
+            want = db_model.solve_chain_batch(circuit.db_blocks, every, preps)
             for field in ("output", "bloch", "residual", "degenerate"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert g.shape == w.shape and g.dtype == w.dtype, (field, len(preps))
@@ -427,11 +454,82 @@ class TestIdentityLocalSkipped:
         assert [g is None for g in circuit.db_locals] == [True, False, False]
 
     def test_unconjugated_state_still_checked_with_its_message(self, monkeypatch):
-        # the prepared states enter cnot's block with no local applied
-        monkeypatch.setattr(Preparations, "density", lambda self: np.array([[[0.6, 0], [0, 0.6]]]))
+        # the prepared states enter cnot's block with no local applied; a NaN
+        # row is refused too, with no numpy warning (warnings are errors here)
         circuit = scenario.named_scenario("cnot").circuit
-        with pytest.raises(QlinalgError, match="trace deviates from 1 by 2.000e-01"):
-            db_model.solve_chain_batch(circuit.db_blocks, circuit.db_locals, Preparations(0.5, 0.0))
+        for row, norm in (([1.0, 0.6, 0.6, 0.6], "1.039"), ([1.0, np.nan, 0.0, 0.0], "nan")):
+            monkeypatch.setattr(Preparations, "pauli_expectations",
+                                property(lambda self, row=row: np.array([row])))
+            with pytest.raises(QlinalgError, match=f"Bloch vector norm {norm}"):
+                db_model.solve_chain_batch(circuit.db_blocks, circuit.db_locals,
+                                           Preparations(0.5, 0.0))
+
+    def test_output_held_to_the_bloch_ball(self):
+        # |0><0| scaled past the sphere by a local with no block after it: only
+        # the output check sees it, at BLOCH_BALL, not at BlochVector's bound
+        def stretched(scale):
+            return db_model.solve_chain_batch((), (np.diag([1.0, scale, scale, scale]),),
+                                              Preparations(1.0, 0.0))
+
+        assert stretched(1.0 + 1e-12).bloch.tolist() == [[0.0, 0.0, 1.0 + 1e-12]]
+        with pytest.raises(QlinalgError, match="Bloch vector norm 1.0000000001 exceeds 1"):
+            stretched(1.0 + 1e-10)
+
+
+def outcome(run):
+    """What run returns, or the ctcsim error it raises."""
+    try:
+        return run()
+    except CtcsimError as exc:
+        return exc
+
+
+class TestDenseChain:
+    """The chain on Pauli traces against the chain on 2x2 matrices it
+    replaced (helpers.solve_chain_dense), row by row."""
+
+    LOCALS = ("i2", "h", "s", "x", "y", "z")
+
+    @staticmethod
+    def preparations(rng) -> Preparations:
+        """alpha2 in {0, 1, 1e-300} with theta = +0.0 and -0.0, and four random pairs."""
+        alpha2 = np.concatenate([[0.0, 1.0, 1e-300] * 2, rng.uniform(0.0, 1.0, 4)])
+        theta = np.concatenate([[0.0] * 3 + [-0.0] * 3, rng.uniform(-np.pi, np.pi, 4)])
+        return Preparations(alpha2, theta)
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_random_clifford_chains(self, count):
+        rng = np.random.default_rng(count)
+        for _ in range(200):
+            blocks = tuple(scenario.BlockSpec(SWAP @ cli._random_clifford(rng))
+                           for _ in range(count))
+            local_names = tuple(str(n) for n in rng.choice(self.LOCALS, count + 1))
+            circuit = scenario.compile_circuit(blocks, local_names)
+            preps = self.preparations(rng)
+            got = outcome(lambda: db_model.solve_chain_batch(circuit.db_blocks,
+                                                             circuit.db_locals, preps))
+            want = outcome(lambda: solve_chain_dense([b.u for b in blocks],
+                                                     [local_gate(n)[0] for n in local_names],
+                                                     preps))
+            if isinstance(want, CtcsimError) or isinstance(got, CtcsimError):
+                assert type(got) is type(want), (got, want)
+                continue
+            assert np.max(np.abs(got.bloch - want.bloch)) <= 1e-14
+            assert not np.signbit(got.bloch[got.bloch == 0.0]).any()  # as the dense readout
+            assert np.max(np.abs(got.output - want.output)) <= 1e-14
+            # the dense trip's residual is its own rounding: a 4x4 conjugation and a
+            # partial trace of a 20-gate Clifford word's rounded entries, 16 eps at most
+            assert np.max(np.abs(got.residual - want.residual)) <= 16 * np.finfo(float).eps
+            assert np.array_equal(got.degenerate, want.degenerate)
+
+    @pytest.mark.parametrize("entry", [(1, 0, 2, 3), (0, 3, 1, 0)])
+    def test_corrupted_slice_fails_the_dense_check(self, entry):
+        # entry (k, l, i, j) of R: (1, 0, ...) is in the output slice, (0, 3, ...) in the loop slice
+        u = SWAP @ CNOT
+        transfer = db_model.interaction_transfer(u).copy()
+        transfer[entry] += 1e-9
+        with pytest.raises(EngineError, match="miss the dense loop trip by 1.000e-09"):
+            db_model.block_slices(u, transfer)
 
 
 class TestNonlinearity:

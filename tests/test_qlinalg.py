@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import pathlib
@@ -24,8 +25,6 @@ from ctcsim.qlinalg import (
     PureStateParams,
     QlinalgError,
     SWAP,
-    _density_deviations,
-    all_at_least,
     all_at_most,
     any_above,
     assert_density,
@@ -43,14 +42,11 @@ from ctcsim.qlinalg import (
     trace_distance,
 )
 from helpers import (
-    assert_density_entries,
     bloch_coordinates_entries,
     bloch_from_density,
-    density_deviations_entries,
     density_from_bloch_sum,
     partial_trace_first_einsum,
     partial_trace_second_einsum,
-    pauli_traces_readout,
     preparation_fields,
     pt_first_loops,
     pt_second_loops,
@@ -86,12 +82,20 @@ DENSITY_CANDIDATES = st.one_of(
     two_by_twos(), st.lists(two_by_twos(), max_size=5).map(lambda ms: np.array(ms).reshape(-1, 2, 2)))
 
 
-def check_outcome(check, rho: np.ndarray) -> np.ndarray | str:
-    """What check returns for rho, or the message of the QlinalgError it raises."""
-    try:
-        return check(rho)
-    except QlinalgError as exc:
-        return str(exc)
+def first_failing_check(rho: np.ndarray, atol: float = 1e-12) -> str | None:
+    """The message prefix of the first of assert_density's checks that some
+    matrix of rho fails, by numpy's own definitions (np.trace,
+    np.linalg.eigvalsh), or None if every matrix passes."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+        tr_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    if not (herm_dev <= atol).all():
+        return "density matrix not hermitian"
+    if not (tr_dev <= atol).all():
+        return "density matrix trace deviates"
+    if not (np.linalg.eigvalsh(rho)[..., 0] >= -atol).all():
+        return "density matrix has negative eigenvalue"
+    return None
 
 
 HALF_MAX = sys.float_info.max / 2
@@ -345,14 +349,17 @@ class TestDensityValidation:
             assert_density(rho)
 
     def test_checks_as_the_elementwise_forms_do(self, capfd):
+        # the check that fails first, and on a pass the Pauli traces np.trace reads
         @given(DENSITY_CANDIDATES)
         @settings(max_examples=300, derandomize=True, deadline=None, database=None)
         def check(rho):
-            got, want = check_outcome(assert_density, rho), check_outcome(assert_density_entries, rho)
-            if isinstance(want, str):
-                assert got == want
+            want = first_failing_check(rho)
+            if want is None:
+                traces = np.trace(PAULIS @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+                assert np.array_equal(assert_density(rho), traces)
             else:
-                assert isinstance(got, np.ndarray) and same_bits(got, want)
+                with pytest.raises(QlinalgError, match=want):
+                    assert_density(rho)
 
         check()
         assert capfd.readouterr() == ("", "")
@@ -508,14 +515,13 @@ class TestStackedKernels:
         mixed = np.array([random_density(rng) for _ in range(2000)])
         for rho in (mixed, prepared_grid(5000), conjugate(HADAMARD, prepared_grid(101)),
                     mixed - np.eye(2) / 4, I2 / 2, np.diag([1.5, -0.5]).astype(complex)):
-            low = _density_deviations(rho)[2]
-            gap = np.abs(low - np.linalg.eigvalsh(rho)[..., 0])
+            s, h = hermitian_spectrum(rho)  # assert_density's lowest eigenvalue, s - h
+            gap = np.abs(s - h - np.linalg.eigvalsh(rho)[..., 0])
             assert gap.max() <= 1e-15
 
 
 class TestReductions:
-    """all_at_most, all_at_least and any_above against the two-call forms
-    they replace."""
+    """all_at_most and any_above against the two-call forms they replace."""
 
     CASES = [np.array([]), np.array([0.5]), np.array([2.0]), np.array([np.nan]),
              np.array([0.5, np.nan]), np.array([2.0, np.nan]), np.array([-np.inf, 1.0]),
@@ -525,7 +531,6 @@ class TestReductions:
     def test_match_all_and_any(self, x):
         for bound in (-1.0, 0.0, 1.0, 1.5):
             assert bool(all_at_most(x, bound)) == bool((x <= bound).all())
-            assert bool(all_at_least(x, bound)) == bool((x >= bound).all())
             assert bool(any_above(x, bound)) == bool((x > bound).any())
 
 
@@ -652,40 +657,61 @@ class TestStackSizeIndependence:
                 stack[pos] = m
                 yield pos, stack
 
-    def test_density_deviations(self, rng):
+    def test_density_deviations(self, rng, monkeypatch):
+        # the values assert_density's three checks read, alone and in a stack
+        seen = []
+
+        def recording(bad, values, message, _real=qlinalg._check_each):
+            seen.append(values.copy())
+            _real(bad, values, message)
+
+        monkeypatch.setattr(qlinalg, "_check_each", recording)
         for m in self.matrices(rng):
-            alone = [d[0] for d in _density_deviations(m[None])]
+            with contextlib.suppress(QlinalgError):
+                assert_density(m[None])
+            alone = [values[0] for values in seen]
             for pos, stack in self.stacks(rng, m):
-                for got, want in zip(_density_deviations(stack), alone):
+                seen.clear()
+                with contextlib.suppress(QlinalgError):
+                    assert_density(stack)
+                assert len(seen) == len(alone)
+                for got, want in zip(seen, alone):
                     assert same_bits(got[pos], want)
+            seen.clear()
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 101])
     def test_one_product_matches_the_elementwise_forms(self, rng, n):
-        # the Pauli traces, the hermiticity and trace deviations and the lowest
-        # eigenvalue that one product reads, against the forms it replaced
-        matrices = np.array(self.matrices(rng))
-        for start in range(0, len(matrices) - n + 1, n) if n else [0]:
-            stack = matrices[start:start + n]
-            traces, deviations, low = _density_deviations(stack)
-            herm_dev = np.maximum.reduce(deviations[..., 1:], axis=-1)
-            got = (herm_dev, deviations[..., 0], low)
-            for g, want in zip(got, density_deviations_entries(stack)):
-                assert same_bits(g, want)
-            assert same_bits(traces, pauli_traces_readout(stack))
+        # the Pauli traces assert_density reads off one product, against the
+        # entries' sums (bloch_coordinates_entries and the trace's real part)
+        states = np.array(self.matrices(rng)[:100])
+        for start in range(0, len(states) - n + 1, n) if n else [0]:
+            stack = states[start:start + n]
+            traces = assert_density(stack)
+            trace = stack[..., 0, 0].real + stack[..., 1, 1].real + 0.0
+            assert same_bits(traces[..., 0], trace)
+            assert same_bits(traces[..., 1:], bloch_coordinates_entries(stack))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 101])
     def test_pauli_traces_sum_from_positive_zero(self, rng, n):
-        # with +-0.0 in the entries, as the readout summed from +0.0
-        noise = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-        for stack in (with_signed_zeros(rng, noise, 0.6), with_signed_zeros(rng, prepared_grid(n)),
-                      np.full((n, 2, 2), complex(-0.0, -0.0))):
-            assert same_bits(_density_deviations(stack)[0], pauli_traces_readout(stack))
+        # states whose zero parts have random signs: the grid reaches alpha2 =
+        # 0 and 1, and each local gate moves the zeros around.  Each trace is
+        # one product with every real part, and a state that passes the trace
+        # check has a positive diagonal part, whose +0.0 product makes a zero
+        # sum +0.0; a sum of only the parts a trace needs (R01 + R10 for x)
+        # would keep their -0.0
+        for gate in LOCAL_GATES.values():
+            stack = conjugate(gate, prepared_grid(n))
+            parts = stack.view(np.float64)
+            zero = parts == 0.0
+            parts[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+            traces = assert_density(stack)
+            assert not np.signbit(traces[traces == 0.0]).any()
 
     def test_bloch_norm(self, rng, monkeypatch):
         seen = []
 
         def recording(x, bound):
-            if bound == 1.0 + qlinalg.BLOCH_ATOL:
+            if bound == qlinalg.BLOCH_BALL:
                 seen.append(x.copy())
             return all_at_most(x, bound)
 

@@ -251,9 +251,9 @@ class TestCompare:
 
     def test_circuit_without_a_block(self):
         # no fixed point is solved: zero residual, no degeneracy, and the local
-        # gate's output, with the bits it has always had
+        # gate's output, its transfer matrix applied to the prepared Pauli traces
         spec = CircuitSpec(PureStateParams.from_alpha2(0.3, 0.4), (), ("h",))
-        want = (-0.4000000000000001, 0.657467717356937, 0.6385422465533964)
+        want = (-0.4, 0.657467717356937, 0.6385422465533964)
         report = compare(spec)
         assert report.flags == ("agree",)
         assert (report.db.residual, report.db.degenerate) == (0.0, False)
