@@ -10,8 +10,8 @@ nonlinear (and generally non-unitary) function of the input state.
 
 A qubit's state is its Pauli traces a = (1, r), r its Bloch vector, and
 both maps are bilinear in (a_in, (1, r)), with coefficients read off U's
-Pauli transfer matrix (as is the Heisenberg tableau): block_slices holds the
-two slices they read, checked once against the dense trip around the loop.
+Pauli transfer matrix (as is the Heisenberg tableau), which block_slices
+holds in one array, checked once against the dense trip around the loop.
 Two solvers cross-check each other: plain iteration of the dense loop map
 from the maximally mixed state, and a direct linear solve of the
 Bloch-space action.  When the fixed subspace has dimension > 1 the solvers
@@ -22,19 +22,20 @@ The direct solve runs on stacks of states: solve_chain_batch threads N
 preparations through a chain in one pass, as their (N, 4) Pauli traces from
 Preparations.pauli_expectations to the output, with every check applied to
 every state.  A local gate acts by its real 4x4 transfer matrix (None, an
-identity, is not applied); a block is one affine build, one stacked
-least-squares call and one contraction with the output slice.  Density
-matrices are built once, from the outputs' Bloch vectors.  solve_chain and
-solve_fixed_point are its one-state case for direct callers, and apply
-every local gate they are given.  The iteration stays scalar and dense, as
-the independent oracle.
+identity, is not applied); a block is one affine build, for both maps, and
+one stacked least-squares call.  A density matrix is built only when an
+output is read, from its Bloch vector.  solve_chain and solve_fixed_point
+are its one-state case for direct callers, and apply every local gate they
+are given.  The iteration stays scalar and dense, as the independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .qlinalg import (
     ATOL_SOLVER,
@@ -51,14 +52,13 @@ from .qlinalg import (
     Preparations,
     PureStateParams,
     Record,
-    any_above,
     assert_density,
     assert_unitary,
     bloch_coordinates,
     conjugate,
     density_from_bloch,
     hermitian_spectrum,
-    least_squares,
+    largest,
     partial_trace_first,
     partial_trace_second,
     pauli_transfer,
@@ -70,6 +70,12 @@ MAX_ITERS_DEFAULT = 100_000
 # treated as degenerate.
 DEGENERACY_TOL = 1e-8
 _I3 = np.eye(3)
+
+# np.linalg.lstsq's generalized ufunc, called without the wrapper in _stacked_lstsq (the
+# tests pin the two together): a private name, so a numpy without it fails at import.
+if not hasattr(_umath_linalg, "lstsq"):
+    raise ImportError(f"ctcsim needs numpy.linalg._umath_linalg.lstsq, which numpy "
+                      f"{np.__version__} lacks; the tested numpy is 2.4.6")
 
 
 class FixedPointError(EngineError, RuntimeError):
@@ -89,29 +95,35 @@ class DBSolution(NamedTuple):
 
 
 class DBRun(NamedTuple):
-    """A chain of blocks: the output, the largest residual and whether any
-    block's fixed point was degenerate."""
+    """A chain of blocks: the output's Bloch vector, the largest residual and
+    whether any block's fixed point was degenerate."""
 
-    output: DensityMatrix
     bloch: BlochVector
     residual: float
     degenerate: bool
+
+    @property
+    def output(self) -> DensityMatrix:
+        return density_from_bloch(self.bloch)
 
 
 class DBBatch(Record):
     """A chain of blocks run on N preparations: row n is the DBRun of the n-th.
 
-    output is (N, 2, 2), bloch (N, 3), residual and degenerate (N,).
+    bloch is (N, 3), residual and degenerate (N,), output (N, 2, 2).
     """
 
-    _fields = ("output", "bloch", "residual", "degenerate")
+    _fields = ("bloch", "residual", "degenerate")
 
-    def __init__(self, output: np.ndarray, bloch: np.ndarray, residual: np.ndarray,
-                 degenerate: np.ndarray) -> None:
-        vars(self).update(output=output, bloch=bloch, residual=residual, degenerate=degenerate)
+    def __init__(self, bloch: np.ndarray, residual: np.ndarray, degenerate: np.ndarray) -> None:
+        vars(self).update(bloch=bloch, residual=residual, degenerate=degenerate)
+
+    @functools.cached_property
+    def output(self) -> np.ndarray:
+        return density_from_bloch(self.bloch)
 
     def __getitem__(self, n: int) -> DBRun:
-        return DBRun(self.output[n], BlochVector(*self.bloch[n].tolist()),
+        return DBRun(BlochVector._of_checked(*self.bloch[n].tolist()),
                      self.residual.item(n), self.degenerate.item(n))
 
 
@@ -125,27 +137,26 @@ def interaction_transfer(u: Mat4) -> np.ndarray:
     return pauli_transfer(u)
 
 
-def block_slices(u: Mat4, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two slices of U's Pauli transfer matrix R that a block reads, read-only.
+def block_slices(u: Mat4, transfer: np.ndarray) -> np.ndarray:
+    """The two slices of U's Pauli transfer matrix R a block reads, read-only.
 
-    loop[i, l, j] = R[0l, ij] for l = x, y, z is the trapped qubit's l
-    coordinate after U acts on s_i x s_j, and out[i, k, j] = R[k0, ij] for
-    k = 0..3 the free qubit's k-th Pauli trace; both are held with i first
-    so that _bloch_affine sums over it in whole contiguous blocks.  Both are
-    checked once against the dense loop trip, the Pauli traces of the two
-    partial traces of U (s_i x s_j) U^dag over 4, within ATOL_STRUCT.
+    Loop rows 0-2, R[0l, ij] at [i, l - 1, j], are the trapped qubit's l = x,
+    y, z coordinate after U acts on s_i x s_j; output rows 3-6, R[k0, ij] at
+    [i, 3 + k, j], the free qubit's k-th Pauli trace, all in one (4, 7, 4)
+    array, i first so that _bloch_affine sums over it in contiguous blocks.
+    Both are checked once against the dense loop trip, the Pauli traces of
+    the two partial traces of U (s_i x s_j) U^dag over 4, within ATOL_STRUCT.
     """
-    loop = np.ascontiguousarray(transfer[0, 1:].transpose(1, 0, 2))
-    out = np.ascontiguousarray(transfer[:, 0].transpose(1, 0, 2))
+    coeffs = np.concatenate([transfer[0, 1:], transfer[:, 0]]).transpose(1, 0, 2).copy()
     images = conjugate(u, PAULI_PAIRS)
     halves = np.stack([partial_trace_first(images), partial_trace_second(images)])
     dense = np.einsum("kab,mijba->mikj", PAULIS, halves).real / 4
-    dev = np.max([np.max(np.abs(loop - dense[0, :, 1:])), np.max(np.abs(out - dense[1]))])
+    dev = np.max(np.abs(coeffs - np.concatenate([dense[0, :, 1:], dense[1]], axis=1)))
     if not dev <= ATOL_STRUCT:  # NaN fails too
         raise FixedPointError(f"transfer slices miss the dense loop trip by {dev:.3e}",
                               residual=dev.item())
-    loop.flags.writeable = out.flags.writeable = False
-    return loop, out
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def local_transfer(g: Mat2) -> np.ndarray:
@@ -170,17 +181,16 @@ def _spectral_norm_herm(m: np.ndarray) -> np.ndarray:
 
 
 def _bloch_affine(coeffs: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A block slice as the affine map r -> M r + c on Bloch coordinates.
+    """Rows of block_slices as affine maps r -> M r + c on Bloch coordinates.
 
     a holds the input's Pauli traces Tr[s_i rho_in], i = 0..3, a = (1, r_in).
-    A slice of block_slices maps a state b = (1, r) to the coordinates
-    sum_ij coeffs[i, l, j] a_i b_j, so M[l, j] = sum_i coeffs[i, l, j] a_i and
-    c[l] = sum_i coeffs[i, l, 0] a_i: the loop map (the loop slice, which is
-    trace preserving) or the block output (the output slice).  a may be one
-    state's or a stack's, and the sum runs over i in order for every row alike.
+    Row l maps a state b = (1, r) to sum_ij coeffs[i, l, j] a_i b_j, so
+    M[l, j] = sum_i coeffs[i, l, j] a_i and c[l] = sum_i coeffs[i, l, 0] a_i:
+    the loop map on the loop rows (trace preserving) and the block output on
+    the output rows.  a may be one state's or a stack's, and the sum runs
+    over i in order, from +0.0, for every row alike.
     """
-    # affine[..., l, j] = ((0.0 + a_0 coeffs[0, l, j]) + a_1 coeffs[1, l, j]) + ...
-    affine = np.add.reduce(a[..., :, None, None] * coeffs, axis=-3, initial=0.0)
+    affine = np.einsum("...i,ilj->...lj", a, coeffs)
     return affine[..., 1:], affine[..., 0]
 
 
@@ -191,9 +201,10 @@ def _lstsq_failed(err: str, flag: int) -> None:
 @np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _stacked_lstsq(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """np.linalg.lstsq(a[n], c[n], rcond=DEGENERACY_TOL) for every n, in one
-    call, under that wrapper's error state; a LAPACK failure raises
-    FixedPointError."""
-    return least_squares(a, c, DEGENERACY_TOL)
+    gelsd call under that wrapper's error state: the solutions, ranks and
+    descending singular values.  A LAPACK failure raises FixedPointError."""
+    x, _, rank, svals = _umath_linalg.lstsq(a, c[..., None], DEGENERACY_TOL, signature="ddd->ddid")
+    return x[..., 0], rank, svals
 
 
 def _residuals(a: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -203,10 +214,10 @@ def _residuals(a: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
     return 0.5 * np.sqrt(np.add.reduce(miss * miss, axis=-1))
 
 
-def _solve_system(m: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+def _solve_system(m: np.ndarray, c: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Direct solve of (I - M) r = c for each state of a stack, given the
     loop map r -> M r + c: the fixed points' Bloch vectors, the degeneracy
-    flags and the residuals.
+    flags and the residuals, each residual checked to be within tol.
 
     The least-squares solve returns the minimum-norm solution on rank
     deficiency, which is the maximum-entropy fixed point for a qubit
@@ -217,37 +228,31 @@ def _solve_system(m: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     # gelsd gives the singular values in descending order
     degenerate = (rank < 3) | (svals[..., 2] < DEGENERACY_TOL * np.maximum(svals[..., 0], 1.0))
     residual = _residuals(a, c, r)
-    if any_above(residual, 0.5e-8):  # |a r - c| > 1e-8
+    worst = largest(residual)
+    if worst > 0.5e-8:  # |a r - c| > 1e-8
         raise FixedPointError("consistency equation admits no solution (numerical)",
                               residual=residual[np.argmax(residual > 0.5e-8)].item())
     norm = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])  # as np.linalg.norm of one row
-    if any_above(norm, 1.0):
-        if any_above(norm, 1.0 + BLOCH_ATOL):
+    top = largest(norm)
+    if top > 1.0:
+        if top > 1.0 + BLOCH_ATOL:
             worst = norm[np.argmax(norm > 1.0 + BLOCH_ATOL)].item()
             raise FixedPointError(f"fixed-point solution left the Bloch ball (|r| = {worst!r})",
                                   residual=worst - 1.0)
         spill = norm > 1.0  # float spill just past the sphere
         r[spill] = r[spill] / norm[spill, None]
         residual = _residuals(a, c, r)
+        worst = largest(residual)
+    _check_within(residual, worst, tol)
     return r, degenerate, residual
 
 
-def _solve_eigen(loop: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, ...]:
-    """_solve_system on the loop map of the inputs whose Pauli traces are
-    traces: a chain block's solve."""
-    return _solve_system(*_bloch_affine(loop, traces))
-
-
-def _block_output(out: np.ndarray, traces: np.ndarray, r: np.ndarray,
-                  residual: np.ndarray, tol: float) -> np.ndarray:
-    """The Pauli traces of a block's outputs, from those of its inputs and
-    its fixed points r, once every residual is checked to be within tol."""
-    if any_above(residual, tol):
+def _check_within(residual: np.ndarray, worst: float, tol: float) -> None:
+    """Raise unless worst, the largest of the residuals, is within tol."""
+    if worst > tol:
         worst = residual[np.argmax(residual > tol)].item()
         raise FixedPointError(f"returned state misses the fixed point by {worst:.3e}",
                               residual=worst)
-    m, c = _bloch_affine(out, traces)
-    return c + (m @ r[..., None])[..., 0]
 
 
 def _solve_iterate(u: Mat4, rho_in: DensityMatrix, tol: float,
@@ -285,10 +290,9 @@ def solve_fixed_point(u: Mat4, rho_in: DensityMatrix, method: str = "both", *,
     """
     if method not in ("iterate", "eigen", "both"):
         raise ValueError(f"unknown method {method!r}")
-    loop, out = block_slices(u, interaction_transfer(u))
     traces = assert_density(np.asarray(rho_in)[None])
-    m, c = _bloch_affine(loop, traces)
-    r, degenerate, residual = _solve_system(m, c)
+    m, c = _bloch_affine(block_slices(u, interaction_transfer(u)), traces)
+    r, degenerate, residual = _solve_system(m[:, :3], c[:, :3], np.inf)
     fixed = density_from_bloch(r[0])
     iterations = 0
     if method != "eigen":
@@ -300,36 +304,38 @@ def solve_fixed_point(u: Mat4, rho_in: DensityMatrix, method: str = "both", *,
                 "non-degenerate fixed point", residual=gap)
         if method == "iterate":
             fixed, r = rho_iter, assert_density(rho_iter[None], atol=1e-9)[:, 1:]
-            residual = _residuals(_I3 - m, c, r)
-    output = density_from_bloch(_block_output(out, traces, r, residual, tol)[0, 1:])
+            residual = _residuals(_I3 - m[:, :3], c[:, :3], r)
+    _check_within(residual, largest(residual), tol)
+    output = density_from_bloch((c[:, 3:] + (m[:, 3:] @ r[..., None])[..., 0])[0, 1:])
     return DBSolution(fixed_point=fixed, output=output, iterations=iterations,
                       residual=residual[0].item(), degenerate=degenerate[0].item())
 
 
-def solve_chain_batch(blocks: Sequence[tuple[np.ndarray, np.ndarray]],
-                      local_gates: Sequence[np.ndarray | None], preps: Preparations) -> DBBatch:
+def solve_chain_batch(blocks: Sequence[np.ndarray], local_gates: Sequence[np.ndarray | None],
+                      preps: Preparations) -> DBBatch:
     """Thread N prepared pure states through consecutive wormhole blocks.
 
     blocks holds each block's block_slices; local_gates interleaves the
     blocks (before, between, after) as local_transfer matrices, None
     standing for an identity that is not applied.  The states are their
     Pauli traces throughout.  Every check runs on every state: each block
-    input, whether or not a local gate was applied to it, and each output,
-    before its density matrix is built, must lie in the Bloch ball to
-    within BLOCH_BALL (bloch_coordinates).  The residual and the degeneracy
-    flag start from the first block's; a circuit with no block has zeros.
+    input, whether or not a local gate was applied to it, and each output
+    must lie in the Bloch ball to within BLOCH_BALL (bloch_coordinates).
+    The residual and the degeneracy flag start from the first block's; a
+    circuit with no block has zeros.
     """
     if len(local_gates) != len(blocks) + 1:
         raise ValueError(
             f"need {len(blocks) + 1} local gates for {len(blocks)} blocks, got {len(local_gates)}")
     a = preps.pauli_expectations
     residual = degenerate = None
-    for transfer, (loop, out) in zip(local_gates, blocks):
+    for transfer, coeffs in zip(local_gates, blocks):
         if transfer is not None:
             a = a @ transfer.T
         bloch_coordinates(a)
-        r, block_degenerate, block_residual = _solve_eigen(loop, a)
-        a = _block_output(out, a, r, block_residual, ATOL_SOLVER)
+        m, c = _bloch_affine(coeffs, a)
+        r, block_degenerate, block_residual = _solve_system(m[:, :3], c[:, :3], ATOL_SOLVER)
+        a = c[:, 3:] + (m[:, 3:] @ r[..., None])[..., 0]
         if residual is None:
             residual, degenerate = block_residual, block_degenerate
         else:
@@ -339,8 +345,7 @@ def solve_chain_batch(blocks: Sequence[tuple[np.ndarray, np.ndarray]],
         residual, degenerate = np.zeros(len(preps)), np.zeros(len(preps), dtype=bool)
     if local_gates[-1] is not None:
         a = a @ local_gates[-1].T
-    r = bloch_coordinates(a)
-    return DBBatch(density_from_bloch(r), r, residual, degenerate)
+    return DBBatch(bloch_coordinates(a), residual, degenerate)
 
 
 def solve_chain(blocks: Sequence[Mat4], local_gates: Sequence[Mat2],

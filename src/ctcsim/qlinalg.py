@@ -26,14 +26,6 @@ import math
 import sys
 
 import numpy as np
-from numpy.linalg import _umath_linalg
-
-# The generalized ufunc that np.linalg.lstsq wraps, called without the
-# wrapper in least_squares; the tests pin it against the public wrapper.  It
-# is a private name, so a numpy without it fails here, at import, by name.
-if not hasattr(_umath_linalg, "lstsq"):
-    raise ImportError(f"ctcsim needs numpy.linalg._umath_linalg.lstsq, which numpy "
-                      f"{np.__version__} lacks; the tested numpy is 2.4.6")
 
 # Structural checks (hermiticity, trace, unitarity) use ATOL_STRUCT;
 # fixed-point solvers converge to ATOL_SOLVER.
@@ -198,8 +190,8 @@ class PureStateParams(ValueRecord):
         The state is checked and its amplitudes derived already, with the
         arithmetic Preparations uses, so they are handed over as they are.
         """
-        return Preparations._of_checked(np.array([self.alpha2]), np.array([self.theta]),
-                                        np.array([[self.alpha, self.beta]]))
+        row = np.array([[self.alpha2, self.theta, self.alpha, self.beta]])
+        return Preparations._of_checked(row[:, 0], row[:, 1], row[:, 2:])
 
     def density(self) -> DensityMatrix:
         return self.batch.density()[0]
@@ -272,7 +264,7 @@ class BlochVector(ValueRecord):
     up to BLOCH_ATOL.  A NaN or infinite coordinate makes the norm NaN or
     infinite, which is refused too.  The norm is taken with the operations
     bloch_coordinates uses on a stack, in the same order, so a row that
-    passed that check passes this one."""
+    passed that check passes this one, and _of_checked builds it unchecked."""
 
     _fields = ("rx", "ry", "rz")
 
@@ -281,6 +273,13 @@ class BlochVector(ValueRecord):
         norm = self.norm()
         if not norm <= 1.0 + BLOCH_ATOL:  # NaN fails too
             raise QlinalgError(f"Bloch vector norm {norm!r} exceeds 1")
+
+    @classmethod
+    def _of_checked(cls, rx: float, ry: float, rz: float) -> "BlochVector":
+        """A BlochVector of a row that bloch_coordinates has checked already."""
+        self = object.__new__(cls)
+        vars(self).update(rx=rx, ry=ry, rz=rz)
+        return self
 
     def norm(self) -> float:
         return math.sqrt(self.rx * self.rx + self.ry * self.ry + self.rz * self.rz)
@@ -360,9 +359,10 @@ def all_at_most(x: np.ndarray, bound: float) -> bool:
     return np.maximum.reduce(x, axis=None, initial=-math.inf) <= bound
 
 
-def any_above(x: np.ndarray, bound: float) -> bool:
-    """(x > bound).any() in one reduction: NaN is not above bound."""
-    return np.fmax.reduce(x, axis=None, initial=-math.inf) > bound
+def largest(x: np.ndarray) -> float:
+    """The largest entry of x in one reduction, NaN skipped, -inf if there is
+    none: largest(x) > bound is (x > bound).any(), and NaN is not above bound."""
+    return np.fmax.reduce(x, axis=None, initial=-math.inf)
 
 
 def _check_each(bad: np.ndarray, values: np.ndarray, message: str) -> None:
@@ -417,17 +417,6 @@ def density_from_bloch(r: BlochVector | np.ndarray) -> np.ndarray:
     parts = r @ _BLOCH_READOUT.T
     parts += _IDENTITY_PARTS
     return 0.5 * parts.view(complex).reshape(*r.shape[:-1], 2, 2)
-
-
-def least_squares(a: np.ndarray, b: np.ndarray, rcond: float) -> tuple[np.ndarray, ...]:
-    """np.linalg.lstsq(a[n], b[n], rcond) for every n of a stack, in one gelsd
-    call: the solutions (..., d), ranks (...) and descending singular values.
-
-    The caller sets the error state the wrapper would, and so decides what a
-    LAPACK failure raises.
-    """
-    x, _, rank, svals = _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")
-    return x[..., 0], rank, svals
 
 
 def hermitian_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

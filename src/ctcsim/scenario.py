@@ -101,17 +101,17 @@ class BlockSpec(Record):
 class Circuit(Record):
     """What both engines read of one circuit, as compile_circuit gives it.
 
-    db_blocks holds each block's loop and output slices and db_locals each
-    local gate's transfer matrix, or None for an identity, which the
-    density-matrix chain does not apply (read off the local's Clifford
-    table, as apply_local skips it).  words holds each axis's
+    db_blocks holds each block's block_slices, its loop and output rows in
+    one array, and db_locals each local gate's transfer matrix, or None for
+    an identity, which the density-matrix chain does not apply (read off the
+    local's Clifford table, as apply_local skips it).  words holds each axis's
     back-propagated word or the status that stops it, or, if a block is not
     Clifford, the NotCliffordError that only the Heisenberg engine raises.
     """
 
     _fields = ("db_blocks", "db_locals", "words")
 
-    def __init__(self, db_blocks: tuple[tuple[np.ndarray, np.ndarray], ...],
+    def __init__(self, db_blocks: tuple[np.ndarray, ...],
                  db_locals: tuple[np.ndarray | None, ...],
                  words: Mapping | NotCliffordError) -> None:
         vars(self).update(db_blocks=db_blocks, db_locals=db_locals, words=words)
@@ -157,7 +157,7 @@ def compile_circuit(blocks: tuple[BlockSpec, ...], local_gates: tuple[str, ...])
     the 1,024 most recently used.
 
     Each distinct block builds U's Pauli transfer matrix once, checking U
-    unitary; its two slices and its Clifford table are read off that matrix.
+    unitary; its slices and its Clifford table are read off that matrix.
     """
     transfers = {block: db_model.interaction_transfer(block.u) for block in dict.fromkeys(blocks)}
     try:

@@ -315,15 +315,19 @@ def apply_local(c: Clifford, w: TimedPauliWord) -> TimedPauliWord:
     return TimedPauliWord.build(ipow, letters, tail)
 
 
-# Every table is read off a dense gate of qlinalg.  First qubit is the control.
-CZ_TABLEAU = tableau_from_unitary(CZ)
-CNOT_TABLEAU = tableau_from_unitary(CNOT)
-SWAP_TABLEAU = tableau_from_unitary(SWAP)
-
 # One-qubit tables keyed by qlinalg's standard gate names.
 LOCAL_TABLES = {name: tableau_from_unitary(standard_gate(name))
                 for name in ("I2", "H", "X", "Y", "Z", "S")}
-LOCAL_I, LOCAL_H, LOCAL_X, LOCAL_Y, LOCAL_Z, LOCAL_S = LOCAL_TABLES.values()
+LOCAL_I, LOCAL_H = LOCAL_TABLES["I2"], LOCAL_TABLES["H"]  # read by the acceptance suite
+
+
+def __getattr__(name: str) -> Clifford:
+    """CZ_TABLEAU, CNOT_TABLEAU or SWAP_TABLEAU, built when imported: only the
+    acceptance suite imports them from here (the other tests, from helpers)."""
+    gates = {"CZ_TABLEAU": CZ, "CNOT_TABLEAU": CNOT, "SWAP_TABLEAU": SWAP}
+    if name not in gates:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return tableau_from_unitary(gates[name])
 
 
 # -- prime-notation rendering and parsing ----------------------------------

@@ -5,19 +5,23 @@ index sums for partial traces, dense Kronecker products for symbolic words,
 QR-sampled unitaries.  Keep it dumb.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ctcsim import scenario
 from ctcsim.db_model import (
-    DBBatch,
     FixedPointError,
-    _solve_eigen,
+    _bloch_affine,
+    _solve_system,
     _spectral_norm_herm,
     block_slices,
     interaction_transfer,
 )
 from ctcsim.qlinalg import (
     ATOL_SOLVER,
+    CNOT,
+    CZ,
     HADAMARD,
     I2,
     PAULI_BY_NAME,
@@ -26,6 +30,7 @@ from ctcsim.qlinalg import (
     PAULI_Z,
     PAULIS,
     PHASE_S,
+    SWAP,
     BlochVector,
     Preparations,
     PureStateParams,
@@ -37,7 +42,14 @@ from ctcsim.qlinalg import (
     partial_trace_second,
     tensor,
 )
-from ctcsim.timed_pauli import Clifford, TimedPauliWord
+from ctcsim.timed_pauli import LOCAL_TABLES, Clifford, TimedPauliWord, tableau_from_unitary
+
+# The gate tables the tests read, each read off its dense gate; the first
+# qubit is the control.
+CZ_TABLEAU = tableau_from_unitary(CZ)
+CNOT_TABLEAU = tableau_from_unitary(CNOT)
+SWAP_TABLEAU = tableau_from_unitary(SWAP)
+LOCAL_I, LOCAL_H, LOCAL_X, LOCAL_Y, LOCAL_Z, LOCAL_S = LOCAL_TABLES.values()
 
 
 def local_gate(name: str) -> tuple[np.ndarray, Clifford]:
@@ -275,22 +287,30 @@ def trace_distance_eigvalsh(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def loop_transfer(u: np.ndarray) -> np.ndarray:
-    """The loop slice of the interaction U, checked unitary."""
-    return block_slices(u, interaction_transfer(u))[0]
+    """The loop slice of the interaction U, rows 0-2 of its block_slices,
+    checked unitary."""
+    return block_slices(u, interaction_transfer(u))[:, :3]
 
 
-def solve_chain_dense(blocks, local_gates, preps) -> DBBatch:
+def solve_eigen(loop: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The chain's direct solve on the loop map of the inputs whose Pauli
+    traces are traces, with no bound on the residuals past the consistency test."""
+    return _solve_system(*_bloch_affine(loop, traces), np.inf)
+
+
+def solve_chain_dense(blocks, local_gates, preps) -> SimpleNamespace:
     """db_model.solve_chain_batch on 2x2 matrices, as it ran before it ran on
     Pauli traces: blocks holds each interaction U and local_gates each local
     gate's matrix.  Each state is checked as a density matrix and its Pauli
     traces solved for the fixed point, and one dense trip around the loop
-    gives the residual and the block output."""
+    gives the residual and the block output.  Returns the fields of a
+    DBBatch, its output the dense one."""
     rho = preps.density()
     residual = np.zeros(len(preps))
     degenerate = np.zeros(len(preps), dtype=bool)
     for gate_before, u in zip(local_gates, blocks):
         rho = conjugate(gate_before, rho)
-        r, block_degenerate, _ = _solve_eigen(loop_transfer(u), assert_density(rho))
+        r, block_degenerate, _ = solve_eigen(loop_transfer(u), assert_density(rho))
         fixed = density_from_bloch(r)
         joint = conjugate(u, tensor(rho, fixed))
         block_residual = _spectral_norm_herm(partial_trace_first(joint) - fixed)
@@ -302,4 +322,5 @@ def solve_chain_dense(blocks, local_gates, preps) -> DBBatch:
         residual = np.maximum(residual, block_residual)
         degenerate |= block_degenerate
     rho = conjugate(local_gates[-1], rho)
-    return DBBatch(rho, bloch_coordinates(assert_density(rho)), residual, degenerate)
+    return SimpleNamespace(output=rho, bloch=bloch_coordinates(assert_density(rho)),
+                           residual=residual, degenerate=degenerate)

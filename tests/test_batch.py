@@ -179,10 +179,10 @@ class TestCompileOnce:
         circuit = scenario.named_scenario("chained_cnot_hadamard").circuit
         with pytest.raises(TypeError):
             circuit.words["x"] = "singular"
-        # each block's loop and output slices, and each local's transfer matrix
-        arrays = [*(a for pair in circuit.db_blocks for a in pair),
-                  *(m for m in circuit.db_locals if m is not None)]
-        assert [a.shape for a in arrays] == [(4, 3, 4), (4, 4, 4)] * 2 + [(4, 4)] * 2
+        # each block's loop and output slices, in one array, and each local's
+        # transfer matrix
+        arrays = [*circuit.db_blocks, *(m for m in circuit.db_locals if m is not None)]
+        assert [a.shape for a in arrays] == [(4, 7, 4)] * 2 + [(4, 4)] * 2
         assert not any(a.flags.writeable for a in arrays)
         assert scenario.named_scenario("chained_cnot_hadamard").circuit.words is circuit.words
 

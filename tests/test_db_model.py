@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from ctcsim.db_model import (
     DEGENERACY_TOL,
     FixedPointError,
     _bloch_affine,
-    _solve_eigen,
     _spectral_norm_herm,
     _stacked_lstsq,
     ctc_map,
@@ -17,6 +17,7 @@ from ctcsim.db_model import (
     solve_fixed_point,
 )
 from ctcsim.qlinalg import (
+    ATOL_SOLVER,
     CNOT,
     CZ,
     CtcsimError,
@@ -46,6 +47,7 @@ from helpers import (
     random_params,
     random_unitary,
     solve_chain_dense,
+    solve_eigen,
     spectral_norm_eigvalsh,
     with_signed_zeros,
 )
@@ -147,6 +149,25 @@ class TestBlochAffine:
                 for got, want in zip(_bloch_affine(loop, a), bloch_affine_sum(loop, a)):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [0, 1, 101])
+    def test_one_build_is_the_builds_on_the_two_slices(self, n):
+        """Rows 0-2 and 3-6 of one build on a block's whole coefficient array
+        equal the builds on its loop slice and on its output slice alone, bit
+        for bit, with signed zeros in the inputs."""
+        rng = np.random.default_rng(n)
+        rho = np.array([random_density(rng) for _ in range(n)]).reshape(n, 2, 2)
+        a = np.einsum("iab,...ba->...i", PAULIS, with_signed_zeros(rng, rho)).real
+        for u in (U_CNOT_SWAP, U_CZ_SWAP, I4, random_unitary(rng, 4),
+                  *(SWAP @ cli._random_clifford(rng) for _ in range(5))):
+            coeffs = db_model.block_slices(u, db_model.interaction_transfer(u))
+            assert coeffs.shape == (4, 7, 4) and not coeffs.flags.writeable
+            for traces in (a, *a[:1]):
+                m, c = _bloch_affine(coeffs, traces)
+                for rows in (slice(0, 3), slice(3, 7)):
+                    half_m, half_c = _bloch_affine(np.ascontiguousarray(coeffs[:, rows]), traces)
+                    assert m[..., rows, :].tobytes() == half_m.tobytes()
+                    assert c[..., rows].tobytes() == half_c.tobytes()
+
 
 def per_point_lstsq(a, c):
     """The public np.linalg.lstsq, one system at a time: the reference the
@@ -223,7 +244,7 @@ class TestStackedSolve:
             assert (np.diff(svals, axis=-1) <= 0).all()
             old = (rank < 3) | (svals.min(axis=-1)
                                 < DEGENERACY_TOL * np.maximum(svals.max(axis=-1), 1.0))
-            assert np.array_equal(_solve_eigen(loop_transfer(u), traces)[1], old)
+            assert np.array_equal(solve_eigen(loop_transfer(u), traces)[1], old)
 
     def test_spectral_norm_matches_eigvalsh(self, rng):
         # |s| + h of the closed-form eigenvalues s -+ h, within 8 eps of the norm
@@ -245,10 +266,27 @@ class TestStackedSolve:
             spec = scenario.named_scenario("cnot", PureStateParams.from_alpha2(alpha2))
             assert scenario.run_db(spec).residual == 0.0
 
+    @pytest.mark.parametrize("shift, message", [
+        (1e-9, "returned state misses the fixed point"),
+        (1e-8, "consistency equation admits no solution")])
+    def test_residual_held_to_both_bounds_in_order(self, monkeypatch, shift, message):
+        # a solve shifted off the fixed point misses it by about shift: past
+        # ATOL_SOLVER it is refused, and past 0.5e-8 the consistency test
+        # refuses it first
+        def shifted(a, c, _real=_stacked_lstsq):
+            r, rank, svals = _real(a, c)
+            return r + shift, rank, svals
+
+        monkeypatch.setattr(db_model, "_stacked_lstsq", shifted)
+        spec = scenario.named_scenario("cnot", PureStateParams.from_alpha2(0.3, 0.4))
+        with pytest.raises(FixedPointError, match=message) as err:
+            scenario.run_db(spec)
+        assert ATOL_SOLVER < err.value.residual < 10 * shift
+
     def test_lapack_failure_is_an_engine_error(self):
         traces = assert_density(Preparations(np.linspace(0, 1, 3), 0.0).density())
         with pytest.raises(FixedPointError, match="did not converge"):
-            _solve_eigen(np.full((4, 3, 4), np.nan), traces)
+            solve_eigen(np.full((4, 3, 4), np.nan), traces)
 
     def test_lapack_failure_exits_1_through_the_cli(self, monkeypatch, capfd):
         def poisoned(loop, traces):
@@ -262,6 +300,16 @@ class TestStackedSolve:
 
 
 class TestSolveFixedPoint:
+    def test_returned_residual_held_to_tol(self):
+        # the residual returned is the one tol is tested against
+        rng = np.random.default_rng(0)
+        u, rho = random_unitary(rng, 4), random_density(rng)
+        residual = solve_fixed_point(u, rho, method="eigen").residual
+        assert residual > 0.0
+        with pytest.raises(FixedPointError, match="misses the fixed point") as err:
+            solve_fixed_point(u, rho, method="eigen", tol=residual / 2)
+        assert err.value.residual == residual
+
     def test_cz_matches_closed_form(self, rng):
         for _ in range(100):
             p = random_params(rng)
@@ -530,6 +578,49 @@ class TestDenseChain:
         transfer[entry] += 1e-9
         with pytest.raises(EngineError, match="miss the dense loop trip by 1.000e-09"):
             db_model.block_slices(u, transfer)
+
+
+class TestOutputAndMemory:
+    """A chain builds no density matrix unless one is read, and holds no
+    temporary larger than its (N, 7, 4) affine build."""
+
+    def test_batch_output_built_on_first_read(self):
+        circuit = scenario.named_scenario("cz").circuit
+        batch = db_model.solve_chain_batch(circuit.db_blocks, circuit.db_locals,
+                                           Preparations(np.linspace(0.0, 1.0, 11), 0.3))
+        run = batch[4]
+        assert run.bloch.as_tuple() == tuple(batch.bloch[4].tolist())
+        assert "output" not in vars(batch)
+        out = batch.output
+        assert out.tobytes() == density_from_bloch(batch.bloch).tobytes()
+        assert batch.output is out and vars(batch)["output"] is out
+        assert run.output.tobytes() == out[4].tobytes()
+
+    @pytest.mark.parametrize("name", scenario.scenario_names())
+    def test_run_output_is_built_from_its_bloch_vector(self, name):
+        report = scenario.compare(scenario.named_scenario(name, PureStateParams(alpha2=0.3,
+                                                                                theta=0.2)))
+        assert report.db._fields == ("bloch", "residual", "degenerate")
+        assert report.db.output.tobytes() == density_from_bloch(report.db.bloch).tobytes()
+        with pytest.raises(AttributeError):
+            report.db.output = I2 / 2
+
+    # tracemalloc's peak per point, measured on Python 3.11.7 with numpy 2.4.6
+    # (405 and 513 B), plus a tenth.  A broadcast (N, 4, 7, 4) temporary of
+    # one block's seven rows would take 896 B a point alone.
+    @pytest.mark.parametrize("name, bound", [("cnot", 450), ("chained_cnot_hadamard", 565)])
+    def test_peak_memory_per_point(self, name, bound):
+        circuit = scenario.named_scenario(name).circuit
+        n = 20_000
+        preps = Preparations(np.linspace(0.0, 1.0, n), np.linspace(0.0, 6.0, n))
+        preps.pauli_expectations  # derived with the preparations, not by the chain
+        tracemalloc.start()
+        try:
+            db_model.solve_chain_batch(circuit.db_blocks, circuit.db_locals, preps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= bound, peak / n
 
 
 class TestNonlinearity:

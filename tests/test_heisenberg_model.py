@@ -23,19 +23,23 @@ from ctcsim.qlinalg import CNOT, CZ, SWAP, I4, PureStateParams, PAULI_BY_NAME
 from ctcsim import scenario
 from ctcsim.cli import _random_clifford
 from ctcsim.timed_pauli import (
-    CNOT_TABLEAU,
-    CZ_TABLEAU,
-    LOCAL_H,
-    LOCAL_I,
     LOCAL_TABLES,
     PauliLetter,
-    SWAP_TABLEAU,
     TimedPauliWord,
     conj_pair,
     word_from_str,
     word_mul,
 )
-from helpers import gaussian_overlap_quadrature, random_params, state_prep_unitary
+from helpers import (
+    CNOT_TABLEAU,
+    CZ_TABLEAU,
+    LOCAL_H,
+    LOCAL_I,
+    SWAP_TABLEAU,
+    gaussian_overlap_quadrature,
+    random_params,
+    state_prep_unitary,
+)
 
 L = PauliLetter
 W = TimedPauliWord

@@ -26,13 +26,13 @@ from ctcsim.qlinalg import (
     QlinalgError,
     SWAP,
     all_at_most,
-    any_above,
     assert_density,
     assert_unitary,
     bloch_coordinates,
     conjugate,
     density_from_bloch,
     hermitian_spectrum,
+    largest,
     partial_trace_first,
     partial_trace_second,
     pauli_transfer,
@@ -521,7 +521,7 @@ class TestStackedKernels:
 
 
 class TestReductions:
-    """all_at_most and any_above against the two-call forms they replace."""
+    """all_at_most and largest against the two-call forms they replace."""
 
     CASES = [np.array([]), np.array([0.5]), np.array([2.0]), np.array([np.nan]),
              np.array([0.5, np.nan]), np.array([2.0, np.nan]), np.array([-np.inf, 1.0]),
@@ -531,7 +531,7 @@ class TestReductions:
     def test_match_all_and_any(self, x):
         for bound in (-1.0, 0.0, 1.0, 1.5):
             assert bool(all_at_most(x, bound)) == bool((x <= bound).all())
-            assert bool(any_above(x, bound)) == bool((x > bound).any())
+            assert bool(largest(x) > bound) == bool((x > bound).any())
 
 
 # The closed-form eigenvalues s -+ h of a hermitian 2x2 (hermitian_spectrum)

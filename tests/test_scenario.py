@@ -442,7 +442,7 @@ def assert_verdict_matches_the_dense_oracle(report: scenario.ComparisonReport,
 def test_verdict_on_either_side_of_the_tolerance(gap, degenerate, flags):
     # a gap of exactly COMPARISON_ATOL diverges; the distance is half the gap
     r_db = BlochVector(gap, 0.0, 0.0)
-    db = DBRun(density_from_bloch(r_db), r_db, 0.0, degenerate)
+    db = DBRun(r_db, 0.0, degenerate)
     heis = HeisenbergResult({"x": 0.0, "y": 0.0, "z": 0.0}, dict.fromkeys("xyz", "ok"))
     r = scenario.verdict(db, heis)
     assert r.flags == flags

@@ -20,18 +20,9 @@ from ctcsim.qlinalg import (
     SWAP,
 )
 from ctcsim.timed_pauli import (
-    CNOT_TABLEAU,
-    CZ_TABLEAU,
     DivergentPhaseError,
-    LOCAL_H,
-    LOCAL_I,
-    LOCAL_S,
-    LOCAL_X,
-    LOCAL_Y,
-    LOCAL_Z,
     NotCliffordError,
     PauliLetter,
-    SWAP_TABLEAU,
     TimedPauliWord,
     apply_local,
     conj_pair,
@@ -41,7 +32,18 @@ from ctcsim.timed_pauli import (
     word_mul,
     word_to_str,
 )
-from helpers import word_to_dense
+from helpers import (
+    CNOT_TABLEAU,
+    CZ_TABLEAU,
+    LOCAL_H,
+    LOCAL_I,
+    LOCAL_S,
+    LOCAL_X,
+    LOCAL_Y,
+    LOCAL_Z,
+    SWAP_TABLEAU,
+    word_to_dense,
+)
 
 L = PauliLetter
 LETTERS = [L.I, L.X, L.Y, L.Z]
