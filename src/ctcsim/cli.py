@@ -386,6 +386,29 @@ def cmd_conjecture_check(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+class _FloatToken:
+    """Matches every token float() reads, -1e-3, -1e308 and -inf included."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """The parser of ctcsim and of its subcommands.  A token that starts with
+    "-" is a value wherever float() reads it, not only in argparse's forms
+    -1 and -.5; argparse asks the matcher in its private
+    _negative_number_matcher, and tests/test_cli.py checks that it still does."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatToken
+
+
 def _add_common(p: argparse.ArgumentParser, with_model: bool = True) -> None:
     p.add_argument("--config", help="config file path, given instead of a scenario name")
     p.add_argument("--alpha2", type=float, help="|0> population of the prepared state")
@@ -399,7 +422,7 @@ def _add_common(p: argparse.ArgumentParser, with_model: bool = True) -> None:
 
 @functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctcsim",
         description="Scatter a qubit off a wormhole time machine in two independent models.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -164,7 +164,8 @@ class PureStateParams(ValueRecord):
     """The input qubit alpha e^{i theta}|0> + beta e^{-i theta}|1>, kept as given.
 
     alpha2 is the |0> population in [0, 1]; the real amplitudes
-    alpha = sqrt(alpha2) and beta = sqrt(1 - alpha2) are derived once.
+    alpha = sqrt(alpha2) and beta = sqrt(1 - alpha2) are derived once, and
+    the four Pauli traces once, with batch.
     """
 
     _fields = ("alpha2", "theta")
@@ -189,9 +190,15 @@ class PureStateParams(ValueRecord):
 
         The state is checked and its amplitudes derived already, with the
         arithmetic Preparations uses, so they are handed over as they are.
+        Its Pauli traces are derived here, in Python floats, by the
+        operations of Preparations.pauli_expectations in the same order, and
+        handed over too; tests/test_qlinalg.py pins the two bit for bit.
         """
-        row = np.array([[self.alpha2, self.theta, self.alpha, self.beta]])
-        return Preparations._of_checked(row[:, 0], row[:, 1], row[:, 2:])
+        a, b = self.alpha, self.beta
+        two_ab, angle = 2.0 * a * b, 2.0 * self.theta
+        row = np.array([[self.alpha2, self.theta, a, b,
+                         1.0, two_ab * math.cos(angle), -two_ab * math.sin(angle), a * a - b * b]])
+        return Preparations._of_checked(row[:, 0], row[:, 1], row[:, 2:4], row[:, 4:])
 
     def density(self) -> DensityMatrix:
         return self.batch.density()[0]
@@ -205,7 +212,9 @@ class Preparations(Record):
 
     Each pair is checked as PureStateParams checks one, and the first bad
     pair raises that class's error.  The amplitudes, (N, 2) columns alpha and
-    beta, are derived once, with the arithmetic of PureStateParams.
+    beta, are derived once, with the arithmetic of PureStateParams, and the
+    Pauli traces on first use; PureStateParams.batch hands over both,
+    derived once with its state.
     """
 
     _fields = ("alpha2", "theta")
@@ -223,11 +232,13 @@ class Preparations(Record):
         self._set(alpha2, theta, np.sqrt(np.stack([alpha2, 1.0 - alpha2], axis=-1)))
 
     @classmethod
-    def _of_checked(cls, alpha2: np.ndarray, theta: np.ndarray,
-                    amplitudes: np.ndarray) -> "Preparations":
-        """Preparations of pairs that are checked already, with their amplitudes."""
+    def _of_checked(cls, alpha2: np.ndarray, theta: np.ndarray, amplitudes: np.ndarray,
+                    traces: np.ndarray) -> "Preparations":
+        """Preparations of pairs that are checked already, with their amplitudes
+        and their Pauli traces, the pauli_expectations they hold from the start."""
         self = object.__new__(cls)
         self._set(alpha2, theta, amplitudes)
+        vars(self)["pauli_expectations"] = traces
         return self
 
     def _set(self, alpha2: np.ndarray, theta: np.ndarray, amplitudes: np.ndarray) -> None:

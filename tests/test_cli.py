@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import math
@@ -447,6 +448,10 @@ class TestInputBoundary:
         # a flag for the swept parameter itself
         ["sweep", "cnot", "alpha2", "0", "1", "2", "--alpha2", "0.3"],
         ["sweep", "cnot", "theta", "0", "1", "2", "--theta", "0.3"],
+        # negative values in exponent form and -inf, with no "--"
+        ["sweep", "cnot", "theta", "-1e308", "1e308", "3"],
+        ["run", "cnot", "--theta", "-inf"],
+        ["run", "cnot", "--alpha2", "-5e-324"],
     ])
     def test_single_error_line(self, tmp_path, capsys, argv):
         config = next((arg for arg in argv if isinstance(arg, tuple)), None)
@@ -496,6 +501,59 @@ class TestInputBoundary:
         assert theta_only == both
         assert sweep.splitlines()[:3] == both.splitlines()
         assert [line.split(",")[2] for line in both.splitlines()[1:]] == ["0.75", "0.75"]
+
+
+class TestNegativeNumbers:
+    """A token float() reads is a value wherever one is expected, in exponent
+    form too, as in --theta=-1e-3."""
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E2", "-5e-324", "-0.5", "-1"])
+    def test_option_value_reads_as_with_equals(self, capsys, value):
+        code, spaced, err = run_cli(capsys, "run", "cz", "--theta", value, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert spaced == run_cli(capsys, "run", "cz", f"--theta={value}", "--format", "csv")[1]
+
+    def test_sweep_range_reads_exponent_form(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "cz", "theta", "-1e-3", "1", "3",
+                                 "--format", "csv")
+        assert (code, err) == (0, "")
+        assert [r["theta"] for r in csv_records(out)[::2]] == [
+            repr(v) for v in np.linspace(-1e-3, 1.0, 3).tolist()]
+
+    def test_huge_negative_bound_reaches_the_range_check(self, capsys):
+        assert run_cli(capsys, "sweep", "cnot", "theta", "-1e308", "1e308", "3") == (
+            2, "", "error: sweep range must be finite with from < to, got -1e+308 .. 1e+308\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "cz", "--theta", "-x"], "argument --theta: expected one argument"),
+        (["run", "cz", "-1e-3"], "unrecognized arguments: -1e-3"),
+    ])
+    def test_other_tokens_parse_as_before(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2 and message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-1E-3", "-1_0.5"])
+    def test_every_float_token_is_a_value(self, value):
+        args = build_parser().parse_args(["run", "cz", "--thet", value])
+        assert str(args.theta) == str(float(value))
+
+    def test_argparse_reads_the_matcher_this_rides_on(self):
+        # cli._Parser swaps argparse's private _negative_number_matcher: this
+        # fails if argparse stops reading that attribute
+        seen = []
+
+        class Spy:
+            @staticmethod
+            def match(token):
+                seen.append(token)
+                return True
+
+        parser = argparse.ArgumentParser()
+        parser.add_argument("--v")
+        parser._negative_number_matcher = Spy
+        assert parser.parse_args(["--v", "-x"]).v == "-x"
+        assert "-x" in seen
 
 
 class TestErrorRoot:

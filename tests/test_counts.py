@@ -25,9 +25,9 @@ from ctcsim.qlinalg import PureStateParams
 # name: (Python line events in ctcsim, C calls), measured on Python 3.11.7
 # with numpy 2.4.6
 BOUNDS = {
-    "cz": (221, 67),
-    "cnot": (208, 65),
-    "chained_cnot_hadamard": (249, 78),
+    "cz": (216, 64),
+    "cnot": (203, 62),
+    "chained_cnot_hadamard": (243, 75),
 }
 PREPARATIONS = ((0.3, 0.7), (0.8, -1.1), (0.15, 2.5))
 PACKAGE = os.path.dirname(ctcsim.__file__) + os.sep

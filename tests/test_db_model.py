@@ -367,6 +367,31 @@ class TestSolveFixedPoint:
         with pytest.raises(ValueError):
             solve_fixed_point(I4, RHO_0, method="fancy")
 
+    @staticmethod
+    def iterate_off_the_fixed_point(monkeypatch, u, rho):
+        """Make the iteration land 1e-6 Z off the eigen fixed point, a gap of
+        spectral norm 1e-6; returns that gap as the check computes it."""
+        fixed = solve_fixed_point(u, rho, method="eigen").fixed_point
+        shifted = fixed + 1e-6 * PAULI_Z
+        monkeypatch.setattr(db_model, "_solve_iterate", lambda *args: (shifted, 1, 0.0))
+        return float(_spectral_norm_herm(shifted - fixed))
+
+    def test_both_refuses_solvers_that_disagree(self, monkeypatch):
+        rho = PureStateParams.from_alpha2(0.3, 0.7).density()
+        gap = self.iterate_off_the_fixed_point(monkeypatch, U_CZ_SWAP, rho)
+        assert gap == pytest.approx(1e-6, rel=1e-9)
+        with pytest.raises(FixedPointError, match="iterate and eigen solvers disagree by "
+                           "1.000e-06 on a non-degenerate fixed point") as err:
+            solve_fixed_point(U_CZ_SWAP, rho, method="both")
+        assert err.value.residual == gap
+
+    def test_both_lets_a_degenerate_block_disagree(self, monkeypatch):
+        # the identity block fixes every trapped state, so the iterate may land anywhere
+        rho = PureStateParams.from_alpha2(0.3, 0.7).density()
+        self.iterate_off_the_fixed_point(monkeypatch, I4, rho)
+        sol = solve_fixed_point(I4, rho, method="both")
+        assert sol.degenerate and np.array_equal(sol.fixed_point, I2 / 2)
+
     def test_non_unitary_rejected(self):
         with pytest.raises(QlinalgError):
             solve_fixed_point(np.ones((4, 4), dtype=complex), RHO_0)

@@ -386,6 +386,12 @@ LOCAL_GATES = {"I2": I2, "H": HADAMARD, "X": PAULI_BY_NAME["X"], "Y": PAULI_BY_N
                "Z": PAULI_BY_NAME["Z"], "S": PHASE_S}
 STACK_SIZES = [0, 1, 2, 101, 5000]
 REWRITE_SIZES = [0, 1, 101]
+# |0> population and phase at their edges: a subnormal population, the one
+# just below 1, signed zero, a quarter turn and the largest |theta| whose
+# 2 theta is finite; every pair of one of each
+EDGE_STATES = np.array([(a2, th) for a2 in (0.0, 1.0, 5e-324, 1.0 - 2.0**-53)
+                        for th in (-0.0, math.pi / 2, -math.pi / 2,
+                                   sys.float_info.max / 2, -sys.float_info.max / 2)])
 
 
 def prepared_grid(n: int) -> np.ndarray:
@@ -495,21 +501,38 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("n", REWRITE_SIZES)
     def test_preparations_match_the_unstacked_forms(self, n):
+        # every row stacked and alone, where PureStateParams derives the
+        # traces in Python floats and bloch() reads them
         rng = np.random.default_rng(n)
         alpha2 = rng.choice([0.0, 1.0, 0.5, 1e-300, *rng.uniform(0.0, 1.0, 4)], n)
         theta = rng.choice([0.0, -0.0, math.pi, -math.pi / 2, 1e300, *rng.uniform(-9, 9, 4)], n)
+        alpha2 = np.concatenate([alpha2, EDGE_STATES[:, 0]])
+        theta = np.concatenate([theta, EDGE_STATES[:, 1]])
         preps = Preparations(alpha2, theta)
         want = preparation_fields(alpha2, theta)
         got = (preps.alpha, preps.beta, preps.density(), preps.pauli_expectations)
         for g, w in zip(got, want):
             assert same_bits(np.ascontiguousarray(g), w)
-        for a2, th in zip(alpha2[:20].tolist(), theta[:20].tolist()):
-            one = PureStateParams.from_alpha2(a2, th).batch
+        for a2, th in zip(alpha2.tolist(), theta.tolist()):
+            p = PureStateParams.from_alpha2(a2, th)
+            one = p.batch
             want = preparation_fields(a2, th)
             got = (one.alpha, one.beta, one.density(), one.pauli_expectations)
             for g, w in zip(got, want):
                 assert same_bits(np.ascontiguousarray(g), w)
             assert same_bits(one.alpha2, np.array([a2])) and same_bits(one.theta, np.array([th]))
+            assert same_bits(np.array(p.bloch().as_tuple()), one.pauli_expectations[0, 1:])
+
+    def test_one_state_traces_match_the_stack_at_every_scale(self):
+        # numpy's cos and sin against math's, through the two derivations, on
+        # phases from subnormal to the largest whose double is finite
+        rng = np.random.default_rng(28)
+        theta = rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-323, 307.9, 5000)
+        alpha2 = rng.uniform(0.0, 1.0, 5000)
+        stacked = Preparations(alpha2, theta).pauli_expectations
+        alone = [PureStateParams(alpha2=a2, theta=th).batch.pauli_expectations[0]
+                 for a2, th in zip(alpha2.tolist(), theta.tolist())]
+        assert same_bits(np.array(alone), stacked)
 
     def test_lowest_eigenvalue_matches_eigvalsh(self, rng):
         mixed = np.array([random_density(rng) for _ in range(2000)])
