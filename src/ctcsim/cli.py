@@ -27,6 +27,7 @@ fill is empty.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import functools
 import gc
@@ -466,7 +467,17 @@ def main(argv: list[str] | None = None) -> int:
     cyclic collector until it ends, however it ends, so the command's
     collections scan only what it allocates.  A caller that has frozen its
     own heap keeps its freeze, and the collector is left alone.
+
+    Each call, before parsing, leaves gc.freeze registered with atexit once,
+    so shutdown collections skip the heap, which the OS reclaims anyway.
+    os._exit would skip the caller's later atexit handlers and flushes; a
+    freeze kept on return would change the caller's collector, and one set
+    on import every importer's exit.  Handlers run last in, first out, so
+    one registered before main finds the heap frozen and its gc.collect()
+    frees none of it.
     """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     if gc.get_freeze_count():
         return _run(argv)
     gc.freeze()

@@ -637,6 +637,71 @@ class TestCollector:
             gc.unfreeze()
 
 
+def run_python(*args, drop=()):
+    """A fresh interpreter on the checkout's src/, stdout and stderr piped,
+    with the variables named in drop removed from its environment."""
+    env = {key: value for key, value in os.environ.items() if key not in drop}
+    env["PYTHONPATH"] = str(REPO / "src")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=REPO, timeout=60)
+
+
+# An atexit handler registered before main: it runs after main's gc.freeze
+# handler and prints whether it found the heap frozen.
+REPORT_FREEZE_AT_EXIT = """
+import atexit, gc, sys
+from ctcsim import cli, scenario
+atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count() > 0}"))
+"""
+
+
+class TestCollectorAtExit:
+    """A process that ran a command exits with its heap frozen, so the
+    shutdown collections skip it; importing ctcsim or calling the library
+    leaves shutdown alone."""
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["run", "cz", "--format", "csv"], 0, ""),
+        (["run", "nonsense"], 2, "error: "),
+        (["--help"], 0, ""),
+    ])
+    def test_heap_is_frozen_at_exit(self, argv, code, err):
+        proc = run_python("-c", REPORT_FREEZE_AT_EXIT + "sys.exit(cli.main(sys.argv[1:]))",
+                          *argv)
+        assert proc.returncode == code and proc.stdout.endswith("frozen at exit: True\n")
+        assert proc.stderr.startswith(err) and proc.stderr.count("\n") == (err != "")
+
+    def test_library_leaves_shutdown_alone(self):
+        proc = run_python("-c", REPORT_FREEZE_AT_EXIT
+                          + "scenario.compare(scenario.named_scenario('cz'))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "frozen at exit: False\n", "")
+
+    def test_one_handler_for_two_commands(self):
+        # gc.freeze counted through a wrapper that main looks up and registers;
+        # the handler registered first reports the calls made after the commands
+        code = """
+import atexit, gc
+from ctcsim import cli
+calls, freeze = [], gc.freeze
+def counted():
+    calls.append(None)
+    freeze()
+gc.freeze = counted
+atexit.register(lambda: print(f"freezes at exit: {len(calls) - after_commands}"))
+cli.main(["run", "cz"]); cli.main(["run", "cz"])
+after_commands = len(calls)
+"""
+        proc = run_python("-c", code)
+        assert (proc.returncode, proc.stdout.splitlines()[-1], proc.stderr) == (
+            0, "freezes at exit: 1", "")
+
+    def test_buffered_pipe_prints_the_golden_sweep(self):
+        from test_bench_jobs import GOLDEN, SWEEP_ARGV
+        proc = run_python("-m", "ctcsim.cli", *SWEEP_ARGV, drop=("PYTHONUNBUFFERED",))
+        golden = (GOLDEN / "sweep_cnot_alpha2_101_both.txt").read_text()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden, "")
+
+
 class CountingStream(io.StringIO):
     def __init__(self) -> None:
         super().__init__()

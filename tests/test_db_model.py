@@ -9,6 +9,7 @@ from ctcsim.db_model import (
     DEGENERACY_TOL,
     FixedPointError,
     _bloch_affine,
+    _solve_system,
     _spectral_norm_herm,
     _stacked_lstsq,
     ctc_map,
@@ -299,6 +300,69 @@ class TestStackedSolve:
         assert err == "engine error: SVD did not converge in the fixed-point solve\n"
 
 
+def solve_stack(a_diags, cs, tol=ATOL_SOLVER):
+    """_solve_system on the states whose loop maps have I - M = diag(a_diag)
+    and offset c, one state per pair."""
+    m = np.array([np.diag(1.0 - np.array(a_diag, dtype=float)) for a_diag in a_diags])
+    return _solve_system(m, np.array(cs, dtype=float), tol)
+
+
+def solve_one(a_diag, c, tol=ATOL_SOLVER):
+    """solve_stack on one state: its Bloch vector, degeneracy flag and residual."""
+    r, degenerate, residual = solve_stack([a_diag], [c], tol)
+    return r[0], degenerate[0].item(), residual[0].item()
+
+
+class TestTolerancePins:
+    """Each tolerance of the direct solve, held by literal values on both
+    sides of it, so that a bound ten times wider fails here."""
+
+    @pytest.mark.parametrize("s, degenerate", [(2e-8, False), (5e-9, True)])
+    def test_degeneracy_tol(self, s, degenerate):
+        # singular values 1, 1, s: degenerate below 1e-8 of the largest
+        assert solve_one((1.0, 1.0, s), (0.0, 0.0, 0.0))[1] is degenerate
+
+    def test_bloch_atol_refuses_a_solution_past_it(self):
+        with pytest.raises(FixedPointError, match="left the Bloch ball"):
+            solve_one((1.0, 1.0, 1.0), (1.0 + 5e-9, 0.0, 0.0))
+
+    @pytest.mark.parametrize("excess", [5e-10, 1e-9])  # 1e-9: exactly on the bound
+    def test_a_solution_inside_bloch_atol_spills_onto_the_sphere(self, excess):
+        r, _, residual = solve_one((1.0, 1.0, 1.0), (1.0 + excess, 0.0, 0.0), tol=np.inf)
+        assert abs(np.linalg.norm(r) - 1.0) <= 1e-15 and r[1:].tolist() == [0.0, 0.0]
+        assert residual == pytest.approx(excess / 2, rel=1e-6)
+
+    def test_atol_solver_refuses_the_spilled_residual(self):
+        # the spill above misses c by 2.5e-10, past ATOL_SOLVER = 1e-10
+        with pytest.raises(FixedPointError, match="misses the fixed point by 2.5") as err:
+            solve_one((1.0, 1.0, 1.0), (1.0 + 5e-10, 0.0, 0.0))
+        assert err.value.residual == pytest.approx(2.5e-10, rel=1e-6)
+
+    def test_a_gap_of_exactly_the_consistency_bound_is_a_miss(self):
+        # I - M = diag(1, 1, 0) leaves z free, and c's z of 1e-8 is missed by
+        # |c| / 2 = 0.5e-8 exactly: not past the consistency bound, but past tol
+        with pytest.raises(FixedPointError, match="misses the fixed point by 5.000e-09"):
+            solve_one((1.0, 1.0, 0.0), (0.0, 0.0, 1e-8))
+
+    def test_each_refusal_names_the_first_state_past_its_bound(self):
+        # the first state of each stack lies exactly on its bound, which is
+        # within it: at Bloch norm 1 + 1e-9, with a gap of 0.5e-8, or missing
+        # by exactly tol
+        one, free_z = (1.0, 1.0, 1.0), (1.0, 1.0, 0.0)
+        with pytest.raises(FixedPointError, match=r"\(\|r\| = 1.000000005") as err:
+            solve_stack([one, one], [(1.0 + 1e-9, 0.0, 0.0), (1.0 + 5e-9, 0.0, 0.0)])
+        assert err.value.residual == pytest.approx(5e-9, rel=1e-6)
+        with pytest.raises(FixedPointError, match="admits no solution") as err:
+            solve_stack([free_z, free_z], [(0.0, 0.0, 1e-8), (0.0, 0.0, 2e-8)])
+        assert err.value.residual == 1e-8
+        spills = [(1.0 + 5e-10, 0.0, 0.0), (1.0 + 8e-10, 0.0, 0.0)]
+        tol = solve_stack([one, one], spills, tol=np.inf)[2]
+        solve_stack([one], spills[:1], tol=tol[0])  # a residual equal to tol is within it
+        with pytest.raises(FixedPointError, match="misses the fixed point") as err:
+            solve_stack([one, one], spills, tol=tol[0])
+        assert err.value.residual == tol[1]
+
+
 class TestSolveFixedPoint:
     def test_returned_residual_held_to_tol(self):
         # the residual returned is the one tol is tested against
@@ -367,12 +431,25 @@ class TestSolveFixedPoint:
         with pytest.raises(ValueError):
             solve_fixed_point(I4, RHO_0, method="fancy")
 
+    def test_iteration_counts_its_first_trip(self):
+        # the identity block fixes I/2, where the iteration starts: one trip
+        rho = PureStateParams.from_alpha2(0.3, 0.7).density()
+        assert solve_fixed_point(I4, rho, method="iterate", max_iters=1).iterations == 1
+
+    def test_iterate_held_to_a_density_within_1e_9(self, monkeypatch):
+        rho = PureStateParams.from_alpha2(0.3, 0.7).density()
+        fixed = solve_fixed_point(U_CZ_SWAP, rho, method="eigen").fixed_point
+        monkeypatch.setattr(db_model, "_solve_iterate",
+                            lambda *args: (fixed * (1 + 5e-9), 1, 0.0))
+        with pytest.raises(QlinalgError, match="trace deviates from 1 by 5.000e-09"):
+            solve_fixed_point(U_CZ_SWAP, rho, method="iterate")
+
     @staticmethod
-    def iterate_off_the_fixed_point(monkeypatch, u, rho):
-        """Make the iteration land 1e-6 Z off the eigen fixed point, a gap of
-        spectral norm 1e-6; returns that gap as the check computes it."""
+    def iterate_off_the_fixed_point(monkeypatch, u, rho, shift=1e-6):
+        """Make the iteration land shift Z off the eigen fixed point, a gap of
+        spectral norm shift; returns that gap as the check computes it."""
         fixed = solve_fixed_point(u, rho, method="eigen").fixed_point
-        shifted = fixed + 1e-6 * PAULI_Z
+        shifted = fixed + shift * PAULI_Z
         monkeypatch.setattr(db_model, "_solve_iterate", lambda *args: (shifted, 1, 0.0))
         return float(_spectral_norm_herm(shifted - fixed))
 
@@ -384,6 +461,13 @@ class TestSolveFixedPoint:
                            "1.000e-06 on a non-degenerate fixed point") as err:
             solve_fixed_point(U_CZ_SWAP, rho, method="both")
         assert err.value.residual == gap
+
+    def test_both_refuses_a_gap_within_ten_times_the_bound(self, monkeypatch):
+        # the agreement bound is 1e-8
+        rho = PureStateParams.from_alpha2(0.3, 0.7).density()
+        self.iterate_off_the_fixed_point(monkeypatch, U_CZ_SWAP, rho, shift=5e-8)
+        with pytest.raises(FixedPointError, match="solvers disagree by 5.000e-08"):
+            solve_fixed_point(U_CZ_SWAP, rho, method="both")
 
     def test_both_lets_a_degenerate_block_disagree(self, monkeypatch):
         # the identity block fixes every trapped state, so the iterate may land anywhere
@@ -459,7 +543,7 @@ class TestRunChain:
 
     def test_local_gate_count_validated(self):
         p = PureStateParams.from_alpha2(0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need 2 local gates for 1 blocks, got 1"):
             run_chain([I4], [I2], p)
 
     def test_solve_chain_aggregates_block_solutions(self):

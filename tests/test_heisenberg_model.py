@@ -209,6 +209,15 @@ class TestEvaluateExpectation:
         value, status = evaluate_expectation(w, PureStateParams.from_alpha2(0.5, 0.0), ORTHO)
         assert value is None and status == "singular"
 
+    @pytest.mark.parametrize("alpha2, result", [(1 - 2.5e-9, (0.0, "ok")),
+                                                (1 - 2.5e-10, (None, "singular"))])
+    def test_tail_defined_up_to_singular_atol(self, alpha2, result):
+        # a Z tail's factor is the z trace, 1 - 5e-9 or 1 - 5e-10; within
+        # SINGULAR_ATOL = 1e-9 of 1 the tail has no limit
+        p = PureStateParams.from_alpha2(alpha2)
+        assert p.batch.pauli_expectations[0, 3] == pytest.approx(2 * alpha2 - 1, abs=1e-15)
+        assert evaluate_expectation(word_from_str("Z' Z'' Z'''..."), p, ORTHO) == result
+
     def test_tail_singular_at_balance_alternating(self):
         # theta = pi/2 makes the per-label factor -1: no convergence either
         w = word_from_str("X' X'' X'''...")

@@ -219,6 +219,15 @@ class TestStandardGates:
         u = standard_gate(name)
         assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-12)
 
+    @pytest.mark.parametrize("scale, unitary", [(1 + 2.5e-13, True), (1 + 2.5e-12, False)])
+    def test_unitarity_held_to_atol_struct(self, scale, unitary):
+        # u u^dag = scale^2 I is 5e-13 or 5e-12 off I; ATOL_STRUCT is 1e-12
+        if unitary:
+            assert_unitary(I4 * scale)
+        else:
+            with pytest.raises(QlinalgError, match="not unitary"):
+                assert_unitary(I4 * scale)
+
 
 class TestTensorAndTraces:
     def test_tensor_identities(self):
@@ -278,6 +287,12 @@ class TestBlochAndMetrics:
     def test_boundary_vector_accepted(self):
         assert BlochVector(1.0 + qlinalg.BLOCH_ATOL, 0.0, 0.0).norm() == 1.0 + qlinalg.BLOCH_ATOL
 
+    def test_vector_held_to_bloch_atol(self):
+        # BLOCH_ATOL is 1e-9: a norm 5e-10 past 1 is a state, 5e-9 past it is not
+        assert BlochVector(0.0, 1.0 + 5e-10, 0.0).norm() == 1.0 + 5e-10
+        with pytest.raises(QlinalgError, match="Bloch vector norm 1.000000005 exceeds 1"):
+            BlochVector(0.0, 1.0 + 5e-9, 0.0)
+
     def test_trace_distance_orthogonal(self):
         rho0 = np.outer(KET0, KET0)
         rho1 = np.outer(KET1, KET1)
@@ -301,6 +316,25 @@ class TestDensityValidation:
     def test_negative_eigenvalue_checked(self):
         with pytest.raises(QlinalgError, match="eigenvalue"):
             assert_density(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("rho", [
+        [[0.5, 0.25], [0.0, 0.5]], [[0.75, 0.0], [0.0, 0.5]], [[1.25, 0.0], [0.0, -0.25]]])
+    def test_deviation_equal_to_atol_is_within_it(self, rho):
+        # an asymmetry, a trace deviation and a negative eigenvalue of exactly 0.25
+        assert_density(np.array(rho, dtype=complex), atol=0.25)
+
+    def test_unitarity_deviation_equal_to_atol_is_within_it(self):
+        assert_unitary(2 * I2, atol=3.0)  # 2I (2I)^dag - I = 3I
+
+    def test_non_square_isometry_is_not_unitary(self):
+        with pytest.raises(QlinalgError, match="not a square matrix"):
+            assert_unitary(np.eye(2, 3))
+
+    def test_first_state_past_the_ball_is_named(self):
+        # the first row's norm is exactly BLOCH_BALL, within it
+        traces = np.array([[1.0, qlinalg.BLOCH_BALL, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0]])
+        with pytest.raises(QlinalgError, match="Bloch vector norm 2.0 exceeds 1"):
+            bloch_coordinates(traces)
 
     def test_stack_reports_its_first_failing_matrix(self):
         good = I2 / 2
