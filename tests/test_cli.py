@@ -745,8 +745,7 @@ def test_start_up_generates_no_dataclass_code():
     # records are written out instead, so start-up never imports dataclasses
     code = ("import sys, ctcsim.cli; ctcsim.cli.build_parser(); "
             "print(sorted({'ctcsim.cli', 'dataclasses'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60)
+    proc = run_python("-c", code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['ctcsim.cli']\n", "")
 
 
@@ -754,6 +753,5 @@ def test_start_up_compiles_no_circuit():
     # circuits compile on first use, so none is compiled before a command runs
     code = ("import ctcsim.cli; ctcsim.cli.build_parser(); "
             "print(ctcsim.cli.scenario.compile_circuit.cache_info().currsize)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60)
+    proc = run_python("-c", code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")

@@ -2,11 +2,10 @@
 
     python tools/mutate.py src/ctcsim/db_model.py
     python tools/mutate.py src/ctcsim/qlinalg.py --tests tests/test_qlinalg.py tests/test_db_model.py
-    python tools/mutate.py src/ctcsim/db_model.py --list
 
 Each mutant makes one change to the module: it swaps < and <=, > and >=,
 + and -, and and or, or is and is not, multiplies a float constant by 10
-(one that this leaves as it is, 0.0, inf or nan, is skipped), or drops a
+(one that this leaves as it is, 0.0 or inf, is skipped), or drops a
 not.  The checkout is copied once into a temporary directory,
 and each mutant is written over the module's copy there and run against
 the module's tests (tests/test_<module>.py unless --tests names others)
@@ -52,7 +51,7 @@ def sites(tree: ast.AST) -> list[tuple[ast.AST, int, str]]:
         elif isinstance(node, (ast.BinOp, ast.BoolOp)) and type(node.op) in SWAPS:
             found.append((node, 0, _swap_text(node.op)))
         elif (isinstance(node, ast.Constant) and type(node.value) is float
-              and node.value * 10 != node.value):  # 0.0, inf and nan stay as they are
+              and node.value * 10 != node.value):  # 0.0 and inf stay as they are
             found.append((node, 0, f"{node.value!r} -> {node.value * 10!r}"))
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
             found.append((node, 0, "drop not"))
@@ -105,7 +104,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("module", help="path of the module under src/, from the checkout root")
     parser.add_argument("--tests", nargs="+", help="test files to run (tests/test_<module>.py)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and run nothing")
     args = parser.parse_args(argv)
     # relative to the checkout, so that the mutants go to the copy's module only
     module = Path(args.module).resolve()
@@ -115,11 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     source = (REPO / module).read_text()
     tests = args.tests or [f"tests/test_{module.stem}.py"]
     count = len(sites(ast.parse(source)))
-    if args.list:
-        for k in range(count):
-            _, where, text = mutant(source, k)
-            print(f"{module}:{where}: {text}")
-        return 0
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         root = Path(tmp) / "repo"
         shutil.copytree(REPO, root, ignore=shutil.ignore_patterns(
