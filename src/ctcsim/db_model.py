@@ -224,9 +224,11 @@ def _solve_system(m: np.ndarray, c: np.ndarray, tol: float) -> tuple[np.ndarray,
     (entropy decreases with |r|).
     """
     a = _I3 - m
-    r, rank, svals = _stacked_lstsq(a, c)
-    # gelsd gives the singular values in descending order
-    degenerate = (rank < 3) | (svals[..., 2] < DEGENERACY_TOL * np.maximum(svals[..., 0], 1.0))
+    r, _, svals = _stacked_lstsq(a, c)
+    # gelsd gives the singular values in descending order, and its rank cut,
+    # s2 <= DEGENERACY_TOL * s0, implies this test, so a rank-deficient solve
+    # is flagged
+    degenerate = svals[..., 2] <= DEGENERACY_TOL * np.maximum(svals[..., 0], 1.0)
     residual = _residuals(a, c, r)
     worst = largest(residual)
     if worst > 0.5e-8:  # |a r - c| > 1e-8
@@ -265,7 +267,7 @@ def _solve_iterate(u: Mat4, rho_in: DensityMatrix, tol: float,
         nxt = ctc_map(u, rho_in, rho)
         residual = float(_spectral_norm_herm(nxt - rho))
         rho = nxt
-        if residual < tol:
+        if residual <= tol:
             return rho, n, residual
     raise FixedPointError(
         f"no fixed point within {max_iters} iterations (residual {residual:.3e})",

@@ -3,12 +3,9 @@
 Everything here is plain double-precision numpy on 2x2 and 4x4 arrays:
 states, gates, tensor products, partial traces and distance measures.  The
 state helpers also take stacks of them, one per prepared state, and check
-each member.  A stacked helper makes a fixed number of numpy calls per
-stack, not a BLAS or LAPACK call per member, so on a stack of one the number
-of calls, not the arithmetic, is its cost.  A linear reading of a 2x2 is one
-product with a fixed matrix over the entries' real parts (see real_parts):
-assert_density reads a checked state's Pauli traces so, and
-density_from_bloch builds a state from its Bloch vector the same way.  Every
+each member.  Only bloch_coordinates, largest and all_at_most run per
+point; every other kernel runs at import, when a circuit is compiled or on
+the one-state oracle path, so each takes its textbook definition.  Every
 matrix whose eigenvalues are needed is a hermitian 2x2, so they are read in
 closed form (hermitian_spectrum), with no LAPACK call.
 tests/test_qlinalg.py pins each closed form against the dense definition,
@@ -142,22 +139,6 @@ PAULI_BY_NAME: dict[str, np.ndarray] = {
 PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
 PAULI_PAIRS = np.einsum("kab,lcd->klacbd", PAULIS, PAULIS).reshape(4, 4, 4, 4)
 _PLUS_MINUS_I = np.array([1j, -1j])
-
-
-def real_parts(m: np.ndarray) -> np.ndarray:
-    """Each 2x2 complex matrix in m as its 8 real parts, (..., 8): the real and
-    imaginary part of each entry, row by row (R00 I00 R01 I01 R10 I10 R11 I11)."""
-    m = np.asarray(m, dtype=complex)
-    return m.reshape(*m.shape[:-2], 4).view(np.float64)
-
-
-# PAULI_READOUT[p, k] is real part p of sigma_k, so real_parts(m) @ PAULI_READOUT
-# is the real part of Tr[sigma_k m], and r @ PAULI_READOUT[:, 1:].T the real parts
-# of r . sigma.  Each column has at most two nonzero entries, all +-1, so both
-# products are exact up to one rounding of a two-term sum.
-PAULI_READOUT = real_parts(PAULIS).T.copy()
-_BLOCH_READOUT = PAULI_READOUT[:, 1:].copy()
-_IDENTITY_PARTS = real_parts(I2).copy()
 
 
 class PureStateParams(ValueRecord):
@@ -317,18 +298,9 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def conjugate(g: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """g m g^dag for a d x d matrix m, or for each member of a stack (..., d, d).
-
-    Two flat products whatever the leading shape: g times the N members side
-    by side, (d, N*d), then the N products stacked, (N*d, d), times g^dag.
-    Each entry is the length-d dot product g @ m @ g.conj().T forms member
-    by member, so the bits are the same; tests/test_qlinalg.py pins that.
-    """
-    g, m = np.asarray(g), np.asarray(m)
-    d = m.shape[-1]
-    side = g @ m.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
-    stacked = side.reshape(d, -1, d).transpose(1, 0, 2).reshape(-1, d)
-    return (stacked @ g.conj().T).reshape(m.shape)
+    """g m g^dag for a d x d matrix m, or for each member of a stack (..., d, d)."""
+    g = np.asarray(g)
+    return g @ m @ g.conj().T
 
 
 def pauli_transfer(u: Mat4) -> np.ndarray:
@@ -402,7 +374,7 @@ def assert_density(rho: np.ndarray, atol: float = ATOL_STRUCT) -> np.ndarray:
     _check_each(~(herm_dev <= atol), herm_dev, "density matrix not hermitian (deviation {:.3e})")
     _check_each(~(tr_dev <= atol), tr_dev, "density matrix trace deviates from 1 by {:.3e}")
     _check_each(~(low >= -atol), low, "density matrix has negative eigenvalue {:.3e}")
-    return real_parts(rho) @ PAULI_READOUT
+    return np.einsum("kab,...ba->...k", PAULIS, rho).real
 
 
 def bloch_coordinates(traces: np.ndarray) -> np.ndarray:
@@ -418,16 +390,11 @@ def bloch_coordinates(traces: np.ndarray) -> np.ndarray:
 
 
 def density_from_bloch(r: BlochVector | np.ndarray) -> np.ndarray:
-    """Reconstruct (I + r . sigma) / 2 from a BlochVector, whose type enforces
-    |r| <= 1, or from each row of a stack of finite coordinates (..., 3).
-
-    I + r . sigma is read off in closed form, [[1 + z, x - iy], [x + iy, 1 - z]],
-    and halved.
-    """
-    r = np.asarray(r.as_tuple() if isinstance(r, BlochVector) else r, dtype=float)
-    parts = r @ _BLOCH_READOUT.T
-    parts += _IDENTITY_PARTS
-    return 0.5 * parts.view(complex).reshape(*r.shape[:-1], 2, 2)
+    """Reconstruct (I + x X + y Y + z Z) / 2 from a BlochVector, whose type
+    enforces |r| <= 1, or from each row of a stack of finite coordinates (..., 3)."""
+    r = np.asarray(r.as_tuple() if isinstance(r, BlochVector) else r, dtype=float)[..., None, None]
+    return 0.5 * (I2 + r[..., 0, :, :] * PAULI_X + r[..., 1, :, :] * PAULI_Y
+                  + r[..., 2, :, :] * PAULI_Z)
 
 
 def hermitian_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -42,6 +42,7 @@ from .qlinalg import (
     assert_unitary,
     pauli_transfer,
     standard_gate,
+    tensor,
 )
 
 
@@ -256,7 +257,7 @@ def tableau_from_unitary(u: np.ndarray) -> Clifford:
     qubits = u.shape[0] // 2
     assert_unitary(u)
     if qubits == 1:
-        u = np.kron(u, I2)
+        u = tensor(u, I2)
     return tableau_from_transfer(u, pauli_transfer(u), qubits)
 
 

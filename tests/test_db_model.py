@@ -322,6 +322,17 @@ class TestTolerancePins:
         # singular values 1, 1, s: degenerate below 1e-8 of the largest
         assert solve_one((1.0, 1.0, s), (0.0, 0.0, 0.0))[1] is degenerate
 
+    @pytest.mark.parametrize("s0, rank", [(1.0, 2), (0.5, 3)])
+    def test_a_smallest_singular_value_on_the_bound_is_degenerate(self, s0, rank):
+        # I - M = diag(s0, s0, 1e-8) with its last two rows swapped, so that
+        # I - M holds 1e-8 exactly (1 - (1 - 1e-8) is not 1e-8) and s2 is
+        # exactly DEGENERACY_TOL * max(s0, 1).  gelsd's rank cut drops s2 at
+        # s0 = 1 but keeps rank 3 at s0 = 0.5, where only the test flags it
+        m = np.array([[[1.0 - s0, 0.0, 0.0], [0.0, 1.0, -1e-8], [0.0, -s0, 1.0]]])
+        _, got_rank, svals = _stacked_lstsq(np.eye(3) - m, np.zeros((1, 3)))
+        assert svals.tolist() == [[s0, s0, 1e-8]] and got_rank.tolist() == [rank]
+        assert _solve_system(m, np.zeros((1, 3)), ATOL_SOLVER)[1].tolist() == [True]
+
     def test_bloch_atol_refuses_a_solution_past_it(self):
         with pytest.raises(FixedPointError, match="left the Bloch ball"):
             solve_one((1.0, 1.0, 1.0), (1.0 + 5e-9, 0.0, 0.0))
@@ -435,6 +446,12 @@ class TestSolveFixedPoint:
         # the identity block fixes I/2, where the iteration starts: one trip
         rho = PureStateParams.from_alpha2(0.3, 0.7).density()
         assert solve_fixed_point(I4, rho, method="iterate", max_iters=1).iterations == 1
+
+    def test_iteration_stops_on_a_step_equal_to_tol(self):
+        # the first trip lands on I/2 exactly, a step of 0.0, which is within
+        # tol = 0.0 as the returned residual is held to it
+        solution = solve_fixed_point(I4, I2 / 2, method="iterate", tol=0.0, max_iters=3)
+        assert solution.iterations == 1 and solution.residual == 0.0
 
     def test_iterate_held_to_a_density_within_1e_9(self, monkeypatch):
         rho = PureStateParams.from_alpha2(0.3, 0.7).density()

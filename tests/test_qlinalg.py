@@ -36,7 +36,6 @@ from ctcsim.qlinalg import (
     partial_trace_first,
     partial_trace_second,
     pauli_transfer,
-    real_parts,
     standard_gate,
     tensor,
     trace_distance,
@@ -71,10 +70,11 @@ def two_by_twos(draw) -> np.ndarray:
     real parts replaced by a finite, huge, NaN or infinite value."""
     weight = draw(st.floats(0.0, 1.5))
     prep = Preparations(draw(st.floats(0.0, 1.0)), draw(st.floats(-7.0, 7.0)))
-    parts = real_parts(weight * prep.density()[0] + (1.0 - weight) * I2 / 2).copy()
+    m = weight * prep.density()[0] + (1.0 - weight) * I2 / 2
+    parts = m.reshape(4).view(np.float64)
     for k in draw(st.sets(st.integers(0, 7), max_size=3)):
         parts[k] = draw(st.one_of(st.floats(), st.sampled_from(SPECIAL_PARTS)))
-    return parts.view(complex).reshape(2, 2)
+    return m
 
 
 # one matrix alone, or a stack of up to five
@@ -487,6 +487,20 @@ class TestStackedKernels:
             rho = conjugate(gate, grid)
             dense = np.trace(PAULIS[1:] @ rho[..., None, :, :], axis1=-2, axis2=-1).real
             assert same_bits(bloch_coordinates(assert_density(rho)), dense), name
+
+    @pytest.mark.parametrize("n", STACK_SIZES)
+    def test_assert_density_returns_all_four_pauli_traces(self, n):
+        # a_0 = Tr[rho] included, which solve_fixed_point feeds to the affine
+        # build, and no +0.0 added: each trace as the trace of sigma_k rho
+        rng = np.random.default_rng(n)
+        mixed = np.array([random_density(rng) for _ in range(n)]).reshape(n, 2, 2)
+        for name, gate in LOCAL_GATES.items():
+            for rho in (conjugate(gate, prepared_grid(n)), conjugate(gate, mixed)):
+                dense = np.trace(PAULIS @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+                assert same_bits(assert_density(rho), dense), name
+                for m in rho[:5]:
+                    dense = np.trace(PAULIS @ m, axis1=-2, axis2=-1).real
+                    assert same_bits(assert_density(m), dense), name
 
     def test_bloch_coordinates_of_a_grid_of_grids(self):
         rho = Preparations(np.repeat([0.0, 0.25, 1.0], 7),
